@@ -39,7 +39,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .gammafns import chi, gamma_phase_product
 from .oracles import lerch_via_hurwitz
 from .params import EvalResult, LerchParams
@@ -373,7 +373,14 @@ def read_calibration(path: str) -> dict[str, float]:
             kind = key.strip()
             if kind not in KINDS:
                 raise DomainError(f"unknown calibration kind {kind!r} in {path}")
-            values[kind] = float(raw.strip())
+            try:
+                value = float(raw)
+            except ValueError:
+                value = math.nan
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"calibration constant {kind} = {raw.strip()!r} "
+                                  f"in {path} is not a finite positive number")
+            values[kind] = value
     return values
 
 

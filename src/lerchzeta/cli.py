@@ -55,12 +55,16 @@ def _parse_split(spec: str, t: float) -> afe.AfeSplit:
     if not parts or bad:
         raise DomainError(f"bad --split {spec!r}: use balanced, meansquare, "
                           f"or x=...[,y=...]")
-    x = float(parts["x"]) if "x" in parts else None
-    y = float(parts["y"]) if "y" in parts else None
-    if x is None:
-        x = abs(t) / (2.0 * math.pi * y)
-    elif y is None:
-        y = abs(t) / (2.0 * math.pi * x)
+    try:
+        x = float(parts["x"]) if "x" in parts else None
+        y = float(parts["y"]) if "y" in parts else None
+        if x is None:
+            x = abs(t) / (2.0 * math.pi * y)
+        elif y is None:
+            y = abs(t) / (2.0 * math.pi * x)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"bad --split {spec!r}: x and y must be positive "
+                          f"numbers") from None
     return afe.AfeSplit(x, y)
 
 
@@ -270,7 +274,7 @@ def _cmd_meansquare(args) -> int:
     checkpoints = args.checkpoints or None
     records = meansquare.mean_square_ladder(
         args.T, alpha_f, lam_frac, step=args.step, method=args.method,
-        checkpoints=checkpoints, threads=args.threads)
+        checkpoints=checkpoints)
     rows = [{"T": r.T, "alpha": r.alpha, "lambda": r.lam,
              "integral": r.integral_value, "main_term": r.main_term,
              "residual": r.residual, "quad_err": r.quadrature_error_estimate,
@@ -298,8 +302,6 @@ def _add_common(sp) -> None:
                     help="suppress the timestamp comment line")
     sp.add_argument("--strict", action="store_true",
                     help="exit 3 if any point is flagged unreliable")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker-pool cap for grid evaluation")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -338,7 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--no-meta", action="store_true")
     sp.add_argument("--strict", action="store_true")
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=_cmd_calibrate)
 
     sp = sub.add_parser("meansquare", help="mean-square experiment")

@@ -26,15 +26,32 @@ wherever floor(x(t)) or floor(y(t)) steps, which caps Simpson at first-order
 convergence with noisy constants (measured refinement ratios 0.7..5), so for
 them the estimate is the guarded value 2 |I(step) - I(step/2)|.
 
-Integrand values are filled into one array indexed by grid position (panels
-may be evaluated by a thread pool) and reduced in fixed order, so results are
-identical for any thread count.
+Every sum these routes need -- the afe main and dual sums, the partial sum
+and the Euler-Maclaurin direct sums -- is a Dirichlet polynomial
+sum_n w_n e^(-i t f_n) on the uniform grid t_j = t_start + j h (the dual sums
+have f_n = -log(n + shift)), and one kernel evaluates them all, after
+Odlyzko & Schonhage (1988), "Fast algorithms for multiple evaluations of the
+Riemann zeta function".  The grid is cut into blocks of _BLOCK points.  Each
+block starts from a direct exp at a grid index j = 0 mod _BLOCK and reaches
+its other points through the rotations e^(-i k h f_n), k < _BLOCK, applied
+to all the anchors of a chunk as one (_BLOCK x terms) by (terms x blocks)
+matrix product.  A rotation phase is the single product (k h) f_n, so
+rounding never accumulates past one block.  Anchors and chunk boundaries
+sit at fixed grid indices, so the arithmetic, and with it every bit of the
+result, is fixed by the grid alone.  Terms are taken _TILE at a time, which
+bounds the working set whatever T and q are.  The split-sum sums end at a
+per-point term count (floor(x(t)) + 1, and floor(y(t)) for the duals): a
+block sums up to the largest count among its points and subtracts the
+surplus terms at the points below it.  The two Gamma factors of the afe dual
+sums stay scalar gamma_phase_product calls, two per grid point.  Each chunk
+of integrand values is folded into running fine and coarse Simpson sums and
+the records are taken as the checkpoints pass, so no array proportional to
+the grid is allocated.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
@@ -43,8 +60,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .gammafns import gamma_phase_product
-from .oracles import lerch_via_hurwitz
-from .params import EulerMaclaurinConfig, LerchParams, as_unit_fraction
+from .oracles import _B2K_OVER_FACT, lerch_via_hurwitz
+from .params import LerchParams, as_unit_fraction
 
 __all__ = ["T0", "METHODS", "MeanSquareRecord", "ExponentFit",
            "critical_line_value", "mean_square_integral", "mean_square_ladder",
@@ -58,6 +75,16 @@ TWO_PI = 2.0 * math.pi
 T0 = 10.0
 
 METHODS = ("afe", "oracle", "partialSum")
+
+# Grid points per block (one direct-exp anchor each), terms per tile, and
+# grid points per chunk (a multiple of _BLOCK and of 4, the Simpson period).
+_BLOCK = 64
+_TILE = 512
+_CHUNK = 64 * _BLOCK
+
+# Euler-Maclaurin set-up of the [1, t0] stub.
+_STUB_CUTOFF = 50
+_BERNOULLI_TERMS = 15
 
 
 @dataclass(frozen=True)
@@ -92,104 +119,113 @@ def dropped_remainder_class(alpha: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Fast per-(alpha, lam) evaluators with cached term tables.  At sigma = 1/2
-# the term magnitudes and log tables do not depend on t, so each point costs
-# one complex-exponential pass over the active slice.
+# Whole-grid integrands
 # ---------------------------------------------------------------------------
 
-class _SplitSumEvaluator:
-    """AFE / partial-sum integrand at s = 1/2 + it with the meanSquare split."""
+def _dirichlet(w: np.ndarray, f: np.ndarray, t_start: float, h: float,
+               lo: int, hi: int, counts: np.ndarray | None = None) -> np.ndarray:
+    """sum_{n < counts[j - lo]} w[n] e^(-i t_j f[n]) at t_j = t_start + j h
+    for lo <= j < hi, lo a multiple of _BLOCK; counts=None sums every term.
 
-    def __init__(self, alpha: float, lam: float, max_t: float):
-        params = LerchParams(alpha, lam)
-        self.alpha = alpha
-        self.lam = lam
-        self.hurwitz = params.is_hurwitz
-        max_main = int(max_t / (TWO_PI * math.sqrt(math.log(max(max_t, T0))))) + 4
-        n = np.arange(max_main, dtype=float)
-        self._mlogs = np.log(n + alpha)
-        self._mw = np.exp(2j * math.pi * lam * n) * np.exp(-0.5 * self._mlogs)
-        max_dual = int(math.sqrt(math.log(max(max_t, T0)))) + 3
-        if self.hurwitz:
-            m = np.arange(1, max_dual + 1, dtype=float)
-            self._dlogs1 = self._dlogs2 = np.log(m)
-            self._dw1 = np.exp(2j * math.pi * (1.0 - alpha) * m) * np.exp(-0.5 * self._dlogs1)
-            self._dw2 = np.exp(2j * math.pi * alpha * m) * np.exp(-0.5 * self._dlogs2)
-            self._ph1, self._ph2 = 0.5, -0.5
-        else:
-            m = np.arange(max_dual + 1, dtype=float)
-            self._dlogs1 = np.log(m + lam)
-            self._dlogs2 = np.log(m + 1.0 - lam)
-            self._dw1 = np.exp(2j * math.pi * (1.0 - alpha) * m) * np.exp(-0.5 * self._dlogs1)
-            self._dw2 = np.exp(2j * math.pi * alpha * m) * np.exp(-0.5 * self._dlogs2)
-            self._ph1 = 0.5 - 2.0 * alpha * lam
-            self._ph2 = -0.5 + 2.0 * alpha * (1.0 - lam)
-
-    def partial_sum(self, t: float) -> complex:
-        y = math.sqrt(math.log(t))
-        x = t / (TWO_PI * y)
-        M = math.floor(x)
-        return complex((self._mw[:M + 1] * np.exp(-1j * t * self._mlogs[:M + 1])).sum())
-
-    def value(self, t: float) -> complex:
-        s = complex(0.5, t)
-        y = math.sqrt(math.log(t))
-        x = t / (TWO_PI * y)
-        M = math.floor(x)
-        N = math.floor(y)
-        main = (self._mw[:M + 1] * np.exp(-1j * t * self._mlogs[:M + 1])).sum()
-        k = N if self.hurwitz else N + 1
-        d1 = (self._dw1[:k] * np.exp(1j * t * self._dlogs1[:k])).sum()
-        d2 = (self._dw2[:k] * np.exp(1j * t * self._dlogs2[:k])).sum()
-        f1 = gamma_phase_product(s, -0.5, self._ph1).to_complex()
-        f2 = gamma_phase_product(s, 0.5, self._ph2).to_complex()
-        return complex(main + f1 * d1 + f2 * d2)
+    Point k of block b (grid index lo + b _BLOCK + k) sits at [k, b]; points
+    past hi that fill the last block are computed and dropped.
+    """
+    nb = -(-(hi - lo) // _BLOCK)
+    c = np.full(nb * _BLOCK, len(w) if counts is None else counts[-1])
+    if counts is not None:
+        c[:hi - lo] = counts
+    c = c.reshape(nb, _BLOCK).T
+    top = c.max(axis=0)
+    anchors = t_start + h * np.arange(lo, lo + nb * _BLOCK, _BLOCK)
+    steps = h * np.arange(_BLOCK)
+    out = np.zeros((_BLOCK, nb), dtype=complex)
+    for n0 in range(0, int(top.max()), _TILE):
+        n = np.arange(n0, min(n0 + _TILE, int(top.max())))
+        rot = np.exp(-1j * np.outer(steps, f[n]))
+        anc = w[n, None] * np.exp(-1j * np.outer(f[n], anchors))
+        anc[n[:, None] >= top] = 0.0
+        out += rot @ anc
+        for m in range(max(n0, int(c.min())), n[-1] + 1):
+            k, b = np.nonzero((c <= m) & (m < top))
+            out[k, b] -= rot[k, m - n0] * anc[m - n0, b]
+    return out.T.ravel()[:hi - lo]
 
 
-class _OracleEvaluator:
-    """Euler-Maclaurin integrand at s = 1/2 + it via the rational-lam
-    decomposition, with cached per-component log tables.  A single cutoff
-    (sized for the largest t of the run) serves all points."""
+def _split_sum_integrand(alpha: float, lam: float, t_max: float,
+                         partial: bool):
+    """values(t_start, h, lo, hi) of the afe (or, with partial, the
+    partialSum) integrand at s = 1/2 + i t_j with the meanSquare split, for
+    grids with t_j <= t_max."""
+    hurwitz = LerchParams(alpha, lam).is_hurwitz
+    y_max = math.sqrt(math.log(max(t_max, T0)))
+    n = np.arange(int(t_max / (TWO_PI * y_max)) + 4, dtype=float)
+    mf = np.log(n + alpha)
+    mw = np.exp(2j * math.pi * lam * n) * np.exp(-0.5 * mf)
+    first = 1 if hurwitz else 0
+    m = np.arange(first, int(y_max) + 3, dtype=float)
+    shift1, shift2 = (0.0, 0.0) if hurwitz else (lam, 1.0 - lam)
+    df1, df2 = -np.log(m + shift1), -np.log(m + shift2)
+    dw1 = np.exp(2j * math.pi * (1.0 - alpha) * m) * np.exp(0.5 * df1)
+    dw2 = np.exp(2j * math.pi * alpha * m) * np.exp(0.5 * df2)
+    if hurwitz:
+        ph1, ph2 = 0.5, -0.5
+    else:
+        ph1, ph2 = 0.5 - 2.0 * alpha * lam, -0.5 + 2.0 * alpha * (1.0 - lam)
 
-    def __init__(self, alpha: float, lam: Fraction, max_t: float,
-                 bernoulli_terms: int = 15):
-        from .oracles import _B2K_OVER_FACT
-        self._b2k = _B2K_OVER_FACT
-        self.kterms = bernoulli_terms
-        p, q = lam.numerator, lam.denominator
-        self.q = q
-        self.cutoff = max(2 * math.ceil(max_t), 50)
-        n = np.arange(self.cutoff, dtype=float)
-        self._comp = []
-        for r in range(q):
-            ac = (r + alpha) / q
-            logs = np.log(n + ac)
-            mags = np.exp(-0.5 * logs)
-            phase = complex(math.cos(TWO_PI * r * p / q), math.sin(TWO_PI * r * p / q))
-            self._comp.append((ac, logs, mags, phase))
-        self._logq = math.log(q)
+    def values(t_start: float, h: float, lo: int, hi: int) -> np.ndarray:
+        t = t_start + h * np.arange(lo, hi)
+        y = np.sqrt(np.log(t))
+        main_counts = np.floor(t / (TWO_PI * y)).astype(np.int64) + 1
+        main = _dirichlet(mw, mf, t_start, h, lo, hi, main_counts)
+        if partial:
+            return main
+        dual_counts = np.floor(y).astype(np.int64) + (1 - first)
+        d1 = _dirichlet(dw1, df1, t_start, h, lo, hi, dual_counts)
+        d2 = _dirichlet(dw2, df2, t_start, h, lo, hi, dual_counts)
+        s = [complex(0.5, ti) for ti in t.tolist()]
+        g1 = [gamma_phase_product(si, -0.5, ph1).to_complex() for si in s]
+        g2 = [gamma_phase_product(si, 0.5, ph2).to_complex() for si in s]
+        return main + np.array(g1) * d1 + np.array(g2) * d2
 
-    def value(self, t: float) -> complex:
-        s = complex(0.5, t)
-        total = 0.0 + 0.0j
-        N = self.cutoff
-        for ac, logs, mags, phase in self._comp:
-            comp = (mags * np.exp(-1j * t * logs)).sum()
-            na = N + ac
-            log_na = math.log(na)
-            comp += (np.exp((1.0 - s) * log_na) / (s - 1.0)
-                     + 0.5 * np.exp(-s * log_na))
-            rising = s
-            pow_na = np.exp((-s - 1.0) * log_na)
-            for k in range(1, self.kterms + 1):
-                if k > 1:
-                    rising *= (s + (2 * k - 3)) * (s + (2 * k - 2))
-                    pow_na /= na * na
-                comp += self._b2k[k] * rising * pow_na
-            total += phase * comp
-        if self.q > 1:
-            total *= complex(np.exp(-s * self._logq))
-        return complex(total)
+    return values
+
+
+def _em_tail(s: np.ndarray, na: float) -> np.ndarray:
+    """The Euler-Maclaurin continuation past the direct sum at each s, with
+    na = cutoff + shift (see oracles.hurwitz_euler_maclaurin)."""
+    log_na = math.log(na)
+    tail = np.exp((1.0 - s) * log_na) / (s - 1.0) + 0.5 * np.exp(-s * log_na)
+    rising = s
+    pow_na = np.exp((-s - 1.0) * log_na)
+    for k in range(1, _BERNOULLI_TERMS + 1):
+        if k > 1:
+            rising = rising * (s + (2 * k - 3)) * (s + (2 * k - 2))
+            pow_na = pow_na / (na * na)
+        tail += _B2K_OVER_FACT[k] * rising * pow_na
+    return tail
+
+
+def _oracle_integrand(alpha: float, lam: Fraction, cutoff: int):
+    """values(t_start, h, lo, hi) of the Euler-Maclaurin integrand at
+    s = 1/2 + i t_j via the rational-lam decomposition
+    q^(-s) sum_r e^(2 pi i r p/q) zetaH(s, (r + alpha)/q), with one cutoff for
+    every point."""
+    p, q = lam.numerator, lam.denominator
+    shifts = [(r + alpha) / q for r in range(q)]
+    phases = [complex(math.cos(TWO_PI * r * p / q), math.sin(TWO_PI * r * p / q))
+              for r in range(q)]
+    logs = np.log(np.arange(cutoff, dtype=float) + np.array(shifts)[:, None])
+    f = logs.ravel()
+    w = (np.array(phases)[:, None] * np.exp(-0.5 * logs)).ravel()
+
+    def values(t_start: float, h: float, lo: int, hi: int) -> np.ndarray:
+        s = 0.5 + 1j * (t_start + h * np.arange(lo, hi))
+        total = _dirichlet(w, f, t_start, h, lo, hi)
+        for shift, phase in zip(shifts, phases):
+            total += phase * _em_tail(s, cutoff + shift)
+        return total * np.exp(-s * math.log(q)) if q > 1 else total
+
+    return values
 
 
 def _coerce_pair(alpha, lam, need_rational_lam: bool):
@@ -206,8 +242,9 @@ def _coerce_pair(alpha, lam, need_rational_lam: bool):
 def critical_line_value(t: float, alpha, lam, method: str = "afe") -> complex:
     """zl(1/2 + it, alpha, lam) by the chosen route (see module docstring).
 
-    afe and partialSum need t >= t0 (the meanSquare split); oracle needs
-    rational lam and works for any t > 0.
+    afe and partialSum need t >= t0 (the meanSquare split) and are the
+    mean-square integrand on a one-point grid; oracle needs rational lam,
+    works for any t > 0 and is the reference evaluator lerch_via_hurwitz.
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}")
@@ -220,96 +257,48 @@ def critical_line_value(t: float, alpha, lam, method: str = "afe") -> complex:
     if t < T0:
         raise DomainError(
             f"method {method!r} needs t >= {T0} (meanSquare split), got {t:.6g}")
-    ev = _SplitSumEvaluator(a, l, t)
-    return ev.partial_sum(t) if method == "partialSum" else ev.value(t)
+    values = _split_sum_integrand(a, l, t, method == "partialSum")
+    return complex(values(float(t), 0.0, 0, 1)[0])
 
 
 # ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
 
-def _fill_values(func, ts: np.ndarray, threads: int) -> np.ndarray:
-    out = np.empty(len(ts))
-    if threads <= 1:
-        for i, t in enumerate(ts):
-            out[i] = abs(func(t)) ** 2
-        return out
+def _simpson(values, t_start: float, h: float, idxs: Sequence[int],
+             smooth: bool) -> list[tuple[float, float]]:
+    """(fine integral over [t_start, t_start + k h], step-halving estimate)
+    for each k in idxs (multiples of 4, in ascending order).
 
-    def run(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            out[i] = abs(func(ts[i])) ** 2
-
-    chunk = max(1024, len(ts) // (8 * threads) + 1)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run, lo, min(lo + chunk, len(ts)))
-                   for lo in range(0, len(ts), chunk)]
-        for f in futures:
-            f.result()
-    return out
-
-
-def _simpson_prefix(vals: np.ndarray, h: float) -> np.ndarray:
-    """Composite-Simpson integrals over [0, k] for every even k, as an array
-    indexed by k//2."""
-    odd = np.zeros(len(vals))
-    odd[1::2] = vals[1::2]
-    even = np.zeros(len(vals))
-    even[2::2] = vals[2::2]
-    codd = np.cumsum(odd)
-    ceven = np.cumsum(even)
-    ks = np.arange(0, len(vals), 2)
-    return h / 3.0 * (vals[0] + 4.0 * codd[ks] + 2.0 * (ceven[ks] - vals[ks])
-                      + vals[ks])
-
-
-def _integrate_with_halving(vals: np.ndarray, h: float, idxs: Sequence[int],
-                            smooth: bool) -> list[tuple[float, float]]:
-    """(fine integral, step-halving estimate) at each index 0 mod 4.
-
-    smooth selects the Richardson divisor: /15 for fourth-order integrands,
-    x2 guard for the jump-limited split-sum routes (see module docstring).
+    |values|^2 is folded chunk by chunk into running fine (step h) and coarse
+    (step 2h) Simpson sums, and the grid ends at the last checkpoint.  smooth
+    selects the Richardson divisor: /15 for fourth-order integrands, x2
+    guard for the jump-limited split-sum routes (see module docstring).
     """
-    fine = _simpson_prefix(vals, h)
-    coarse = _simpson_prefix(vals[::2], 2.0 * h)
+    i = np.arange(_CHUNK)
+    weights = np.array([np.where(i % 2, 4.0, 2.0),
+                        np.where(i % 2, 0.0, np.where(i % 4, 4.0, 2.0))])
+    below = np.zeros(2)  # weighted (fine, coarse) sums over indices < lo
     out = []
-    for k in idxs:
-        f = fine[k // 2]
-        diff = abs(f - coarse[k // 4])
-        out.append((f, diff / 15.0 if smooth else 2.0 * diff))
+    for lo in range(0, idxs[-1] + 1, _CHUNK):
+        hi = min(lo + _CHUNK, idxs[-1] + 1)
+        v = np.abs(values(t_start, h, lo, hi)) ** 2
+        if lo == 0:
+            below -= v[0]  # the end point has weight 1, not 2
+        for k in idxs:
+            if lo <= k < hi:
+                fine, coarse = (below + weights[:, :k - lo] @ v[:k - lo]
+                                + v[k - lo]) * (h / 3.0, 2.0 * h / 3.0)
+                diff = abs(fine - coarse)
+                out.append((fine, diff / 15.0 if smooth else 2.0 * diff))
+        below += weights[:, :hi - lo] @ v
     return out
-
-
-def _stub_integral(alpha: float, lam_fraction: Fraction, step: float,
-                   threads: int) -> tuple[float, float]:
-    """Oracle-route integral over [1, t0] with its own halving estimate."""
-    n = 4 * max(1, math.ceil((T0 - 1.0) / (4.0 * step)))
-    nf = 2 * n
-    ts = np.linspace(1.0, T0, nf + 1)
-    cfg = EulerMaclaurinConfig(cutoff=50, bernoulli_terms=15)
-    s_half = 0.5
-
-    def f(t: float) -> complex:
-        return lerch_via_hurwitz(complex(s_half, t), alpha, lam_fraction, cfg).value
-
-    vals = _fill_values(f, ts, threads)
-    ((integral, est),) = _integrate_with_halving(vals, (T0 - 1.0) / nf, [nf],
-                                                 smooth=True)
-    return integral, est
-
-
-def _make_evaluator(alpha, lam, method: str, max_t: float):
-    if method == "oracle":
-        a, _, lf = _coerce_pair(alpha, lam, True)
-        return _OracleEvaluator(a, lf, max_t).value
-    a, l, _ = _coerce_pair(alpha, lam, False)
-    ev = _SplitSumEvaluator(a, l, max_t)
-    return ev.partial_sum if method == "partialSum" else ev.value
 
 
 def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
                        method: str = "afe",
-                       checkpoints: Sequence[float] | None = None,
-                       threads: int = 1) -> list[MeanSquareRecord]:
+                       checkpoints: Sequence[float] | None = None
+                       ) -> list[MeanSquareRecord]:
     """Mean-square records at several checkpoints from one evaluation pass.
 
     Default checkpoints form the geometric ladder {T/8, T/4, T/2, T} clipped
@@ -337,15 +326,20 @@ def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
     # fine grid: spacing <= step/2, total interval count divisible by 4
     nf = 4 * math.ceil((T - T0) / (2.0 * step))
     h = (T - T0) / nf
-    ts = T0 + h * np.arange(nf + 1)
     idxs = [min(nf, 4 * round((c - T0) / (4.0 * h))) for c in checkpoints]
 
-    func = _make_evaluator(alpha, lam, method, T)
-    vals = _fill_values(func, ts, threads)
-    stub, stub_est = _stub_integral(a_float, lam_fraction, step, threads)
+    if method == "oracle":
+        values = _oracle_integrand(a_float, lam_fraction, max(2 * math.ceil(T), 50))
+    else:
+        values = _split_sum_integrand(a_float, lam_float, T, method == "partialSum")
+    results = _simpson(values, T0, h, idxs, smooth=(method == "oracle"))
+    # the [1, t0] stub on its own grid, with its own halving estimate
+    n_stub = 8 * max(1, math.ceil((T0 - 1.0) / (4.0 * step)))
+    ((stub, stub_est),) = _simpson(
+        _oracle_integrand(a_float, lam_fraction, _STUB_CUTOFF), 1.0,
+        (T0 - 1.0) / n_stub, [n_stub], smooth=True)
 
     records = []
-    results = _integrate_with_halving(vals, h, idxs, smooth=(method == "oracle"))
     for k, (integral, est) in zip(idxs, results):
         t_snap = T0 + k * h
         total = stub + integral
@@ -361,11 +355,10 @@ def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
 
 
 def mean_square_integral(T: float, alpha, lam, step: float = 0.02,
-                         method: str = "afe",
-                         threads: int = 1) -> MeanSquareRecord:
+                         method: str = "afe") -> MeanSquareRecord:
     """Single-checkpoint mean square; see mean_square_ladder."""
     return mean_square_ladder(T, alpha, lam, step=step, method=method,
-                              checkpoints=[T], threads=threads)[0]
+                              checkpoints=[T])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +389,12 @@ def fit_residual_exponent(Ts: Sequence[float], residuals: Sequence[float],
 
 
 def residual_exponent_fit(alpha, lam, t_grid: Sequence[float],
-                          step: float = 0.02, method: str = "afe",
-                          threads: int = 1) -> ExponentFit:
+                          step: float = 0.02, method: str = "afe") -> ExponentFit:
     """Measure the residual exponent on a ladder of at least four T values."""
     if len(t_grid) < 4:
         raise DomainError("exponent fit needs at least 4 T values")
     records = mean_square_ladder(max(t_grid), alpha, lam, step=step,
-                                 method=method, checkpoints=list(t_grid),
-                                 threads=threads)
+                                 method=method, checkpoints=list(t_grid))
     return fit_residual_exponent(
         [r.T for r in records], [r.residual for r in records],
         [r.quadrature_error_estimate for r in records])

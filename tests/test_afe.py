@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lerchzeta import (AfeSplit, DomainError, LerchParams, afe_hurwitz,
-                       afe_lerch, afe_riemann, choose_split, error_envelope,
-                       get_cfit, lerch_via_hurwitz, riemann_reference)
+from lerchzeta import (AfeSplit, ConfigError, DomainError, LerchParams,
+                       afe_hurwitz, afe_lerch, afe_riemann, choose_split,
+                       error_envelope, get_cfit, lerch_via_hurwitz,
+                       riemann_reference)
 from lerchzeta.afe import (CalibrationPoint, envelope_fit, read_calibration,
                            reload_calibration, write_calibration)
 
@@ -218,6 +219,14 @@ class TestCalibrationFile:
         write_calibration(str(path), values)
         back = read_calibration(str(path))
         assert back == values
+
+    @pytest.mark.parametrize("constant", ["abc", "nan", "inf", "-5", "0"])
+    def test_rejects_constant_that_is_not_finite_positive(self, tmp_path,
+                                                          constant):
+        path = tmp_path / "cal.txt"
+        path.write_text(f"hurwitz = 0.5\nlerch = {constant}\n")
+        with pytest.raises(ConfigError):
+            read_calibration(str(path))
 
     def test_env_override(self, tmp_path, monkeypatch):
         path = tmp_path / "cal.txt"

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from lerchzeta.afe import reload_calibration
 from lerchzeta.cli import main
 
 
@@ -59,6 +62,30 @@ class TestEval:
                            "--alpha", "1/2", "--lambda", "1/2",
                            "--split", "y=2")
         assert code == 0
+
+    @pytest.mark.parametrize("split", ["x=abc", "y=0", "x=0"])
+    def test_unparsable_split_exits_2(self, capsys, split):
+        code, _, err = run(capsys, "eval", "--sigma", "0.5", "--t", "100",
+                           "--alpha", "1/2", "--lambda", "1/2",
+                           "--split", split)
+        assert code == 2
+        assert "error:" in err
+
+    @pytest.mark.parametrize("constant", ["abc", "nan", "-5"])
+    def test_bad_calibration_file_exits_2(self, capsys, tmp_path, monkeypatch,
+                                          constant):
+        path = tmp_path / "cal.txt"
+        path.write_text(f"lerch = {constant}\n")
+        monkeypatch.setenv("LERCH_AFE_CALIBRATION", str(path))
+        reload_calibration()
+        try:
+            code, _, err = run(capsys, "eval", "--sigma", "0.5", "--t", "100",
+                               "--alpha", "1/2", "--lambda", "1/2", "--strict")
+        finally:
+            monkeypatch.delenv("LERCH_AFE_CALIBRATION")
+            reload_calibration()
+        assert code == 2
+        assert "error:" in err and "calibration" in err
 
     def test_strict_unreliable_exits_3(self, capsys):
         # near the first zeta zero the oracle flags its value unreliable

@@ -2,17 +2,20 @@
 
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lerchzeta import (ConfigError, DomainError, critical_line_value,
+from lerchzeta import (ConfigError, DomainError, EulerMaclaurinConfig,
+                       LerchParams, afe_hurwitz, afe_lerch, critical_line_value,
                        error_envelope, fit_residual_exponent, get_cfit,
-                       mean_square_integral, mean_square_ladder,
-                       riemann_reference)
+                       lerch_via_hurwitz, mean_square_integral,
+                       mean_square_ladder, riemann_reference)
 from lerchzeta.afe import choose_split
-from lerchzeta.meansquare import (T0, _make_evaluator, dropped_remainder_class,
+from lerchzeta.meansquare import (_BLOCK, T0, _dirichlet, _oracle_integrand,
+                                  _split_sum_integrand, dropped_remainder_class,
                                   write_meansquare_csv)
 
 TWO_PI = 2.0 * math.pi
@@ -92,12 +95,26 @@ class TestMeanSquareIntegral:
         vals = [r.integral_value for r in recs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    def test_thread_count_does_not_change_bits(self):
-        a = mean_square_ladder(80.0, Fraction(1, 2), Fraction(1), step=0.05,
-                               threads=1)
-        b = mean_square_ladder(80.0, Fraction(1, 2), Fraction(1), step=0.05,
-                               threads=3)
+    def test_same_ladder_twice_gives_same_bits(self):
+        a = mean_square_ladder(80.0, Fraction(1, 2), Fraction(1), step=0.05)
+        b = mean_square_ladder(80.0, Fraction(1, 2), Fraction(1), step=0.05)
         assert [r.integral_value for r in a] == [r.integral_value for r in b]
+        assert [r.quadrature_error_estimate for r in a] \
+            == [r.quadrature_error_estimate for r in b]
+
+    def test_memory_does_not_grow_with_T(self):
+        # the quadrature streams over the grid: T = 2000 has eight times the
+        # points of T = 250 and must not need more memory
+        peaks = []
+        for T in (250.0, 2000.0):
+            tracemalloc.start()
+            try:
+                mean_square_ladder(T, Fraction(1, 2), Fraction(1, 2),
+                                   method="partialSum")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 0.5 * 2 ** 20
 
     def test_step_cap(self):
         with pytest.raises(ConfigError):
@@ -118,14 +135,15 @@ class TestMeanSquareIntegral:
         nf = 4 * math.ceil((T - T0) / (2.0 * step))
         h = (T - T0) / nf
         ts = T0 + h * np.arange(nf + 1)
-        f_afe = _make_evaluator(Fraction(1, 2), Fraction(1, 2), "afe", T)
-        f_orc = _make_evaluator(Fraction(1, 2), Fraction(1, 2), "oracle", T)
+        v_afe = _split_sum_integrand(0.5, 0.5, T, partial=False)(T0, h, 0, nf + 1)
+        v_orc = _oracle_integrand(0.5, Fraction(1, 2), 2 * math.ceil(T))(
+            T0, h, 0, nf + 1)
         c = get_cfit("lerch")
         ia = io_ = budget = 0.0
         w = np.ones(nf + 1)
         w[1:-1:2], w[2:-2:2] = 4.0, 2.0
         for i, t in enumerate(ts):
-            va, vo = f_afe(t), f_orc(t)
+            va, vo = v_afe[i], v_orc[i]
             env = error_envelope("lerch", complex(0.5, t),
                                  choose_split(t, "meanSquare")).total
             ia += w[i] * abs(va) ** 2
@@ -133,6 +151,92 @@ class TestMeanSquareIntegral:
             budget += w[i] * (abs(va) + abs(vo)) * c * env
         ia, io_, budget = (h / 3.0) * ia, (h / 3.0) * io_, (h / 3.0) * budget
         assert abs(ia - io_) <= budget
+
+
+def _x_step(m: float) -> float:
+    """The t at which the meanSquare x(t) = t / (2 pi sqrt(log t)) equals m."""
+    lo, hi = 20.0, 1e5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid / (TWO_PI * math.sqrt(math.log(mid))) < m \
+            else (lo, mid)
+    return lo
+
+
+class TestGridKernel:
+    """The block phase-rotation kernel against direct per-point sums."""
+
+    rng = np.random.default_rng(20_17)
+    W = rng.normal(size=60) + 1j * rng.normal(size=60)
+    F = np.log(np.arange(60) + 0.3)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("lo", [0, 3 * _BLOCK])
+    def test_matches_direct_sums_at_block_edges(self, lo, sign):
+        t_start, h = 97.0, 0.013
+        n = 2 * _BLOCK + 7                      # the last block is partial
+        j = np.arange(n)
+        # the term count steps inside every block
+        counts = 30 + (j >= _BLOCK // 2) + (j >= _BLOCK + 1) + 5 * (j >= n - 3)
+        f = sign * self.F
+        got = _dirichlet(self.W, f, t_start, h, lo, lo + n, counts)
+        for i in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, n - 1):
+            t = t_start + h * (lo + i)
+            c = counts[i]
+            want = (self.W[:c] * np.exp(-1j * t * f[:c])).sum()
+            assert got[i] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
+        full = _dirichlet(self.W, f, t_start, h, lo, lo + n)
+        t = t_start + h * (lo + n - 1)
+        want = (self.W * np.exp(-1j * t * f)).sum()
+        assert full[-1] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
+
+    def test_one_point_grid(self):
+        t = 1234.5
+        (got,) = _dirichlet(self.W, self.F, t, 0.0, 0, 1, np.array([37]))
+        want = (self.W[:37] * np.exp(-1j * t * self.F[:37])).sum()
+        assert got == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
+
+    @pytest.mark.parametrize("t_step", [_x_step(20.0), math.exp(4.0)],
+                             ids=["floor-x-steps", "floor-y-steps"])
+    @pytest.mark.parametrize("alpha,lam", [(0.5, 0.5), (0.75, 0.25), (1.0, 1.0),
+                                           (1 / 3, 1.0)])
+    def test_split_sum_integrand_matches_afe(self, t_step, alpha, lam):
+        h = 0.01
+        t_start = t_step - (1.5 * _BLOCK + 0.5) * h   # steps inside block 1
+        lo, hi = 0, 3 * _BLOCK
+        got = _split_sum_integrand(alpha, lam, t_start + h * hi, False)(
+            t_start, h, lo, hi)
+        partial = _split_sum_integrand(alpha, lam, t_start + h * hi, True)(
+            t_start, h, lo, hi)
+        for j in range(lo, hi):
+            t = t_start + h * j
+            s, split = complex(0.5, t), choose_split(t, "meanSquare")
+            if lam == 1.0:
+                want = afe_hurwitz(s, alpha, split).value
+            else:
+                want = afe_lerch(s, LerchParams(alpha, lam), split).value
+            assert got[j] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
+            n = np.arange(math.floor(split.x) + 1)
+            direct = (np.exp(2j * math.pi * lam * n)
+                      * (n + alpha) ** (-s)).sum()
+            assert partial[j] == pytest.approx(direct,
+                                               abs=1e-10 * (1 + abs(direct)))
+
+    @pytest.mark.parametrize("t_start,cutoff", [(1.0, 50), (270.0, 600)],
+                             ids=["stub", "ladder"])
+    @pytest.mark.parametrize("alpha,lam", [(0.5, Fraction(1, 2)),
+                                           (1.0, Fraction(1)),
+                                           (0.25, Fraction(2, 3))])
+    def test_oracle_integrand_matches_lerch_via_hurwitz(self, t_start, cutoff,
+                                                        alpha, lam):
+        h = 0.01
+        n = _BLOCK + 3
+        got = _oracle_integrand(alpha, lam, cutoff)(t_start, h, 0, n)
+        cfg = EulerMaclaurinConfig(cutoff=cutoff, bernoulli_terms=15)
+        for j in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, n - 1):
+            want = lerch_via_hurwitz(complex(0.5, t_start + h * j), alpha, lam,
+                                     cfg).value
+            assert got[j] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
 
 
 class TestExponentFit:
