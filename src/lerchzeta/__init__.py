@@ -3,8 +3,8 @@ Lerch zeta-functions, with reflection-identity checks and critical-line
 mean-square experiments."""
 
 from .afe import (AfeSplit, ErrorEnvelope, afe_hurwitz, afe_lerch, afe_riemann,
-                  calibrate_all, choose_split, envelope_fit, error_envelope,
-                  get_cfit)
+                  calibrate_all, choose_split, envelope_fit, envelope_scan,
+                  error_envelope, get_cfit)
 from .errors import ConfigError, DomainError, PoleError
 from .funceq import (default_fe_grid, fe_hurwitz_rhs, fe_lerch_rhs,
                      fe_residual_scan)
@@ -12,7 +12,8 @@ from .gammafns import LogComplex, chi, gamma, gamma_phase_product, log_gamma
 from .meansquare import (ExponentFit, MeanSquareRecord, critical_line_value,
                          fit_residual_exponent, mean_square_integral,
                          mean_square_ladder, residual_exponent_fit)
-from .oracles import (hurwitz_euler_maclaurin, lerch_direct, lerch_via_hurwitz,
+from .oracles import (hurwitz_euler_maclaurin, lerch_direct,
+                      lerch_reference_table, lerch_via_hurwitz,
                       riemann_reference)
 from .params import EulerMaclaurinConfig, EvalResult, LerchParams
 
@@ -23,10 +24,10 @@ __all__ = [
     "EulerMaclaurinConfig", "EvalResult", "ExponentFit", "LerchParams",
     "LogComplex", "MeanSquareRecord", "PoleError", "afe_hurwitz", "afe_lerch",
     "afe_riemann", "calibrate_all", "chi", "choose_split",
-    "critical_line_value", "default_fe_grid", "envelope_fit",
+    "critical_line_value", "default_fe_grid", "envelope_fit", "envelope_scan",
     "error_envelope", "fe_hurwitz_rhs", "fe_lerch_rhs", "fe_residual_scan",
     "fit_residual_exponent", "gamma", "gamma_phase_product", "get_cfit",
-    "hurwitz_euler_maclaurin", "lerch_direct", "lerch_via_hurwitz",
-    "log_gamma", "mean_square_integral", "mean_square_ladder",
-    "residual_exponent_fit", "riemann_reference",
+    "hurwitz_euler_maclaurin", "lerch_direct", "lerch_reference_table",
+    "lerch_via_hurwitz", "log_gamma", "mean_square_integral",
+    "mean_square_ladder", "residual_exponent_fit", "riemann_reference",
 ]

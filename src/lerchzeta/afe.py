@@ -21,8 +21,10 @@ The truncation error is modelled by the two-term envelope
 
 whose implied constant is not specified analytically; ``envelope_fit``
 measures it as the max ratio |split-sum - oracle| / envelope over a dense
-calibration grid, and the fitted constant multiplies the envelope to give
-each result's error estimate.
+calibration grid (``envelope_scan`` yields each point's deviation and
+envelope), and the fitted constant multiplies the envelope to give each
+result's error estimate.  The grid spans the heights CALIBRATED_T, so a
+result with |t| outside that range is flagged unreliable.
 
 Negative t is evaluated through the exact conjugation mirror
 conj(zl(s, a, lam)) = zl(conj(s), a, 1-lam), so only t > 0 is computed
@@ -35,20 +37,21 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from itertools import groupby
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .gammafns import chi, gamma_phase_product
-from .oracles import lerch_via_hurwitz
+from .oracles import lerch_reference_table
 from .params import EvalResult, LerchParams
 
 __all__ = ["AfeSplit", "ErrorEnvelope", "CalibrationPoint", "choose_split",
            "afe_lerch", "afe_hurwitz", "afe_riemann", "error_envelope",
-           "envelope_fit", "default_calibration_grid", "calibrate_all",
-           "read_calibration", "write_calibration", "get_cfit",
-           "reload_calibration", "KINDS"]
+           "envelope_scan", "envelope_fit", "default_calibration_grid",
+           "calibrate_all", "read_calibration", "write_calibration", "get_cfit",
+           "reload_calibration", "KINDS", "CALIBRATED_T"]
 
 TWO_PI = 2.0 * math.pi
 KINDS = ("lerch", "hurwitz", "riemann")
@@ -149,6 +152,12 @@ def _check_strip(s: complex) -> complex:
     return s
 
 
+def _calibrated(s: complex) -> bool:
+    """Whether |t| lies in CALIBRATED_T, where the envelope constants hold."""
+    lo, hi = CALIBRATED_T
+    return lo <= abs(s.imag) <= hi
+
+
 def _power_sum(s_exp: complex, shift: float, weight_freq: float,
                first: int, last: int) -> complex:
     """sum_{n=first..last} e^(2 pi i n weight_freq) (n + shift)^(s_exp)."""
@@ -182,7 +191,7 @@ def afe_lerch(s: complex, params: LerchParams, split: AfeSplit,
     if c_fit is None:
         c_fit = get_cfit("lerch")
     est = c_fit * error_envelope("lerch", s, split).total
-    return EvalResult(value, est, M + 1, N + 1, True)
+    return EvalResult(value, est, M + 1, N + 1, _calibrated(s))
 
 
 def afe_hurwitz(s: complex, alpha: float, split: AfeSplit,
@@ -211,7 +220,7 @@ def afe_hurwitz(s: complex, alpha: float, split: AfeSplit,
     if c_fit is None:
         c_fit = get_cfit("hurwitz")
     est = c_fit * error_envelope("hurwitz", s, split).total
-    return EvalResult(value, est, M + 1, N, True)
+    return EvalResult(value, est, M + 1, N, _calibrated(s))
 
 
 def afe_riemann(s: complex, split: AfeSplit,
@@ -238,7 +247,7 @@ def afe_riemann(s: complex, split: AfeSplit,
     if c_fit is None:
         c_fit = get_cfit("riemann")
     est = c_fit * error_envelope("riemann", s, split).total
-    return EvalResult(value, est, M + 1, N, True)
+    return EvalResult(value, est, M + 1, N, _calibrated(s))
 
 
 # ---------------------------------------------------------------------------
@@ -252,31 +261,44 @@ class CalibrationPoint(NamedTuple):
     split: AfeSplit
 
 
-def envelope_fit(kind: str, grid: Sequence[CalibrationPoint]) -> float:
-    """Measured envelope constant: max over the grid of
-    |split-sum - oracle| / envelope.
+def envelope_scan(kind: str, grid: Iterable[CalibrationPoint]
+                  ) -> Iterator[tuple[CalibrationPoint, float, float]]:
+    """Yield (point, |split-sum - oracle|, envelope total) for each grid
+    point, in grid order.  A point is a CalibrationPoint, or any object with
+    its s, alpha, lam and split fields, and is yielded as given.
 
     The oracle is the rational-lam decomposition, so every grid point needs a
-    rational lam.  Oracle values are cached across splits sharing (s, alpha,
-    lam).  Returns 0.0 for an empty grid.
+    rational lam.  Each run of consecutive points at the same height takes
+    its oracle values from one lerch_reference_table; each point makes one
+    split-sum call and one error_envelope call.
     """
     if kind not in KINDS:
         raise DomainError(f"unknown envelope kind {kind!r}")
-    cache: dict = {}
+    for t, run in groupby(grid, key=lambda pt: pt.s.imag):
+        run = list(run)
+        table = lerch_reference_table(
+            t, [pt.s.real for pt in run],
+            dict.fromkeys((pt.alpha, pt.lam) for pt in run))
+        for pt in run:
+            if kind == "lerch":
+                v = afe_lerch(pt.s, LerchParams(pt.alpha, float(pt.lam)),
+                              pt.split, c_fit=0.0).value
+            elif kind == "hurwitz":
+                v = afe_hurwitz(pt.s, pt.alpha, pt.split, c_fit=0.0).value
+            else:
+                v = afe_riemann(pt.s, pt.split, c_fit=0.0).value
+            ref = table[pt.s.real, pt.alpha, pt.lam].value
+            yield pt, abs(v - ref), error_envelope(kind, pt.s, pt.split).total
+
+
+def envelope_fit(kind: str, grid: Iterable[CalibrationPoint]) -> float:
+    """Measured envelope constant: max over the grid of
+    |split-sum - oracle| / envelope (see envelope_scan).  Returns 0.0 for an
+    empty grid.
+    """
     worst = 0.0
-    for pt in grid:
-        key = (pt.s, pt.alpha, pt.lam)
-        if key not in cache:
-            cache[key] = lerch_via_hurwitz(pt.s, pt.alpha, pt.lam).value
-        ref = cache[key]
-        if kind == "lerch":
-            v = afe_lerch(pt.s, LerchParams(pt.alpha, float(pt.lam)), pt.split,
-                          c_fit=0.0).value
-        elif kind == "hurwitz":
-            v = afe_hurwitz(pt.s, pt.alpha, pt.split, c_fit=0.0).value
-        else:
-            v = afe_riemann(pt.s, pt.split, c_fit=0.0).value
-        worst = max(worst, abs(v - ref) / error_envelope(kind, pt.s, pt.split).total)
+    for _, err, env in envelope_scan(kind, grid):
+        worst = max(worst, err / env)
     return worst
 
 
@@ -288,8 +310,13 @@ _CAL_SKEWS_DENSE = (0.125, 0.1875, 0.25, 0.375, 0.5, 0.75, 1.0,
                     1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 
 
+# The heights the envelope constants are fitted over; split-sum results
+# outside this |t| range are flagged unreliable.
+CALIBRATED_T = (40.0, 1100.0)
+
+
 def _calibration_heights(n: int) -> list[float]:
-    return [round(v, 1) for v in np.geomspace(40.0, 1100.0, n)]
+    return [round(v, 1) for v in np.geomspace(*CALIBRATED_T, n)]
 
 
 def _shapes_at(t: float, skews: Iterable[float]) -> list[AfeSplit]:

@@ -24,6 +24,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import afe, funceq, meansquare
 from .errors import ConfigError, DomainError
@@ -194,47 +195,49 @@ def _write_afescan_csv(rows, fh, meta=None) -> None:
                  f"{r['abs_err']:.17g},{r['envelope']:.17g},{r['ratio']:.17g}\n")
 
 
+class _ScanPoint(NamedTuple):
+    """An afescan point: the fields envelope_scan reads, and the columns of
+    its row that do not depend on the scan."""
+
+    s: complex
+    alpha: float
+    lam: Fraction
+    split: afe.AfeSplit
+    row: dict
+
+
+def _afescan_points(kind: str, heights):
+    """One kind's scan points, lazily, in row order."""
+    if kind == "lerch":
+        pairs = [(a, l) for a in _SCAN_FRACTIONS + (Fraction(1),)
+                 for l in _SCAN_FRACTIONS]
+    elif kind == "hurwitz":
+        pairs = [(a, Fraction(1)) for a in _SCAN_FRACTIONS + (Fraction(1),)]
+    else:
+        pairs = [(Fraction(1), Fraction(1))]
+    for t in heights:
+        for sigma in _SCAN_SIGMA:
+            s = complex(sigma, t)
+            for split_name, split in _scan_splits(t):
+                for a, l in pairs:
+                    yield _ScanPoint(s, float(a), l, split, {
+                        "kind": kind, "sigma": sigma, "t": t,
+                        "split": split_name, "x": split.x, "y": split.y,
+                        "alpha_num": a.numerator, "alpha_den": a.denominator,
+                        "lambda_num": l.numerator, "lambda_den": l.denominator})
+
+
 def _cmd_afescan(args) -> int:
     kinds = afe.KINDS if args.kind == "all" else (args.kind,)
     heights = args.t or list(_SCAN_T)
-    rows = []
-    cache: dict = {}
-    for kind in kinds:
-        if kind == "lerch":
-            pairs = [(a, l) for a in _SCAN_FRACTIONS + (Fraction(1),)
-                     for l in _SCAN_FRACTIONS]
-        elif kind == "hurwitz":
-            pairs = [(a, Fraction(1)) for a in _SCAN_FRACTIONS + (Fraction(1),)]
-        else:
-            pairs = [(Fraction(1), Fraction(1))]
-        for t in heights:
-            for sigma in _SCAN_SIGMA:
-                s = complex(sigma, t)
-                for split_name, split in _scan_splits(t):
-                    for a, l in pairs:
-                        key = (s, a, l)
-                        if key not in cache:
-                            cache[key] = lerch_via_hurwitz(s, float(a), l).value
-                        if kind == "lerch":
-                            v = afe.afe_lerch(s, LerchParams(float(a), float(l)),
-                                              split).value
-                        elif kind == "hurwitz":
-                            v = afe.afe_hurwitz(s, float(a), split).value
-                        else:
-                            v = afe.afe_riemann(s, split).value
-                        env = afe.error_envelope(kind, s, split).total
-                        err = abs(v - cache[key])
-                        rows.append({
-                            "kind": kind, "sigma": sigma, "t": t,
-                            "split": split_name, "x": split.x, "y": split.y,
-                            "alpha_num": a.numerator, "alpha_den": a.denominator,
-                            "lambda_num": l.numerator, "lambda_den": l.denominator,
-                            "abs_err": err, "envelope": env, "ratio": err / env,
-                        })
+    cfits = {kind: afe.get_cfit(kind) for kind in kinds}
+    rows = [dict(pt.row, abs_err=err, envelope=env, ratio=err / env)
+            for kind in kinds
+            for pt, err, env in afe.envelope_scan(
+                kind, _afescan_points(kind, heights))]
     _emit(args, rows, _write_afescan_csv, rows)
     failed = 0
-    for kind in kinds:
-        cfit = afe.get_cfit(kind)
+    for kind, cfit in cfits.items():
         kr = [r for r in rows if r["kind"] == kind]
         worst = max(r["ratio"] for r in kr)
         failed += sum(1 for r in kr if r["ratio"] > cfit)

@@ -310,8 +310,8 @@ def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
         raise DomainError(f"unknown method {method!r}")
     if not (0.0 < step <= 0.05):
         raise ConfigError(f"step must lie in (0, 0.05], got {step}")
-    if T < max(T0, 20.0):
-        raise DomainError(f"T must be >= {max(T0, 20.0)}, got {T}")
+    if not (math.isfinite(T) and T >= max(T0, 20.0)):
+        raise DomainError(f"T must be finite and >= {max(T0, 20.0)}, got {T}")
     # the stub's oracle route makes rational lam a requirement for every method
     a_float, lam_float, lam_fraction = _coerce_pair(alpha, lam, True)
 
@@ -320,7 +320,7 @@ def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
                               max(20.0, T / 2.0), T})
     else:
         checkpoints = sorted(set(float(c) for c in checkpoints))
-        if any(c < 20.0 or c > T for c in checkpoints):
+        if not all(20.0 <= c <= T for c in checkpoints):
             raise DomainError(f"checkpoints must lie in [20, T], got {checkpoints}")
 
     # fine grid: spacing <= step/2, total interval count divisible by 4

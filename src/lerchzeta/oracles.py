@@ -15,6 +15,21 @@ evaluators and the functional-equation checks:
                                            zetaH(s, (r+a)/q).
                            This is exact algebra, so the Hurwitz continuation
                            carries over to the full strip.
+* ``lerch_reference_table`` -- ``lerch_via_hurwitz`` for many sigmas and
+                           (alpha, lam) pairs at one height t, equal to it
+                           bit for bit and much cheaper than point by point.
+
+All of them run on one Euler-Maclaurin core, ``_hurwitz_table``, which
+evaluates a set of Hurwitz components at one height for several sigmas.  A
+component's cost is its direct sum over n < N, and the table shares it
+(after Odlyzko & Schonhage 1988, "Fast algorithms for multiple evaluations of
+the Riemann zeta function"): the decomposition of every pair is pooled by
+shift a = (r + alpha)/q, so a shift several pairs share is summed once, and
+log(n + a) and the phase e^(-i t log(n + a)) are computed once per shift and
+reused for every sigma, leaving only the magnitudes (n + a)^(-sigma) per
+sigma.  Each (sigma, a) sum is still one contiguous array built by the same
+expression, so it is bit-identical to a single-point evaluation; the
+one-point calls are the table's one-sigma case.
 
 The reported error estimate combines the magnitude of the last correction
 term of the asymptotic series with a rounding-noise floor.  The floor matters:
@@ -29,6 +44,7 @@ import cmath
 import math
 from fractions import Fraction
 from math import comb, factorial
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,7 +53,7 @@ from .params import (EulerMaclaurinConfig, EvalResult, LerchParams,
                      as_unit_fraction, default_em_config)
 
 __all__ = ["lerch_direct", "hurwitz_euler_maclaurin", "lerch_via_hurwitz",
-           "riemann_reference"]
+           "lerch_reference_table", "riemann_reference"]
 
 _EPS = 2.220446049250313e-16
 _POLE_TOL = 1e-14
@@ -72,21 +88,27 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _direct_sum(s: complex, alpha: float, lam: float, terms: int) -> tuple[complex, float]:
-    """Partial sum of e^(2 pi i n lam)/(n+alpha)^s over n < terms, plus the
-    sum of term magnitudes (for the rounding floor).  Chunked to bound
-    memory for very long sums."""
-    total = 0.0 + 0.0j
-    abs_total = 0.0
+def _direct_sums(sigmas: Sequence[float], t: float, alpha: float, lam: float,
+                 terms: int) -> list[tuple[complex, float]]:
+    """Partial sums of e^(2 pi i n lam)/(n+alpha)^(sigma+it) over n < terms,
+    one per sigma, each with the sum of its term magnitudes (for the
+    rounding floor).  log(n+alpha) and the phase are computed once and shared
+    by every sigma; only the magnitudes (n+alpha)^(-sigma) are per sigma, and
+    each sigma's terms are summed as one contiguous array, so its sum does
+    not depend on the other sigmas.  Chunked to bound memory for very long
+    sums."""
+    totals = [0.0 + 0.0j] * len(sigmas)
+    abs_totals = [0.0] * len(sigmas)
     chunk = 1 << 20
     for start in range(0, terms, chunk):
         n = np.arange(start, min(start + chunk, terms), dtype=float)
         logs = np.log(n + alpha)
-        mags = np.exp(-s.real * logs)
-        vals = mags * np.exp(1j * (2.0 * math.pi * lam * n - s.imag * logs))
-        total += complex(vals.sum())
-        abs_total += float(mags.sum())
-    return total, abs_total
+        phase = np.exp(1j * (2.0 * math.pi * lam * n - t * logs))
+        for i, sigma in enumerate(sigmas):
+            mags = np.exp(-sigma * logs)
+            totals[i] += complex((mags * phase).sum())
+            abs_totals[i] += float(mags.sum())
+    return list(zip(totals, abs_totals))
 
 
 def lerch_direct(s: complex, params: LerchParams, terms: int) -> EvalResult:
@@ -108,13 +130,58 @@ def lerch_direct(s: complex, params: LerchParams, terms: int) -> EvalResult:
             "direct Hurwitz series needs sigma > 1 (no tail bound otherwise)")
     if sigma <= 0.0:
         raise DomainError(f"direct series diverges for sigma = {sigma}")
-    value, _ = _direct_sum(s, params.alpha, params.lam, terms)
+    ((value, _),) = _direct_sums((sigma,), s.imag, params.alpha, params.lam,
+                                 terms)
     if sigma > 1.0:
         tail = terms ** (1.0 - sigma) / (sigma - 1.0)
         return EvalResult(value, tail, terms, 0, True)
     tail = (1.0 / math.sin(math.pi * params.lam)
             * (1.0 + abs(s) / sigma) * (terms + params.alpha) ** (-sigma))
     return EvalResult(value, tail, terms, 0, False)
+
+
+def _hurwitz_table(t: float, sigmas: Sequence[float], shifts: Iterable[float],
+                   cfg: EulerMaclaurinConfig
+                   ) -> dict[tuple[float, float], EvalResult]:
+    """The Euler-Maclaurin core: zetaH(sigma + it, a) for every sigma and
+    every shift a at one height t, keyed by (sigma, a).  Each shift's direct
+    sums come from one _direct_sums pass shared by all sigmas; the
+    continuation terms are per (sigma, a).  Arguments are already checked
+    (see hurwitz_euler_maclaurin for the formula and the error estimate)."""
+    N = cfg.cutoff
+    table = {}
+    for alpha in shifts:
+        na = N + alpha
+        log_na = math.log(na)
+        sums = _direct_sums(sigmas, t, alpha, 0.0, N)
+        for sigma, (value, abs_sum) in zip(sigmas, sums):
+            s = complex(sigma, t)
+            cont = cmath.exp((1.0 - s) * log_na) / (s - 1.0)
+            half = 0.5 * cmath.exp(-s * log_na)
+            value += cont + half
+            abs_sum += abs(cont) + abs(half)
+
+            rising = s
+            pow_na = cmath.exp((-s - 1.0) * log_na)
+            last = 0.0
+            for k in range(1, cfg.bernoulli_terms + 1):
+                if k > 1:
+                    rising *= (s + (2 * k - 3)) * (s + (2 * k - 2))
+                    pow_na /= na * na
+                term = _B2K_OVER_FACT[k] * rising * pow_na
+                value += term
+                last = abs(term)
+                abs_sum += last
+
+            # Rounding floor: pairwise-summation noise plus the phase error of
+            # computing t*log(n+a) for each term, decorrelated across n.
+            floor = _EPS * abs_sum * (8.0 + math.log2(N + 1)
+                                      + abs(t) * math.log(N + 2.0) / math.sqrt(N))
+            estimate = max(last, floor)
+            reliable = bool(estimate <= 1e-10 * abs(value))
+            table[sigma, alpha] = EvalResult(value, estimate, N,
+                                             cfg.bernoulli_terms, reliable)
+    return table
 
 
 def hurwitz_euler_maclaurin(s: complex, alpha: float,
@@ -137,37 +204,64 @@ def hurwitz_euler_maclaurin(s: complex, alpha: float,
     if cfg is None:
         cfg = default_em_config(s.imag)
     cfg.check_height(s.imag)
+    return _hurwitz_table(s.imag, (s.real,), (alpha,), cfg)[s.real, alpha]
 
-    N = cfg.cutoff
-    value, abs_sum = _direct_sum(s, alpha, 0.0, N)
 
-    na = N + alpha
-    log_na = math.log(na)
-    cont = cmath.exp((1.0 - s) * log_na) / (s - 1.0)
-    half = 0.5 * cmath.exp(-s * log_na)
-    value += cont + half
-    abs_sum += abs(cont) + abs(half)
+def lerch_reference_table(t: float, sigmas: Iterable[float],
+                          pairs: Iterable[tuple],
+                          cfg: EulerMaclaurinConfig | None = None
+                          ) -> dict[tuple, EvalResult]:
+    """Lerch zeta at one height t for every sigma and every rational pair
+    (alpha, lam), keyed by (sigma, alpha, lam) with sigma a float and alpha,
+    lam as given.
 
-    rising = s
-    pow_na = cmath.exp((-s - 1.0) * log_na)
-    last = 0.0
-    for k in range(1, cfg.bernoulli_terms + 1):
-        if k > 1:
-            rising *= (s + (2 * k - 3)) * (s + (2 * k - 2))
-            pow_na /= na * na
-        term = _B2K_OVER_FACT[k] * rising * pow_na
-        value += term
-        last = abs(term)
-        abs_sum += last
+    Each entry is the EvalResult lerch_via_hurwitz(complex(sigma, t), alpha,
+    lam, cfg) returns, bit for bit: the pairs' Hurwitz components are pooled
+    by their shift (r + alpha)/q, so a shift that several pairs share is
+    evaluated once, and its logarithms and phases once for all sigmas.
+    """
+    t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"non-finite t: {t!r}")
+    points = [_check_s(complex(sigma, t)) for sigma in dict.fromkeys(sigmas)]
+    plans = []
+    for alpha, lam in pairs:
+        a = _check_alpha(alpha)
+        f = as_unit_fraction(lam, "lam")
+        q = f.denominator
+        plans.append((alpha, lam, f.numerator, q,
+                      [(r + a) / q for r in range(q)]))
+    if any(abs(s - 1.0) <= _POLE_TOL for s in points):
+        raise PoleError("Hurwitz zeta has its pole at s = 1")
+    if cfg is None:
+        cfg = default_em_config(t)
+    cfg.check_height(t)
 
-    # Rounding floor: pairwise-summation noise plus the phase error of
-    # computing t*log(n+a) for each term, decorrelated across n.
-    t = abs(s.imag)
-    floor = _EPS * abs_sum * (8.0 + math.log2(N + 1)
-                              + t * math.log(N + 2.0) / math.sqrt(N))
-    estimate = max(last, floor)
-    reliable = bool(estimate <= 1e-10 * abs(value))
-    return EvalResult(value, estimate, N, cfg.bernoulli_terms, reliable)
+    shifts = dict.fromkeys(a for *_, pair_shifts in plans for a in pair_shifts)
+    comps = _hurwitz_table(t, [s.real for s in points], shifts, cfg)
+    table = {}
+    for s in points:
+        for alpha, lam, p, q, pair_shifts in plans:
+            if q == 1:
+                table[s.real, alpha, lam] = comps[s.real, pair_shifts[0]]
+                continue
+            # zl(s, a, p/q) = q^(-s) sum_r e^(2 pi i r p/q) zetaH(s, (r+a)/q)
+            scale = cmath.exp(-s * math.log(q))
+            value = 0.0 + 0.0j
+            estimate = 0.0
+            main_terms = dual_terms = 0
+            reliable = True
+            for r, a in enumerate(pair_shifts):
+                comp = comps[s.real, a]
+                value += cmath.exp(2j * math.pi * r * p / q) * comp.value
+                estimate += comp.error_estimate
+                main_terms += comp.main_terms
+                dual_terms += comp.dual_terms
+                reliable = reliable and comp.reliable
+            table[s.real, alpha, lam] = EvalResult(
+                value * scale, estimate * abs(scale), main_terms, dual_terms,
+                reliable)
+    return table
 
 
 def lerch_via_hurwitz(s: complex, alpha: float, lam,
@@ -176,34 +270,13 @@ def lerch_via_hurwitz(s: complex, alpha: float, lam,
 
     Exact algebra maps the problem to q Hurwitz evaluations, so this shares
     the Euler-Maclaurin continuation and error accounting.  q = 1 IS the
-    Hurwitz call (identical code path).  Requires q <= 64 and s != 1.
+    Hurwitz value (identical arithmetic).  Requires q <= 64 and s != 1.  The
+    one-point case of lerch_reference_table.
     """
     s = _check_s(s)
-    alpha = _check_alpha(alpha)
-    lam = as_unit_fraction(lam, "lam")
-    p, q = lam.numerator, lam.denominator
-    if q == 1:
-        return hurwitz_euler_maclaurin(s, alpha, cfg)
-    if abs(s - 1.0) <= _POLE_TOL:
-        raise PoleError("decomposition hits the Hurwitz pole at s = 1")
-    if cfg is None:
-        cfg = default_em_config(s.imag)
-
-    scale = cmath.exp(-s * math.log(q))
-    value = 0.0 + 0.0j
-    estimate = 0.0
-    main_terms = dual_terms = 0
-    reliable = True
-    for r in range(q):
-        comp = hurwitz_euler_maclaurin(s, (r + alpha) / q, cfg)
-        value += cmath.exp(2j * math.pi * r * p / q) * comp.value
-        estimate += comp.error_estimate
-        main_terms += comp.main_terms
-        dual_terms += comp.dual_terms
-        reliable = reliable and comp.reliable
-    value *= scale
-    estimate *= abs(scale)
-    return EvalResult(value, estimate, main_terms, dual_terms, reliable)
+    (result,) = lerch_reference_table(s.imag, (s.real,), ((alpha, lam),),
+                                      cfg).values()
+    return result
 
 
 def riemann_reference(s: complex,

@@ -10,7 +10,8 @@ from lerchzeta import (AfeSplit, ConfigError, DomainError, LerchParams,
                        afe_hurwitz, afe_lerch, afe_riemann, choose_split,
                        error_envelope, get_cfit, lerch_via_hurwitz,
                        riemann_reference)
-from lerchzeta.afe import (CalibrationPoint, envelope_fit, read_calibration,
+from lerchzeta.afe import (CALIBRATED_T, DEFAULT_CFIT, CalibrationPoint,
+                           envelope_fit, envelope_scan, read_calibration,
                            reload_calibration, write_calibration)
 
 TWO_PI = 2.0 * math.pi
@@ -174,9 +175,50 @@ class TestSplitFreedom:
             assert abs(res.value - ref) <= res.error_estimate
 
 
+class TestReliability:
+    """Split-sum results are reliable only inside the calibrated heights."""
+
+    @pytest.mark.parametrize("t", [CALIBRATED_T[0], 100.0, CALIBRATED_T[1],
+                                   -100.0])
+    def test_inside_calibrated_range(self, t):
+        s = complex(0.5, t)
+        split = choose_split(t)
+        assert afe_lerch(s, LerchParams(0.5, 0.5), split).reliable
+        assert afe_hurwitz(s, 0.5, split).reliable
+        assert afe_riemann(s, split).reliable
+
+    @pytest.mark.parametrize("t", [39.9, 1100.5, 1e7, -1e7])
+    def test_outside_calibrated_range(self, t):
+        s = complex(0.5, t)
+        split = choose_split(t)
+        assert not afe_lerch(s, LerchParams(0.5, 0.5), split).reliable
+        assert not afe_hurwitz(s, 0.5, split).reliable
+        assert not afe_riemann(s, split).reliable
+
+
 class TestEnvelopeFit:
     def test_empty_grid_is_zero(self):
         assert envelope_fit("lerch", []) == 0.0
+
+    def test_fresh_calibration_matches_packaged_defaults(self, calibration):
+        assert calibration == DEFAULT_CFIT
+
+    def test_scan_matches_point_by_point_loop(self):
+        # heights repeat out of order and sigmas interleave, so one height
+        # is split into several runs
+        grid = [CalibrationPoint(complex(sig, t), a, l,
+                                 choose_split(abs(t), mode))
+                for t in (60.0, 90.0, 60.0, -90.0)
+                for mode in ("balanced", "meanSquare")
+                for sig in (1.0, 0.25)
+                for a, l in ((0.25, Fraction(1, 2)), (1.0, Fraction(3, 4)))]
+        got = list(envelope_scan("lerch", grid))
+        assert [pt for pt, _, _ in got] == grid
+        for pt, err, env in got:
+            v = afe_lerch(pt.s, LerchParams(pt.alpha, float(pt.lam)),
+                          pt.split).value
+            assert err == abs(v - oracle(pt.s, pt.alpha, pt.lam))
+            assert env == error_envelope("lerch", pt.s, pt.split).total
 
     def test_stability_across_heights(self):
         # the measured constant moves slowly with t: per-height fits on a

@@ -1,9 +1,18 @@
 """Command-line surface: flags, exit codes, output determinism."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
+import lerchzeta
+from lerchzeta import (AfeSplit, LerchParams, afe_hurwitz, afe_lerch,
+                       afe_riemann, choose_split, error_envelope,
+                       lerch_via_hurwitz)
 from lerchzeta.afe import reload_calibration
 from lerchzeta.cli import main
 
@@ -87,6 +96,13 @@ class TestEval:
         assert code == 2
         assert "error:" in err and "calibration" in err
 
+    def test_afe_strict_outside_calibrated_heights_exits_3(self, capsys):
+        code, out, _ = run(capsys, "eval", "--sigma", "0.5", "--t", "1e7",
+                           "--alpha", "1/2", "--lambda", "1/2", "--method",
+                           "afe", "--strict")
+        assert code == 3
+        assert "reliable = False" in out
+
     def test_strict_unreliable_exits_3(self, capsys):
         # near the first zeta zero the oracle flags its value unreliable
         code, _, _ = run(capsys, "eval", "--sigma", "0.5", "--t", "14.134725",
@@ -147,7 +163,58 @@ class TestMeansquare:
         assert "rational" in err
 
 
+    @pytest.mark.parametrize("flags, bad", [
+        (("--T", "nan"), "got nan"), (("--T", "inf"), "got inf"),
+        (("--T", "100", "--checkpoints", "nan"), "got [nan]")])
+    def test_non_finite_input_exits_2(self, capsys, flags, bad):
+        code, _, err = run(capsys, "meansquare", *flags, "--alpha", "1/2",
+                           "--lambda", "1/2")
+        assert code == 2
+        assert "error:" in err and bad in err
+
+
+def _afescan_rows_point_by_point(t):
+    """The afescan rows at one height from a plain per-row loop."""
+    xb = math.sqrt(t / (2.0 * math.pi))
+    splits = [("balanced", AfeSplit(xb, xb)),
+              ("meanSquare", choose_split(t, "meanSquare")),
+              ("skew2", AfeSplit(2.0 * xb, 0.5 * xb)),
+              ("skew05", AfeSplit(0.5 * xb, 2.0 * xb))]
+    fracs = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+    alphas = fracs + (Fraction(1),)
+    pairs = {"lerch": [(a, l) for a in alphas for l in fracs],
+             "hurwitz": [(a, Fraction(1)) for a in alphas],
+             "riemann": [(Fraction(1), Fraction(1))]}
+    rows = []
+    for kind in ("lerch", "hurwitz", "riemann"):
+        for sigma in (0.0, 0.25, 0.5, 0.75, 1.0):
+            s = complex(sigma, t)
+            for name, split in splits:
+                for a, l in pairs[kind]:
+                    if kind == "lerch":
+                        res = afe_lerch(s, LerchParams(float(a), float(l)), split)
+                    elif kind == "hurwitz":
+                        res = afe_hurwitz(s, float(a), split)
+                    else:
+                        res = afe_riemann(s, split)
+                    err = abs(res.value - lerch_via_hurwitz(s, float(a), l).value)
+                    env = error_envelope(kind, s, split).total
+                    rows.append({
+                        "kind": kind, "sigma": sigma, "t": t, "split": name,
+                        "x": split.x, "y": split.y,
+                        "alpha_num": a.numerator, "alpha_den": a.denominator,
+                        "lambda_num": l.numerator, "lambda_den": l.denominator,
+                        "abs_err": err, "envelope": env, "ratio": err / env})
+    return rows
+
+
 class TestAfescan:
+    def test_rows_equal_point_by_point_loop(self, capsys):
+        code, out, _ = run(capsys, "afescan", "--kind", "all", "--t", "80",
+                           "--no-meta", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["records"] == _afescan_rows_point_by_point(80.0)
+
     def test_single_height_csv(self, capsys, tmp_path):
         p = tmp_path / "scan.csv"
         code, _, err = run(capsys, "afescan", "--kind", "riemann",
@@ -185,3 +252,14 @@ class TestBadFlags:
     def test_alpha_out_of_range(self, capsys):
         assert run(capsys, "eval", "--sigma", "0.5", "--t", "10",
                    "--alpha", "3/2")[0] == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lerchzeta.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lerchzeta", "eval", "--sigma", "0.5",
+         "--t", "100", "--alpha", "3/2"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr

@@ -11,6 +11,7 @@ import pytest
 from lerchzeta import (ConfigError, DomainError, EulerMaclaurinConfig,
                        LerchParams, PoleError, hurwitz_euler_maclaurin,
                        lerch_direct, lerch_via_hurwitz, riemann_reference)
+from lerchzeta.oracles import lerch_reference_table
 
 PI2_OVER_6 = math.pi ** 2 / 6.0
 
@@ -140,3 +141,45 @@ class TestLerchViaHurwitz:
         a = hurwitz_euler_maclaurin(s, 0.45).value
         b = hurwitz_euler_maclaurin(s.conjugate(), 0.45).value
         assert a.conjugate() == pytest.approx(b, rel=1e-12)
+
+
+class TestReferenceTable:
+    # q = 1, 2, 3 and 4; the shift 1/4 is shared by (1/4, 1), (1/2, 1/2)
+    # and (1, 1/4), the shift 1/2 by (1/2, 1), (1, 1/2) and (1, 1/4)
+    PAIRS = [(0.25, Fraction(1)), (0.5, Fraction(1)), (1.0, Fraction(1)),
+             (0.5, Fraction(1, 2)), (1.0, Fraction(1, 2)),
+             (1.0, Fraction(1, 4)), (0.75, Fraction(3, 4)),
+             (Fraction(1, 3), Fraction(2, 3))]
+    SIGMAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    @pytest.mark.parametrize("t", [-321.7, 2.5, 55.0, 480.3])
+    def test_equals_point_by_point_evaluation(self, t):
+        table = lerch_reference_table(t, self.SIGMAS, self.PAIRS)
+        assert len(table) == len(self.SIGMAS) * len(self.PAIRS)
+        for sigma in self.SIGMAS:
+            for alpha, lam in self.PAIRS:
+                # EvalResult equality compares every field exactly
+                assert table[sigma, alpha, lam] \
+                    == lerch_via_hurwitz(complex(sigma, t), alpha, lam)
+
+    def test_equals_point_by_point_with_explicit_config(self):
+        cfg = EulerMaclaurinConfig(cutoff=300, bernoulli_terms=9)
+        table = lerch_reference_table(120.0, (0.5, 2.0), self.PAIRS, cfg)
+        for (sigma, alpha, lam), got in table.items():
+            assert got == lerch_via_hurwitz(complex(sigma, 120.0), alpha, lam,
+                                            cfg)
+
+    def test_pole(self):
+        with pytest.raises(PoleError):
+            lerch_reference_table(0.0, (0.5, 1.0), [(0.5, Fraction(1, 2))])
+        with pytest.raises(PoleError):
+            lerch_reference_table(0.0, (1.0,), [(1.0, Fraction(1))])
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(DomainError):
+            lerch_reference_table(math.nan, (0.5,), [(0.5, Fraction(1, 2))])
+        with pytest.raises(DomainError):
+            lerch_reference_table(50.0, (0.5,), [(0.5, 0.123456789)])
+        with pytest.raises(ConfigError):
+            lerch_reference_table(300.0, (0.5,), [(0.5, Fraction(1, 2))],
+                                  EulerMaclaurinConfig(cutoff=100))
