@@ -14,6 +14,11 @@ Hurwitz variant (lam = 1) has its own equation whose dual sums start at n = 1
 and whose phases drop the parameter terms; the Riemann variant is its a = 1
 reduction with both dual factors merged into the chi factor.
 
+All three are a main sum plus dual sums of e^(2 pi i n freq) (n+shift)^(...)
+terms.  The term table _TERMS states each kind's shifts, frequencies, first
+dual index and factors once; the one evaluator afe_eval, which afe_lerch,
+afe_hurwitz and afe_riemann call, and the mean-square integrand read it.
+
 The truncation error is modelled by the two-term envelope
 
     x^(-sigma) + |t|^e * y^(sigma-1),   e = 1/2 - sigma  (lerch, riemann)
@@ -27,8 +32,8 @@ result's error estimate.  The grid spans the heights CALIBRATED_T, so a
 result with |t| outside that range is flagged unreliable.
 
 Negative t is evaluated through the exact conjugation mirror
-conj(zl(s, a, lam)) = zl(conj(s), a, 1-lam), so only t > 0 is computed
-directly.
+conj(zl(s, a, lam)) = zl(conj(s), a, 1-lam), applied once in afe_eval, so
+only t > 0 is computed directly.
 """
 
 from __future__ import annotations
@@ -48,8 +53,9 @@ from .oracles import lerch_reference_table
 from .params import EvalResult, LerchParams
 
 __all__ = ["AfeSplit", "ErrorEnvelope", "CalibrationPoint", "choose_split",
-           "afe_lerch", "afe_hurwitz", "afe_riemann", "error_envelope",
-           "envelope_scan", "envelope_fit", "default_calibration_grid",
+           "afe_eval", "afe_lerch", "afe_hurwitz", "afe_riemann",
+           "error_envelope", "envelope_scan", "envelope_fit", "kind_pairs",
+           "default_calibration_grid",
            "calibrate_all", "read_calibration", "write_calibration", "get_cfit",
            "reload_calibration", "KINDS", "CALIBRATED_T"]
 
@@ -97,9 +103,10 @@ def choose_split(t: float, mode: str = "balanced") -> AfeSplit:
     """Standard splits at height t.
 
     balanced:   x = y = sqrt(|t| / 2 pi)
-    meanSquare: x = t / (2 pi sqrt(log t)), y = sqrt(log t); the choice that
-                makes the dual sums O(sqrt(log t)) long, used by the
-                mean-square experiment.  Needs t >= ~9.91 so that x >= 1.
+    meanSquare: x = |t| / (2 pi sqrt(log |t|)), y = sqrt(log |t|); the
+                choice that makes the dual sums O(sqrt(log |t|)) long, used
+                by the mean-square experiment.  Needs |t| >= ~9.91 so that
+                x >= 1.
     """
     if not math.isfinite(t):
         raise DomainError(f"non-finite t: {t!r}")
@@ -109,13 +116,11 @@ def choose_split(t: float, mode: str = "balanced") -> AfeSplit:
         x = math.sqrt(abs(t) / TWO_PI)
         return AfeSplit(x, x)
     if mode in ("meanSquare", "meansquare"):
-        if t < math.e:
-            raise DomainError(f"meanSquare split needs t >= e, got {t:.6g}")
-        y = math.sqrt(math.log(t))
-        x = t / (TWO_PI * y)
+        y = math.sqrt(math.log(abs(t)))
+        x = abs(t) / (TWO_PI * y)
         if x < 1.0:
             raise DomainError(
-                f"meanSquare split needs t >= ~9.91 so that x >= 1, got t = {t:.6g}")
+                f"meanSquare split needs |t| >= ~9.91 so that x >= 1, got t = {t:.6g}")
         return AfeSplit(x, y)
     raise DomainError(f"unknown split mode {mode!r}")
 
@@ -142,22 +147,6 @@ def error_envelope(kind: str, s: complex, split: AfeSplit) -> ErrorEnvelope:
     return ErrorEnvelope(kind, split.x ** (-sigma), t ** e * split.y ** (sigma - 1.0))
 
 
-def _check_strip(s: complex) -> complex:
-    s = complex(s)
-    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise DomainError(f"non-finite s: {s!r}")
-    if not 0.0 <= s.real <= 1.0:
-        raise DomainError(
-            f"split-sum evaluation requires 0 <= sigma <= 1, got sigma = {s.real}")
-    return s
-
-
-def _calibrated(s: complex) -> bool:
-    """Whether |t| lies in CALIBRATED_T, where the envelope constants hold."""
-    lo, hi = CALIBRATED_T
-    return lo <= abs(s.imag) <= hi
-
-
 def _power_sum(s_exp: complex, shift: float, weight_freq: float,
                first: int, last: int) -> complex:
     """sum_{n=first..last} e^(2 pi i n weight_freq) (n + shift)^(s_exp)."""
@@ -168,30 +157,65 @@ def _power_sum(s_exp: complex, shift: float, weight_freq: float,
     return complex((np.exp(re) * np.exp(1j * im)).sum())
 
 
+# The term table: for each kind, (alpha, lam) -> ((main shift, main
+# frequency), first dual index, one (shift, frequency, factor) per dual sum).
+# A factor is the (phase_coeff_of_s, phase_const) pair of
+# gamma_phase_product, or None for chi(s).
+_TERMS = {
+    "lerch": lambda a, l: (
+        (a, l), 0, ((l, 1.0 - a, (-0.5, 0.5 - 2.0 * a * l)),
+                    (1.0 - l, a, (0.5, -0.5 + 2.0 * a * (1.0 - l))))),
+    "hurwitz": lambda a, l: (
+        (a, 0.0), 1, ((0.0, 1.0 - a, (-0.5, 0.5)), (0.0, a, (0.5, -0.5)))),
+    "riemann": lambda a, l: ((1.0, 0.0), 1, ((0.0, 0.0, None),)),
+}
+
+
+def afe_eval(kind: str, s: complex, alpha: float, lam: float, split: AfeSplit,
+             c_fit: float | None = None) -> EvalResult:
+    """Split-sum value of one kind's zeta function in the strip: lerch takes
+    0 < lam < 1, hurwitz lam = 1, riemann alpha = lam = 1.
+
+    The value is the main sum plus, per dual sum in table order, its factor
+    times the sum.  The error estimate is c_fit (default: the active
+    constant of the kind) times the kind's error envelope; the result is
+    reliable only for |t| in CALIBRATED_T, where that constant was fitted.
+    """
+    s = complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise DomainError(f"non-finite s: {s!r}")
+    if not 0.0 <= s.real <= 1.0:
+        raise DomainError(
+            f"split-sum evaluation requires 0 <= sigma <= 1, got sigma = {s.real}")
+    params = LerchParams(alpha, lam)
+    if kind not in _TERMS or params.is_hurwitz == (kind == "lerch") \
+            or kind == "riemann" and alpha != 1.0:
+        raise DomainError(
+            f"no {kind!r} split sum at (alpha, lam) = ({alpha}, {lam}): lerch "
+            f"takes 0 < lam < 1, hurwitz lam = 1, riemann alpha = lam = 1")
+    split.check_for(s)
+    z = s
+    if s.imag < 0.0:
+        z, params = s.conjugate(), params.conjugate_pair()
+    (shift, freq), first, duals = _TERMS[kind](params.alpha, params.lam)
+    M = math.floor(split.x)
+    N = math.floor(split.y)
+    value = _power_sum(-z, shift, freq, 0, M)
+    for shift, freq, phase in duals:
+        factor = chi(z) if phase is None else gamma_phase_product(z, *phase)
+        value += factor.to_complex() * _power_sum(z - 1.0, shift, freq, first, N)
+    if c_fit is None:
+        c_fit = get_cfit(kind)
+    est = c_fit * error_envelope(kind, s, split).total
+    lo, hi = CALIBRATED_T
+    return EvalResult(value.conjugate() if s.imag < 0.0 else value, est,
+                      M + 1, N + 1 - first, lo <= abs(s.imag) <= hi)
+
+
 def afe_lerch(s: complex, params: LerchParams, split: AfeSplit,
               c_fit: float | None = None) -> EvalResult:
     """Split-sum value of the Lerch zeta-function, 0 < lam < 1, in the strip."""
-    s = _check_strip(s)
-    if params.is_hurwitz:
-        raise DomainError("lam = 1 requires the Hurwitz split-sum (afe_hurwitz)")
-    split.check_for(s)
-    if s.imag < 0.0:
-        mirror = afe_lerch(s.conjugate(), params.conjugate_pair(), split, c_fit)
-        return EvalResult(mirror.value.conjugate(), mirror.error_estimate,
-                          mirror.main_terms, mirror.dual_terms, mirror.reliable)
-    alpha, lam = params.alpha, params.lam
-    M = math.floor(split.x)
-    N = math.floor(split.y)
-    main = _power_sum(-s, alpha, lam, 0, M)
-    d1 = _power_sum(s - 1.0, lam, 1.0 - alpha, 0, N)
-    d2 = _power_sum(s - 1.0, 1.0 - lam, alpha, 0, N)
-    f1 = gamma_phase_product(s, -0.5, 0.5 - 2.0 * alpha * lam)
-    f2 = gamma_phase_product(s, 0.5, -0.5 + 2.0 * alpha * (1.0 - lam))
-    value = main + f1.to_complex() * d1 + f2.to_complex() * d2
-    if c_fit is None:
-        c_fit = get_cfit("lerch")
-    est = c_fit * error_envelope("lerch", s, split).total
-    return EvalResult(value, est, M + 1, N + 1, _calibrated(s))
+    return afe_eval("lerch", s, params.alpha, params.lam, split, c_fit)
 
 
 def afe_hurwitz(s: complex, alpha: float, split: AfeSplit,
@@ -201,26 +225,7 @@ def afe_hurwitz(s: complex, alpha: float, split: AfeSplit,
     Dual sums run over 1 <= n <= y (as the lam = 1 equation is stated), with
     phase factors e^{+-(1-s) pi i/2}.
     """
-    s = _check_strip(s)
-    params = LerchParams(alpha, 1.0)
-    split.check_for(s)
-    if s.imag < 0.0:
-        mirror = afe_hurwitz(s.conjugate(), alpha, split, c_fit)
-        return EvalResult(mirror.value.conjugate(), mirror.error_estimate,
-                          mirror.main_terms, mirror.dual_terms, mirror.reliable)
-    alpha = params.alpha
-    M = math.floor(split.x)
-    N = math.floor(split.y)
-    main = _power_sum(-s, alpha, 0.0, 0, M)
-    d1 = _power_sum(s - 1.0, 0.0, 1.0 - alpha, 1, N)
-    d2 = _power_sum(s - 1.0, 0.0, alpha, 1, N)
-    f1 = gamma_phase_product(s, -0.5, 0.5)
-    f2 = gamma_phase_product(s, 0.5, -0.5)
-    value = main + f1.to_complex() * d1 + f2.to_complex() * d2
-    if c_fit is None:
-        c_fit = get_cfit("hurwitz")
-    est = c_fit * error_envelope("hurwitz", s, split).total
-    return EvalResult(value, est, M + 1, N, _calibrated(s))
+    return afe_eval("hurwitz", s, alpha, 1.0, split, c_fit)
 
 
 def afe_riemann(s: complex, split: AfeSplit,
@@ -233,21 +238,7 @@ def afe_riemann(s: complex, split: AfeSplit,
     rounding; the one-term difference from the classical n <= x convention is
     absorbed by the x^(-sigma) envelope term.
     """
-    s = _check_strip(s)
-    split.check_for(s)
-    if s.imag < 0.0:
-        mirror = afe_riemann(s.conjugate(), split, c_fit)
-        return EvalResult(mirror.value.conjugate(), mirror.error_estimate,
-                          mirror.main_terms, mirror.dual_terms, mirror.reliable)
-    M = math.floor(split.x)
-    N = math.floor(split.y)
-    main = _power_sum(-s, 1.0, 0.0, 0, M)
-    dual = _power_sum(s - 1.0, 0.0, 0.0, 1, N)
-    value = main + chi(s).to_complex() * dual
-    if c_fit is None:
-        c_fit = get_cfit("riemann")
-    est = c_fit * error_envelope("riemann", s, split).total
-    return EvalResult(value, est, M + 1, N, _calibrated(s))
+    return afe_eval("riemann", s, 1.0, 1.0, split, c_fit)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +271,8 @@ def envelope_scan(kind: str, grid: Iterable[CalibrationPoint]
             t, [pt.s.real for pt in run],
             dict.fromkeys((pt.alpha, pt.lam) for pt in run))
         for pt in run:
-            if kind == "lerch":
-                v = afe_lerch(pt.s, LerchParams(pt.alpha, float(pt.lam)),
-                              pt.split, c_fit=0.0).value
-            elif kind == "hurwitz":
-                v = afe_hurwitz(pt.s, pt.alpha, pt.split, c_fit=0.0).value
-            else:
-                v = afe_riemann(pt.s, pt.split, c_fit=0.0).value
+            v = afe_eval(kind, pt.s, pt.alpha, float(pt.lam), pt.split,
+                         c_fit=0.0).value
             ref = table[pt.s.real, pt.alpha, pt.lam].value
             yield pt, abs(v - ref), error_envelope(kind, pt.s, pt.split).total
 
@@ -329,33 +315,34 @@ def _shapes_at(t: float, skews: Iterable[float]) -> list[AfeSplit]:
     return shapes
 
 
+def kind_pairs(kind: str) -> list[tuple[Fraction, Fraction]]:
+    """The (alpha, lam) pairs of a kind's calibration grid and afescan rows,
+    in row order: alpha in {1/4, 1/2, 3/4, 1} x lam in {1/4, 1/2, 3/4}
+    (lerch), the same alphas at lam = 1 (hurwitz), alpha = lam = 1 (riemann).
+    """
+    if kind == "lerch":
+        return [(a, l) for a in _CAL_ALPHAS for l in _CAL_LAMBDAS]
+    if kind == "hurwitz":
+        return [(a, Fraction(1)) for a in _CAL_ALPHAS]
+    if kind == "riemann":
+        return [(Fraction(1), Fraction(1))]
+    raise DomainError(f"unknown envelope kind {kind!r}")
+
+
 def default_calibration_grid(kind: str) -> list[CalibrationPoint]:
     """Dense grid spanning the module's operating envelope.
 
     Heights are geometric in [40, 1100] (48 points; 192 for the riemann kind,
     whose single parameter pair gives fewer samples per height), split shapes
     cover the mean-square split and y/x skew factors 1/8..8, sigma runs over
-    {0, 1/4, 1/2, 3/4, 1}, and the parameter grid is
-    alpha in {1/4, 1/2, 3/4, 1} x lam in {1/4, 1/2, 3/4} (lerch),
-    the same alphas at lam = 1 (hurwitz), alpha = lam = 1 (riemann).
+    {0, 1/4, 1/2, 3/4, 1}, and the parameter pairs are kind_pairs(kind).
     The measured ratio drifts slowly upward with t and with split skew, so
     the grid has to cover heights and skews beyond any point the constant
     will be trusted at.
     """
-    if kind == "riemann":
-        heights = _calibration_heights(192)
-        skews = _CAL_SKEWS_DENSE
-        pairs = [(1.0, Fraction(1))]
-    elif kind == "hurwitz":
-        heights = _calibration_heights(48)
-        skews = _CAL_SKEWS
-        pairs = [(float(a), Fraction(1)) for a in _CAL_ALPHAS]
-    elif kind == "lerch":
-        heights = _calibration_heights(48)
-        skews = _CAL_SKEWS
-        pairs = [(float(a), l) for a in _CAL_ALPHAS for l in _CAL_LAMBDAS]
-    else:
-        raise DomainError(f"unknown envelope kind {kind!r}")
+    pairs = [(float(a), l) for a, l in kind_pairs(kind)]
+    heights = _calibration_heights(192 if kind == "riemann" else 48)
+    skews = _CAL_SKEWS_DENSE if kind == "riemann" else _CAL_SKEWS
     grid = []
     for t in heights:
         shapes = _shapes_at(t, skews)
@@ -390,24 +377,28 @@ def write_calibration(path: str, values: dict[str, float]) -> None:
 
 
 def read_calibration(path: str) -> dict[str, float]:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read calibration file {path}: {exc}") from None
     values: dict[str, float] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, raw = line.partition("=")
-            kind = key.strip()
-            if kind not in KINDS:
-                raise DomainError(f"unknown calibration kind {kind!r} in {path}")
-            try:
-                value = float(raw)
-            except ValueError:
-                value = math.nan
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"calibration constant {kind} = {raw.strip()!r} "
-                                  f"in {path} is not a finite positive number")
-            values[kind] = value
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, raw = line.partition("=")
+        kind = key.strip()
+        if kind not in KINDS:
+            raise DomainError(f"unknown calibration kind {kind!r} in {path}")
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"calibration constant {kind} = {raw.strip()!r} "
+                              f"in {path} is not a finite positive number")
+        values[kind] = value
     return values
 
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 from . import afe, funceq, meansquare
 from .errors import ConfigError, DomainError
 from .oracles import lerch_via_hurwitz
-from .params import MAX_DENOMINATOR, LerchParams
+from .params import MAX_DENOMINATOR
 
 __all__ = ["main"]
 
@@ -110,19 +110,14 @@ def _cmd_eval(args) -> int:
     elif args.method == "fe":
         if alpha_frac is None or lam_frac is None:
             raise DomainError("fe method needs rational alpha and lambda")
-        if lam_frac == 1:
-            res = funceq.fe_hurwitz_rhs(s, alpha_frac)
-        else:
-            res = funceq.fe_lerch_rhs(s, alpha_frac, lam_frac)
+        res = funceq.fe_rhs(s, alpha_frac, lam_frac)
     else:
         if alpha_frac is None or lam_frac is None:
             print("warning: irrational parameter, no oracle cross-check applies",
                   file=sys.stderr)
         split = _parse_split(args.split, args.t)
-        if lam_f == 1.0:
-            res = afe.afe_hurwitz(s, alpha_f, split)
-        else:
-            res = afe.afe_lerch(s, LerchParams(alpha_f, lam_f), split)
+        res = afe.afe_eval("hurwitz" if lam_f == 1.0 else "lerch", s,
+                           alpha_f, lam_f, split)
 
     record = {
         "sigma": args.sigma, "t": args.t, "alpha": args.alpha, "lambda": args.lam,
@@ -171,7 +166,6 @@ def _cmd_fecheck(args) -> int:
 
 _SCAN_T = (80.0, 120.0, 300.0, 700.0)
 _SCAN_SIGMA = (0.0, 0.25, 0.5, 0.75, 1.0)
-_SCAN_FRACTIONS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
 def _scan_splits(t: float) -> list[tuple[str, afe.AfeSplit]]:
@@ -208,13 +202,7 @@ class _ScanPoint(NamedTuple):
 
 def _afescan_points(kind: str, heights):
     """One kind's scan points, lazily, in row order."""
-    if kind == "lerch":
-        pairs = [(a, l) for a in _SCAN_FRACTIONS + (Fraction(1),)
-                 for l in _SCAN_FRACTIONS]
-    elif kind == "hurwitz":
-        pairs = [(a, Fraction(1)) for a in _SCAN_FRACTIONS + (Fraction(1),)]
-    else:
-        pairs = [(Fraction(1), Fraction(1))]
+    pairs = afe.kind_pairs(kind)
     for t in heights:
         for sigma in _SCAN_SIGMA:
             s = complex(sigma, t)
@@ -340,9 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("calibrate", help="measure envelope constants")
     sp.add_argument("--kind", choices=afe.KINDS + ("all",), default="all")
     sp.add_argument("--out", default="afe_calibration.txt")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--no-meta", action="store_true")
-    sp.add_argument("--strict", action="store_true")
     sp.set_defaults(func=_cmd_calibrate)
 
     sp = sub.add_parser("meansquare", help="mean-square experiment")
@@ -366,7 +351,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (DomainError, ConfigError, OverflowError) as exc:
+    except (DomainError, ConfigError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

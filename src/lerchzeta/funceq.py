@@ -20,7 +20,10 @@ Both zeta families satisfy reflection identities connecting s with 1 - s:
   e^{+-2 pi i a} correction leaves an O(1) structured residual -- that
   variant fails the checks here by unit-modulus factors and is not used.)
   At a = 1 both duals collapse onto zeta(1-s) and the factor pair sums to
-  chi(s).
+  chi(s).  The Hurwitz form is the Lerch form at lam = 1 with the second
+  alpha-slot 1 - lam = 0 read as the full period 1, so fe_rhs evaluates
+  both.  Its phases are written here, not read from afe's term table, so
+  the check shares no equation with the split sums it checks.
 
 Everything is validated numerically: both sides come from independent
 routes (decomposition oracle vs Gamma-factor assembly), so a residual at the
@@ -38,7 +41,7 @@ from .gammafns import gamma_phase_product as _gpp
 from .oracles import lerch_via_hurwitz, riemann_reference
 from .params import EulerMaclaurinConfig, EvalResult, as_unit_fraction
 
-__all__ = ["fe_lerch_rhs", "fe_hurwitz_rhs", "fe_residual_scan",
+__all__ = ["fe_rhs", "fe_lerch_rhs", "fe_hurwitz_rhs", "fe_residual_scan",
            "default_fe_grid", "write_scan_csv", "ScanPoint", "ScanRecord",
            "FE_KINDS"]
 
@@ -53,20 +56,21 @@ def _complement(f: Fraction) -> Fraction:
     return Fraction(1) if c == 0 else c
 
 
-def fe_lerch_rhs(s: complex, alpha, lam,
-                 cfg: EulerMaclaurinConfig | None = None) -> EvalResult:
-    """Right-hand side of the Lerch reflection identity at rational (alpha,
-    lam), 0 < lam < 1.  Both dual values are rational-lam oracle calls at
-    1 - s, so the result is fully independent of the left-hand side."""
+def fe_rhs(s: complex, alpha, lam,
+           cfg: EulerMaclaurinConfig | None = None) -> EvalResult:
+    """Right-hand side of the reflection identity at rational (alpha, lam):
+    the Lerch form for 0 < lam < 1, the Hurwitz periodic-sum form for
+    lam = 1 (see the module docstring).  Both dual values are rational-lam
+    oracle calls at 1 - s, so the result is fully independent of the
+    left-hand side."""
     alpha = as_unit_fraction(alpha, "alpha")
     lam = as_unit_fraction(lam, "lam")
-    if lam == 1:
-        raise DomainError("lam = 1 reflects through fe_hurwitz_rhs")
     a, l = float(alpha), float(lam)
+    b = 1.0 - l if lam < 1 else 1.0  # the second dual's alpha-slot
     d1 = lerch_via_hurwitz(1.0 - s, l, _complement(alpha), cfg)
-    d2 = lerch_via_hurwitz(1.0 - s, 1.0 - l, alpha, cfg)
+    d2 = lerch_via_hurwitz(1.0 - s, b, alpha, cfg)
     f1 = _gpp(s, -0.5, 0.5 - 2.0 * a * l).to_complex()
-    f2 = _gpp(s, 0.5, -0.5 + 2.0 * a * (1.0 - l)).to_complex()
+    f2 = _gpp(s, 0.5, -0.5 + 2.0 * a * b).to_complex()
     value = f1 * d1.value + f2 * d2.value
     est = (abs(f1) * d1.error_estimate + abs(f2) * d2.error_estimate
            + 64.0 * 2.22e-16 * abs(value))
@@ -74,25 +78,22 @@ def fe_lerch_rhs(s: complex, alpha, lam,
                       d1.main_terms + d2.main_terms,
                       d1.dual_terms + d2.dual_terms,
                       d1.reliable and d2.reliable)
+
+
+def fe_lerch_rhs(s: complex, alpha, lam,
+                 cfg: EulerMaclaurinConfig | None = None) -> EvalResult:
+    """Right-hand side of the Lerch reflection identity at rational (alpha,
+    lam), 0 < lam < 1 (see fe_rhs)."""
+    if as_unit_fraction(lam, "lam") == 1:
+        raise DomainError("lam = 1 reflects through fe_hurwitz_rhs")
+    return fe_rhs(s, alpha, lam, cfg)
 
 
 def fe_hurwitz_rhs(s: complex, alpha,
                    cfg: EulerMaclaurinConfig | None = None) -> EvalResult:
     """Right-hand side of the Hurwitz reflection identity at rational alpha,
     in the periodic-sum form described in the module docstring."""
-    alpha = as_unit_fraction(alpha, "alpha")
-    a = float(alpha)
-    d1 = lerch_via_hurwitz(1.0 - s, 1.0, _complement(alpha), cfg)
-    d2 = lerch_via_hurwitz(1.0 - s, 1.0, alpha, cfg)
-    f1 = _gpp(s, -0.5, 0.5 - 2.0 * a).to_complex()
-    f2 = _gpp(s, 0.5, -0.5 + 2.0 * a).to_complex()
-    value = f1 * d1.value + f2 * d2.value
-    est = (abs(f1) * d1.error_estimate + abs(f2) * d2.error_estimate
-           + 64.0 * 2.22e-16 * abs(value))
-    return EvalResult(value, est,
-                      d1.main_terms + d2.main_terms,
-                      d1.dual_terms + d2.dual_terms,
-                      d1.reliable and d2.reliable)
+    return fe_rhs(s, alpha, 1, cfg)
 
 
 class ScanPoint(NamedTuple):
@@ -114,8 +115,9 @@ def fe_residual_scan(kind: str, grid: Sequence[ScanPoint],
     """Relative residual |LHS - RHS| / (|LHS| + 1e-300) per grid point,
     reported worst-first.  Unreliable oracle points are flagged, not dropped.
 
-    kind selects the identity: "lerch" and "hurwitz" as above; "riemann"
-    checks zeta(s) = chi(s) zeta(1-s) with both zeta values from the oracle.
+    kind selects the identity: "lerch" and "hurwitz" check fe_rhs at each
+    point's (alpha, lam); "riemann" checks zeta(s) = chi(s) zeta(1-s) with
+    both zeta values from the oracle.
     """
     if kind not in FE_KINDS:
         raise DomainError(f"unknown functional-equation kind {kind!r}")
@@ -126,13 +128,9 @@ def fe_residual_scan(kind: str, grid: Sequence[ScanPoint],
             z1 = riemann_reference(1.0 - pt.s, cfg)
             rhs_value = chi(pt.s).to_complex() * z1.value
             reliable = lhs.reliable and z1.reliable
-        elif kind == "hurwitz":
-            lhs = lerch_via_hurwitz(pt.s, float(pt.alpha), Fraction(1), cfg)
-            rhs = fe_hurwitz_rhs(pt.s, pt.alpha, cfg)
-            rhs_value, reliable = rhs.value, lhs.reliable and rhs.reliable
         else:
             lhs = lerch_via_hurwitz(pt.s, float(pt.alpha), pt.lam, cfg)
-            rhs = fe_lerch_rhs(pt.s, pt.alpha, pt.lam, cfg)
+            rhs = fe_rhs(pt.s, pt.alpha, pt.lam, cfg)
             rhs_value, reliable = rhs.value, lhs.reliable and rhs.reliable
         residual = abs(lhs.value - rhs_value) / (abs(lhs.value) + _ABS_FLOOR)
         records.append(ScanRecord(pt.s, pt.alpha, pt.lam, residual, reliable))
@@ -149,22 +147,16 @@ def default_fe_grid(kind: str) -> list[ScanPoint]:
     """The standard verification grid: t in {10, 25, 50}, sigma in
     {1/4, 1/2, 3/4}, parameters over {1/4, 1/2, 3/4} where the kind has
     them."""
-    points = []
-    for t in _GRID_T:
-        for sigma in _GRID_SIGMA:
-            s = complex(sigma, t)
-            if kind == "riemann":
-                points.append(ScanPoint(s, Fraction(1), Fraction(1)))
-            elif kind == "hurwitz":
-                for a in _GRID_FRACTIONS:
-                    points.append(ScanPoint(s, a, Fraction(1)))
-            elif kind == "lerch":
-                for a in _GRID_FRACTIONS:
-                    for l in _GRID_FRACTIONS:
-                        points.append(ScanPoint(s, a, l))
-            else:
-                raise DomainError(f"unknown functional-equation kind {kind!r}")
-    return points
+    if kind == "riemann":
+        pairs = [(Fraction(1), Fraction(1))]
+    elif kind == "hurwitz":
+        pairs = [(a, Fraction(1)) for a in _GRID_FRACTIONS]
+    elif kind == "lerch":
+        pairs = [(a, l) for a in _GRID_FRACTIONS for l in _GRID_FRACTIONS]
+    else:
+        raise DomainError(f"unknown functional-equation kind {kind!r}")
+    return [ScanPoint(complex(sigma, t), a, l)
+            for t in _GRID_T for sigma in _GRID_SIGMA for a, l in pairs]
 
 
 def write_scan_csv(records: Iterable[ScanRecord], fh: TextIO,

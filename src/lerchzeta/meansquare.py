@@ -42,8 +42,10 @@ result, is fixed by the grid alone.  Terms are taken _TILE at a time, which
 bounds the working set whatever T and q are.  The split-sum sums end at a
 per-point term count (floor(x(t)) + 1, and floor(y(t)) for the duals): a
 block sums up to the largest count among its points and subtracts the
-surplus terms at the points below it.  The two Gamma factors of the afe dual
-sums stay scalar gamma_phase_product calls, two per grid point.  Each chunk
+surplus terms at the points below it.  The split sums' shifts, frequencies,
+first dual index and Gamma phases are the rows of afe's term table, which
+afe_eval sums too.  The two Gamma factors of the afe dual sums stay scalar
+gamma_phase_product calls, two per grid point.  Each chunk
 of integrand values is folded into running fine and coarse Simpson sums and
 the records are taken as the checkpoints pass, so no array proportional to
 the grid is allocated.
@@ -59,6 +61,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .afe import _TERMS
 from .gammafns import gamma_phase_product
 from .oracles import _B2K_OVER_FACT, lerch_via_hurwitz
 from .params import LerchParams, as_unit_fraction
@@ -155,37 +158,35 @@ def _split_sum_integrand(alpha: float, lam: float, t_max: float,
                          partial: bool):
     """values(t_start, h, lo, hi) of the afe (or, with partial, the
     partialSum) integrand at s = 1/2 + i t_j with the meanSquare split, for
-    grids with t_j <= t_max."""
-    hurwitz = LerchParams(alpha, lam).is_hurwitz
+    grids with t_j <= t_max.  The sums are the afe term-table row of the
+    lerch kind, or at lam = 1 of the hurwitz kind."""
+    (shift, freq), first, duals = _TERMS["lerch" if lam < 1.0 else "hurwitz"](
+        alpha, lam)
     y_max = math.sqrt(math.log(max(t_max, T0)))
     n = np.arange(int(t_max / (TWO_PI * y_max)) + 4, dtype=float)
-    mf = np.log(n + alpha)
-    mw = np.exp(2j * math.pi * lam * n) * np.exp(-0.5 * mf)
-    first = 1 if hurwitz else 0
+    mf = np.log(n + shift)
+    mw = np.exp(2j * math.pi * freq * n) * np.exp(-0.5 * mf)
     m = np.arange(first, int(y_max) + 3, dtype=float)
-    shift1, shift2 = (0.0, 0.0) if hurwitz else (lam, 1.0 - lam)
-    df1, df2 = -np.log(m + shift1), -np.log(m + shift2)
-    dw1 = np.exp(2j * math.pi * (1.0 - alpha) * m) * np.exp(0.5 * df1)
-    dw2 = np.exp(2j * math.pi * alpha * m) * np.exp(0.5 * df2)
-    if hurwitz:
-        ph1, ph2 = 0.5, -0.5
-    else:
-        ph1, ph2 = 0.5 - 2.0 * alpha * lam, -0.5 + 2.0 * alpha * (1.0 - lam)
+    dual_sums = []
+    for d_shift, d_freq, phase in duals:
+        df = -np.log(m + d_shift)
+        dw = np.exp(2j * math.pi * d_freq * m) * np.exp(0.5 * df)
+        dual_sums.append((dw, df, phase))
 
     def values(t_start: float, h: float, lo: int, hi: int) -> np.ndarray:
         t = t_start + h * np.arange(lo, hi)
         y = np.sqrt(np.log(t))
         main_counts = np.floor(t / (TWO_PI * y)).astype(np.int64) + 1
-        main = _dirichlet(mw, mf, t_start, h, lo, hi, main_counts)
+        total = _dirichlet(mw, mf, t_start, h, lo, hi, main_counts)
         if partial:
-            return main
+            return total
         dual_counts = np.floor(y).astype(np.int64) + (1 - first)
-        d1 = _dirichlet(dw1, df1, t_start, h, lo, hi, dual_counts)
-        d2 = _dirichlet(dw2, df2, t_start, h, lo, hi, dual_counts)
         s = [complex(0.5, ti) for ti in t.tolist()]
-        g1 = [gamma_phase_product(si, -0.5, ph1).to_complex() for si in s]
-        g2 = [gamma_phase_product(si, 0.5, ph2).to_complex() for si in s]
-        return main + np.array(g1) * d1 + np.array(g2) * d2
+        for dw, df, (a, b) in dual_sums:
+            g = [gamma_phase_product(si, a, b).to_complex() for si in s]
+            total = total + np.array(g) * _dirichlet(dw, df, t_start, h, lo,
+                                                     hi, dual_counts)
+        return total
 
     return values
 

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from lerchzeta import (AfeSplit, ConfigError, DomainError, LerchParams,
-                       afe_hurwitz, afe_lerch, afe_riemann, choose_split,
-                       error_envelope, get_cfit, lerch_via_hurwitz,
-                       riemann_reference)
+                       afe_eval, afe_hurwitz, afe_lerch, afe_riemann,
+                       choose_split, error_envelope, get_cfit,
+                       lerch_via_hurwitz, riemann_reference)
 from lerchzeta.afe import (CALIBRATED_T, DEFAULT_CFIT, CalibrationPoint,
-                           envelope_fit, envelope_scan, read_calibration,
+                           default_calibration_grid, envelope_fit,
+                           envelope_scan, kind_pairs, read_calibration,
                            reload_calibration, write_calibration)
 
 TWO_PI = 2.0 * math.pi
@@ -42,6 +43,11 @@ class TestChooseSplit:
             choose_split(1.0)
         with pytest.raises(DomainError):
             choose_split(7.0, "meanSquare")  # x would drop below 1
+
+    @pytest.mark.parametrize("mode", ["balanced", "meanSquare"])
+    def test_negative_t_same_split(self, mode):
+        for t in (11.0, 80.0, 1234.5):
+            assert choose_split(-t, mode) == choose_split(t, mode)
 
     def test_split_invariant_checked_at_use(self):
         sp = choose_split(100.0)
@@ -75,6 +81,31 @@ class TestErrorEnvelope:
         env = error_envelope("hurwitz", complex(0.5, t), AfeSplit(2.0, 2.0))
         assert env.term1 == pytest.approx(2.0 ** -0.5, rel=1e-12)
         assert env.term2 == pytest.approx(t ** 0.5 * 2.0 ** -0.5, rel=1e-12)
+
+
+class TestAfeEval:
+    """afe_eval is the one evaluator behind the three kind-specific ones."""
+
+    @pytest.mark.parametrize("t", [100.0, -100.0, 433.7, -433.7])
+    def test_matches_public_evaluators(self, t):
+        sp = choose_split(abs(t))
+        for sigma in (0.0, 0.3, 1.0):
+            s = complex(sigma, t)
+            # lam = 0.3 is not its own mirror (1 - 0.3 != 0.3)
+            for a, l in ((0.25, 0.75), (1 / 3, 0.3), (1.0, 0.5)):
+                assert afe_eval("lerch", s, a, l, sp) \
+                    == afe_lerch(s, LerchParams(a, l), sp)
+            for a in (0.25, 1 / 3, 1.0):
+                assert afe_eval("hurwitz", s, a, 1.0, sp, c_fit=0.7) \
+                    == afe_hurwitz(s, a, sp, c_fit=0.7)
+            assert afe_eval("riemann", s, 1.0, 1.0, sp) == afe_riemann(s, sp)
+
+    @pytest.mark.parametrize("kind, alpha, lam", [
+        ("lerch", 0.5, 1.0), ("hurwitz", 0.5, 0.5), ("riemann", 1.0, 0.5),
+        ("riemann", 0.5, 1.0), ("weird", 0.5, 0.5)])
+    def test_rejects_parameters_outside_the_kind(self, kind, alpha, lam):
+        with pytest.raises(DomainError):
+            afe_eval(kind, complex(0.5, 100.0), alpha, lam, choose_split(100.0))
 
 
 class TestAfeLerch:
@@ -196,6 +227,25 @@ class TestReliability:
         assert not afe_riemann(s, split).reliable
 
 
+class TestKindPairs:
+    def test_pairs_in_row_order(self):
+        q, h, tq, one = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4),
+                         Fraction(1))
+        assert kind_pairs("lerch") == [(a, l) for a in (q, h, tq, one)
+                                       for l in (q, h, tq)]
+        assert kind_pairs("hurwitz") == [(q, one), (h, one), (tq, one),
+                                         (one, one)]
+        assert kind_pairs("riemann") == [(one, one)]
+        with pytest.raises(DomainError):
+            kind_pairs("weird")
+
+    @pytest.mark.parametrize("kind", ["lerch", "hurwitz", "riemann"])
+    def test_calibration_grid_uses_them(self, kind):
+        grid = default_calibration_grid(kind)
+        pairs = [(float(a), l) for a, l in kind_pairs(kind)]
+        assert [(pt.alpha, pt.lam) for pt in grid[:len(pairs)]] == pairs
+
+
 class TestEnvelopeFit:
     def test_empty_grid_is_zero(self):
         assert envelope_fit("lerch", []) == 0.0
@@ -269,6 +319,13 @@ class TestCalibrationFile:
         path.write_text(f"hurwitz = 0.5\nlerch = {constant}\n")
         with pytest.raises(ConfigError):
             read_calibration(str(path))
+
+    def test_unreadable_file_is_config_error(self, tmp_path):
+        bad = tmp_path / "cal.txt"
+        bad.write_bytes(b"lerch = 2.5 \xb5\n")
+        for path in (tmp_path / "missing.txt", bad):
+            with pytest.raises(ConfigError, match="calibration file"):
+                read_calibration(str(path))
 
     def test_env_override(self, tmp_path, monkeypatch):
         path = tmp_path / "cal.txt"

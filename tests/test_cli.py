@@ -96,6 +96,33 @@ class TestEval:
         assert code == 2
         assert "error:" in err and "calibration" in err
 
+    @pytest.mark.parametrize("content", [None, b"lerch = 2.5 \xb5\n"])
+    def test_unreadable_calibration_file_exits_2(self, capsys, tmp_path,
+                                                 monkeypatch, content):
+        path = tmp_path / "cal.txt"
+        if content is not None:
+            path.write_bytes(content)
+        monkeypatch.setenv("LERCH_AFE_CALIBRATION", str(path))
+        reload_calibration()
+        try:
+            code, _, err = run(capsys, "eval", "--sigma", "0.5", "--t", "100",
+                               "--alpha", "1/2", "--lambda", "1/2")
+        finally:
+            monkeypatch.delenv("LERCH_AFE_CALIBRATION")
+            reload_calibration()
+        assert code == 2
+        assert "error:" in err and str(path) in err
+        assert "Traceback" not in err
+
+    def test_meansquare_split_at_negative_t(self, capsys):
+        code, out, _ = run(capsys, "eval", "--sigma", "0.5", "--t", "-100",
+                           "--alpha", "1/2", "--lambda", "1/2",
+                           "--split", "meansquare", "--format", "json")
+        assert code == 0
+        res = afe_lerch(complex(0.5, -100.0), LerchParams(0.5, 0.5),
+                        choose_split(100.0, "meanSquare"))
+        assert json.loads(out)["re"] == res.value.real
+
     def test_afe_strict_outside_calibrated_heights_exits_3(self, capsys):
         code, out, _ = run(capsys, "eval", "--sigma", "0.5", "--t", "1e7",
                            "--alpha", "1/2", "--lambda", "1/2", "--method",
@@ -129,6 +156,12 @@ class TestFecheck:
         assert code1 == code2 == 0
         assert p1.read_bytes() == p2.read_bytes()
         assert "max_residual" in err1
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "fecheck", "--kind", "riemann", "--out",
+                           str(tmp_path / "missing" / "x.csv"))
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
 
     def test_meta_line_present_by_default(self, capsys, tmp_path):
         p = tmp_path / "a.csv"
@@ -225,6 +258,14 @@ class TestAfescan:
         assert len(lines) == 1 + 5 * 4  # sigmas x splits
         assert "max ratio" in err and "C_fit" in err
 
+    def test_negative_height_within_envelope(self, capsys):
+        code, out, _ = run(capsys, "afescan", "--kind", "all", "--t", "-80",
+                           "--no-meta", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["records"]
+        assert len(rows) == 5 * 4 * 17
+        assert all(r["ratio"] <= lerchzeta.get_cfit(r["kind"]) for r in rows)
+
     def test_strict_passes_within_envelope(self, capsys, tmp_path):
         code, _, _ = run(capsys, "afescan", "--kind", "riemann", "--t", "80",
                          "--strict", "--no-meta", "--out",
@@ -242,6 +283,18 @@ class TestCalibrate:
         assert "hurwitz = " in text
         value = float(out.split("=")[1])
         assert 0.0 < value < 10.0
+
+
+    @pytest.mark.parametrize("flag", ["--strict", "--no-meta", "--format=csv"])
+    def test_takes_only_kind_and_out(self, capsys, flag):
+        assert run(capsys, "calibrate", "--kind", "riemann", "--out", "-",
+                   flag)[0] == 2
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "calibrate", "--kind", "hurwitz", "--out",
+                           str(tmp_path / "missing" / "c.txt"))
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
 
 
 class TestBadFlags:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lerchzeta import (DomainError, LerchParams, chi, fe_hurwitz_rhs,
-                       fe_lerch_rhs, fe_residual_scan, lerch_direct,
+                       fe_lerch_rhs, fe_residual_scan, fe_rhs, lerch_direct,
                        lerch_via_hurwitz, riemann_reference)
 from lerchzeta.funceq import ScanPoint, default_fe_grid, write_scan_csv
 
@@ -71,6 +71,18 @@ class TestFeHurwitz:
         lhs = lerch_via_hurwitz(s, 0.75, Fraction(1)).value
         rhs = fe_hurwitz_rhs(s, Fraction(3, 4)).value
         assert rel(lhs, rhs) <= 1e-8
+
+
+class TestFeRhs:
+    """fe_rhs is the one right-hand side behind both reflection forms."""
+
+    @pytest.mark.parametrize("s", [complex(0.5, 25.0), complex(0.25, -30.0),
+                                   complex(2.0, 10.0)])
+    def test_matches_both_forms(self, s):
+        for a in (Fraction(1, 4), Fraction(1, 3), Fraction(1)):
+            assert fe_rhs(s, a, 1) == fe_hurwitz_rhs(s, a)
+            for l in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)):
+                assert fe_rhs(s, a, l) == fe_lerch_rhs(s, a, l)
 
 
 class TestResidualScan:
