@@ -11,7 +11,7 @@ from .funceq import (default_fe_grid, fe_hurwitz_rhs, fe_lerch_rhs, fe_rhs,
 from .gammafns import LogComplex, chi, gamma, gamma_phase_product, log_gamma
 from .meansquare import (ExponentFit, MeanSquareRecord, critical_line_value,
                          fit_residual_exponent, mean_square_integral,
-                         mean_square_ladder, residual_exponent_fit)
+                         mean_square_ladder)
 from .oracles import (hurwitz_euler_maclaurin, lerch_direct,
                       lerch_reference_table, lerch_via_hurwitz,
                       riemann_reference)
@@ -29,6 +29,5 @@ __all__ = [
     "fe_rhs", "fit_residual_exponent", "gamma", "gamma_phase_product",
     "get_cfit", "hurwitz_euler_maclaurin", "lerch_direct",
     "lerch_reference_table", "lerch_via_hurwitz", "log_gamma",
-    "mean_square_integral", "mean_square_ladder", "residual_exponent_fit",
-    "riemann_reference",
+    "mean_square_integral", "mean_square_ladder", "riemann_reference",
 ]

@@ -19,6 +19,16 @@ terms.  The term table _TERMS states each kind's shifts, frequencies, first
 dual index and factors once; the one evaluator afe_eval, which afe_lerch,
 afe_hurwitz and afe_riemann call, and the mean-square integrand read it.
 
+The sums at one height share most of their work: every sigma, split shape
+and (alpha, lam) pair reuses log(n + shift) and the phases, every sigma's
+terms serve all split lengths, and the dual factors depend only on s and the
+phase constants.  afe_eval keeps that work in a memo of one height (the
+t > 0 height after the mirror) and drops it when it sees another height, so
+a scan over one height at a time builds each array and each Gamma factor
+once, and the memo never holds more than one height's arrays.  Each sum is
+still a contiguous slice built by the same elementwise expression, so every
+value is bit-identical to computing it afresh.
+
 The truncation error is modelled by the two-term envelope
 
     x^(-sigma) + |t|^e * y^(sigma-1),   e = 1/2 - sigma  (lerch, riemann)
@@ -137,24 +147,84 @@ class ErrorEnvelope(NamedTuple):
         return self.term1 + self.term2
 
 
+# Each kind's envelope exponent of |t| is _ENVELOPE_C[kind] - sigma.
+_ENVELOPE_C = {"lerch": 0.5, "hurwitz": 1.0, "riemann": 0.5}
+
+
 def error_envelope(kind: str, s: complex, split: AfeSplit) -> ErrorEnvelope:
     if kind not in KINDS:
         raise DomainError(f"unknown envelope kind {kind!r}")
     split.check_for(s)
     sigma = s.real
     t = abs(s.imag)
-    e = 1.0 - sigma if kind == "hurwitz" else 0.5 - sigma
+    e = _ENVELOPE_C[kind] - sigma
     return ErrorEnvelope(kind, split.x ** (-sigma), t ** e * split.y ** (sigma - 1.0))
+
+
+class _HeightMemo:
+    """The work the split sums at one height share.
+
+    phases: (Im s_exp, shift, freq, first) -> (logs, phases), the
+            log(n + shift) and e^(i (Im s_exp log(n + shift) + 2 pi freq n))
+            for n = first, first + 1, ...
+    terms:  (s_exp, shift, freq, first) -> e^(Re s_exp logs) phases
+    factors: (z, phase) -> the dual factor of that phase at z, as a complex
+
+    Every key names its whole computation, so an entry is right whatever
+    height is current; ``at`` drops the entries of the previous height only
+    to keep the memo one height large.  Arrays grow on demand to the
+    longest sum requested, each element built by the same expression, so a
+    slice of a grown array equals the array a shorter request would build.
+    """
+
+    def __init__(self) -> None:
+        self.height: float | None = None
+        self.phases: dict = {}
+        self.terms: dict = {}
+        self.factors: dict = {}
+
+    def at(self, height: float) -> None:
+        if height != self.height:
+            self.clear()
+            self.height = height
+
+    def clear(self) -> None:
+        self.height = None
+        self.phases.clear()
+        self.terms.clear()
+        self.factors.clear()
+
+
+_memo = _HeightMemo()
 
 
 def _power_sum(s_exp: complex, shift: float, weight_freq: float,
                first: int, last: int) -> complex:
     """sum_{n=first..last} e^(2 pi i n weight_freq) (n + shift)^(s_exp)."""
-    n = np.arange(first, last + 1, dtype=float)
-    logs = np.log(n + shift)
-    re = s_exp.real * logs
-    im = s_exp.imag * logs + TWO_PI * weight_freq * n
-    return complex((np.exp(re) * np.exp(1j * im)).sum())
+    count = last - first + 1
+    key = (s_exp, shift, weight_freq, first)
+    terms = _memo.terms.get(key)
+    if terms is None or len(terms) < count:
+        pkey = (s_exp.imag, shift, weight_freq, first)
+        logs, phases = _memo.phases.get(pkey, ((), ()))
+        if len(logs) < count:
+            n = np.arange(first, last + 1, dtype=float)
+            logs = np.log(n + shift)
+            phases = np.exp(1j * (s_exp.imag * logs + TWO_PI * weight_freq * n))
+            _memo.phases[pkey] = logs, phases
+        terms = _memo.terms[key] = np.exp(s_exp.real * logs) * phases
+    return complex(terms[:count].sum())
+
+
+def _dual_factor(z: complex, phase: tuple[float, float] | None) -> complex:
+    """gamma_phase_product(z, *phase), or chi(z) for phase None."""
+    key = (z, phase)
+    factor = _memo.factors.get(key)
+    if factor is None:
+        factor = _memo.factors[key] = (
+            chi(z) if phase is None else gamma_phase_product(z, *phase)
+        ).to_complex()
+    return factor
 
 
 # The term table: for each kind, (alpha, lam) -> ((main shift, main
@@ -197,13 +267,14 @@ def afe_eval(kind: str, s: complex, alpha: float, lam: float, split: AfeSplit,
     z = s
     if s.imag < 0.0:
         z, params = s.conjugate(), params.conjugate_pair()
+    _memo.at(z.imag)
     (shift, freq), first, duals = _TERMS[kind](params.alpha, params.lam)
     M = math.floor(split.x)
     N = math.floor(split.y)
     value = _power_sum(-z, shift, freq, 0, M)
     for shift, freq, phase in duals:
-        factor = chi(z) if phase is None else gamma_phase_product(z, *phase)
-        value += factor.to_complex() * _power_sum(z - 1.0, shift, freq, first, N)
+        value += _dual_factor(z, phase) * _power_sum(z - 1.0, shift, freq,
+                                                     first, N)
     if c_fit is None:
         c_fit = get_cfit(kind)
     est = c_fit * error_envelope(kind, s, split).total
@@ -261,7 +332,7 @@ def envelope_scan(kind: str, grid: Iterable[CalibrationPoint]
     The oracle is the rational-lam decomposition, so every grid point needs a
     rational lam.  Each run of consecutive points at the same height takes
     its oracle values from one lerch_reference_table; each point makes one
-    split-sum call and one error_envelope call.
+    afe_eval call with c_fit = 1, whose error estimate is the envelope.
     """
     if kind not in KINDS:
         raise DomainError(f"unknown envelope kind {kind!r}")
@@ -271,10 +342,10 @@ def envelope_scan(kind: str, grid: Iterable[CalibrationPoint]
             t, [pt.s.real for pt in run],
             dict.fromkeys((pt.alpha, pt.lam) for pt in run))
         for pt in run:
-            v = afe_eval(kind, pt.s, pt.alpha, float(pt.lam), pt.split,
-                         c_fit=0.0).value
+            res = afe_eval(kind, pt.s, pt.alpha, float(pt.lam), pt.split,
+                           c_fit=1.0)
             ref = table[pt.s.real, pt.alpha, pt.lam].value
-            yield pt, abs(v - ref), error_envelope(kind, pt.s, pt.split).total
+            yield pt, abs(res.value - ref), res.error_estimate
 
 
 def envelope_fit(kind: str, grid: Iterable[CalibrationPoint]) -> float:

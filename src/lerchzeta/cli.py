@@ -21,6 +21,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -73,6 +74,18 @@ def _meta_line(args) -> str | None:
     if args.no_meta:
         return None
     return f"lerchzeta {args.command} {time.strftime('%Y-%m-%dT%H:%M:%S%z')}"
+
+
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be written, before any work is done."""
+    if path == "-":
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise ConfigError(f"cannot write {path}: no directory {folder}")
+    if os.path.isdir(path) or not os.access(
+            path if os.path.exists(path) else folder, os.W_OK):
+        raise ConfigError(f"cannot write {path}: permission denied")
 
 
 def _emit(args, rows: list[dict], csv_writer, records) -> None:
@@ -142,6 +155,7 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_fecheck(args) -> int:
+    _check_out(args.out)
     kinds = funceq.FE_KINDS if args.kind == "all" else (args.kind,)
     records = []
     for kind in kinds:
@@ -216,6 +230,7 @@ def _afescan_points(kind: str, heights):
 
 
 def _cmd_afescan(args) -> int:
+    _check_out(args.out)
     kinds = afe.KINDS if args.kind == "all" else (args.kind,)
     heights = args.t or list(_SCAN_T)
     cfits = {kind: afe.get_cfit(kind) for kind in kinds}
@@ -241,6 +256,7 @@ def _cmd_afescan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_calibrate(args) -> int:
+    _check_out(args.out)
     kinds = afe.KINDS if args.kind == "all" else (args.kind,)
     values = dict(afe.DEFAULT_CFIT)
     for kind in kinds:
@@ -257,6 +273,7 @@ def _cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_meansquare(args) -> int:
+    _check_out(args.out)
     alpha_f, alpha_frac = _parse_fraction(args.alpha, "alpha")
     lam_f, lam_frac = _parse_fraction(args.lam, "lambda")
     if lam_frac is None:

@@ -68,8 +68,8 @@ from .params import LerchParams, as_unit_fraction
 
 __all__ = ["T0", "METHODS", "MeanSquareRecord", "ExponentFit",
            "critical_line_value", "mean_square_integral", "mean_square_ladder",
-           "residual_exponent_fit", "fit_residual_exponent",
-           "dropped_remainder_class", "write_meansquare_csv"]
+           "fit_residual_exponent", "dropped_remainder_class",
+           "write_meansquare_csv"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -387,18 +387,6 @@ def fit_residual_exponent(Ts: Sequence[float], residuals: Sequence[float],
         return ExponentFit(math.nan, math.nan, True)
     slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
     return ExponentFit(float(slope), float(math.exp(intercept)), False)
-
-
-def residual_exponent_fit(alpha, lam, t_grid: Sequence[float],
-                          step: float = 0.02, method: str = "afe") -> ExponentFit:
-    """Measure the residual exponent on a ladder of at least four T values."""
-    if len(t_grid) < 4:
-        raise DomainError("exponent fit needs at least 4 T values")
-    records = mean_square_ladder(max(t_grid), alpha, lam, step=step,
-                                 method=method, checkpoints=list(t_grid))
-    return fit_residual_exponent(
-        [r.T for r in records], [r.residual for r in records],
-        [r.quadrature_error_estimate for r in records])
 
 
 def write_meansquare_csv(records: Iterable[MeanSquareRecord], fh: TextIO,

@@ -6,7 +6,8 @@ alternating odd-denominator L-series), whose critical-line mean square is
 T log(4T/(2 pi)) + (2 gamma - 1 + ...) T, i.e. the residual against
 T log(T/(2 pi)) carries a genuine second-order term near +2.9 T.  Measured
 with both integrand routes, |residual|/main stays above 0.5 for all
-T <= 2000 (0.51 at T = 2000) and would only drop below 0.5 near T ~ 4600.
+T <= 2000 (0.51 at T = 2000) and crosses 0.5 near T ~ 2230 (oracle ladder:
+0.5007 at T = 2200, 0.4931 at T = 2400).
 The criterion is asserted as stated and reported honestly; see the decisions
 ledger for the full analysis.
 """
@@ -208,7 +209,7 @@ def test_criterion_6_residual_exponent_sanity(oracle_ladders):
             "main-term dominance |residual|/main <= 0.5 fails at desk scale "
             "for the (1/2, 1/2) pair: its mean square carries a genuine "
             "second-order term near +2.9*T (measured with both integrand "
-            "routes), so the ratio stays above 0.5 until T ~ 4600. "
+            "routes), so the ratio stays above 0.5 until T ~ 2230 (oracle ladder). "
             "Violations: " + ", ".join(failures))
 
 

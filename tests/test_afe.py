@@ -10,6 +10,7 @@ from lerchzeta import (AfeSplit, ConfigError, DomainError, LerchParams,
                        afe_eval, afe_hurwitz, afe_lerch, afe_riemann,
                        choose_split, error_envelope, get_cfit,
                        lerch_via_hurwitz, riemann_reference)
+from lerchzeta import afe
 from lerchzeta.afe import (CALIBRATED_T, DEFAULT_CFIT, CalibrationPoint,
                            default_calibration_grid, envelope_fit,
                            envelope_scan, kind_pairs, read_calibration,
@@ -106,6 +107,66 @@ class TestAfeEval:
     def test_rejects_parameters_outside_the_kind(self, kind, alpha, lam):
         with pytest.raises(DomainError):
             afe_eval(kind, complex(0.5, 100.0), alpha, lam, choose_split(100.0))
+
+
+def _memo_points(kind, t):
+    """Points at one height: every sigma, pair and split, with the splits in
+    order of a growing main sum, then of a growing dual sum."""
+    pairs = {"lerch": ((0.25, 0.75), (1 / 3, 0.3), (1.0, 0.5)),
+             "hurwitz": ((0.25, 1.0), (1 / 3, 1.0), (1.0, 1.0)),
+             "riemann": ((1.0, 1.0),)}[kind]
+    xb = math.sqrt(abs(t) / TWO_PI)
+    splits = (AfeSplit(xb, xb), AfeSplit(4.0 * xb, xb / 4.0),
+              AfeSplit(xb / 4.0, 4.0 * xb))
+    return [(complex(sigma, t), a, l, sp) for sp in splits
+            for sigma in (0.0, 0.5, 1.0) for a, l in pairs]
+
+
+def _cold(kind, points):
+    results = []
+    for s, a, l, sp in points:
+        afe._memo.clear()
+        results.append(afe_eval(kind, s, a, l, sp))
+    return results
+
+
+class TestHeightMemo:
+    """The one-height memo under afe_eval changes no bit of any result."""
+
+    @pytest.mark.parametrize("kind", ["lerch", "hurwitz", "riemann"])
+    @pytest.mark.parametrize("t", [300.0, -300.0])
+    def test_warm_equals_cold(self, kind, t):
+        points = _memo_points(kind, t)
+        cold = _cold(kind, points)
+        for order in (points, points[::-1]):
+            afe._memo.clear()
+            warm = [afe_eval(kind, *p) for p in order]
+            assert warm == (cold if order is points else cold[::-1])
+
+    @pytest.mark.parametrize("kind", ["lerch", "hurwitz", "riemann"])
+    @pytest.mark.parametrize("t, other", [(300.0, 450.0), (-300.0, 450.0),
+                                          (300.0, -300.0)])
+    def test_other_height_in_between(self, kind, t, other):
+        points, between = _memo_points(kind, t), _memo_points(kind, other)
+        cold, cold_between = _cold(kind, points), _cold(kind, between)
+        half = len(points) // 2
+        afe._memo.clear()
+        warm = [afe_eval(kind, *p) for p in points[:half]]
+        assert [afe_eval(kind, *p) for p in between] == cold_between
+        warm += [afe_eval(kind, *p) for p in points[half:]]
+        assert warm == cold
+
+    def test_holds_only_the_last_height(self):
+        grid = [CalibrationPoint(complex(sigma, t), a, l, choose_split(abs(t)))
+                for t in (60.0, 90.0, -75.0) for sigma in (0.25, 1.0)
+                for a, l in ((0.25, Fraction(1, 2)), (1.0, Fraction(3, 4)))]
+        list(envelope_scan("lerch", grid))
+        memo = afe._memo
+        assert memo.height == 75.0
+        assert memo.phases and memo.terms and memo.factors
+        assert all(abs(key[0]) == 75.0 for key in memo.phases)
+        assert all(abs(key[0].imag) == 75.0 for key in memo.terms)
+        assert all(key[0].imag == 75.0 for key in memo.factors)
 
 
 class TestAfeLerch:

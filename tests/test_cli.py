@@ -241,6 +241,10 @@ def _afescan_rows_point_by_point(t):
     return rows
 
 
+def _no_scan(*args):
+    pytest.fail("the scan ran although --out cannot be written")
+
+
 class TestAfescan:
     def test_rows_equal_point_by_point_loop(self, capsys):
         code, out, _ = run(capsys, "afescan", "--kind", "all", "--t", "80",
@@ -272,6 +276,15 @@ class TestAfescan:
                          str(tmp_path / "s.csv"))
         assert code == 0
 
+    def test_missing_out_dir_exits_2_before_any_row(self, capsys, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(lerchzeta.afe, "envelope_scan", _no_scan)
+        code, out, err = run(capsys, "afescan", "--t", "80", "--out",
+                             str(tmp_path / "missing" / "dir" / "a.csv"))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "missing").exists()
+
 
 class TestCalibrate:
     def test_writes_file(self, capsys, tmp_path):
@@ -295,6 +308,15 @@ class TestCalibrate:
                            str(tmp_path / "missing" / "c.txt"))
         assert code == 2
         assert "error:" in err and "Traceback" not in err
+
+    def test_missing_out_dir_exits_2_before_any_constant(self, capsys,
+                                                         tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setattr(lerchzeta.afe, "envelope_scan", _no_scan)
+        code, out, err = run(capsys, "calibrate", "--kind", "all", "--out",
+                             str(tmp_path / "missing" / "dir" / "c.txt"))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestBadFlags:
