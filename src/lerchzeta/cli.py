@@ -327,7 +327,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("afe", "oracle", "fe"), default="afe")
     sp.add_argument("--split", default="balanced",
                     help="balanced | meansquare | x=...[,y=...]")
-    _add_common(sp)
+    # eval prints one value to stdout: no --out or --no-meta
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    sp.add_argument("--strict", action="store_true",
+                    help="exit 3 if the value is flagged unreliable")
     sp.set_defaults(func=_cmd_eval)
 
     sp = sub.add_parser("fecheck", help="functional-equation residual scan")

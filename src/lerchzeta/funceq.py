@@ -35,6 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
+from .afe import kind_pairs
 from .errors import DomainError
 from .gammafns import chi
 from .gammafns import gamma_phase_product as _gpp
@@ -140,21 +141,16 @@ def fe_residual_scan(kind: str, grid: Sequence[ScanPoint],
 
 _GRID_T = (10.0, 25.0, 50.0)
 _GRID_SIGMA = (0.25, 0.5, 0.75)
-_GRID_FRACTIONS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
 def default_fe_grid(kind: str) -> list[ScanPoint]:
     """The standard verification grid: t in {10, 25, 50}, sigma in
-    {1/4, 1/2, 3/4}, parameters over {1/4, 1/2, 3/4} where the kind has
-    them."""
-    if kind == "riemann":
-        pairs = [(Fraction(1), Fraction(1))]
-    elif kind == "hurwitz":
-        pairs = [(a, Fraction(1)) for a in _GRID_FRACTIONS]
-    elif kind == "lerch":
-        pairs = [(a, l) for a in _GRID_FRACTIONS for l in _GRID_FRACTIONS]
-    else:
+    {1/4, 1/2, 3/4}, and the kind's afe.kind_pairs without alpha = 1 (kept
+    only by riemann, whose one pair it is)."""
+    if kind not in FE_KINDS:
         raise DomainError(f"unknown functional-equation kind {kind!r}")
+    pairs = [(a, l) for a, l in kind_pairs(kind)
+             if a < 1 or kind == "riemann"]
     return [ScanPoint(complex(sigma, t), a, l)
             for t in _GRID_T for sigma in _GRID_SIGMA for a, l in pairs]
 

@@ -61,10 +61,6 @@ class LogComplex:
     log_modulus: float
     argument: float
 
-    def __mul__(self, other: "LogComplex") -> "LogComplex":
-        return LogComplex(self.log_modulus + other.log_modulus,
-                          self.argument + other.argument)
-
     def conjugate(self) -> "LogComplex":
         return LogComplex(self.log_modulus, -self.argument)
 

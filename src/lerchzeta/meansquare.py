@@ -9,6 +9,8 @@ the main term T log(T/2 pi).  The integrand can come from three routes:
                 split representation and the default.
 * oracle     -- the Euler-Maclaurin decomposition route (rational lam);
                 slower, cost O(t) per point, free of split-truncation bias.
+                It is the point oracle's regrouping and continuation
+                (oracles._decompose, oracles._em_tail) on the whole grid.
 * partialSum -- the bare truncation sum
                 Sigma(a, lam) = sum_{0<=n<=x} e^(2 pi i n lam)(n+a)^(-1/2-it)
                 with the same x.  Its dropped remainder is O(1) for a < 1 and
@@ -63,8 +65,9 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .afe import _TERMS
 from .gammafns import gamma_phase_product
-from .oracles import _B2K_OVER_FACT, lerch_via_hurwitz
-from .params import LerchParams, as_unit_fraction
+from .oracles import _decompose, _em_tail, lerch_via_hurwitz
+from .params import (EulerMaclaurinConfig, LerchParams, as_unit_fraction,
+                     default_em_config)
 
 __all__ = ["T0", "METHODS", "MeanSquareRecord", "ExponentFit",
            "critical_line_value", "mean_square_integral", "mean_square_ladder",
@@ -84,10 +87,6 @@ METHODS = ("afe", "oracle", "partialSum")
 _BLOCK = 64
 _TILE = 512
 _CHUNK = 64 * _BLOCK
-
-# Euler-Maclaurin set-up of the [1, t0] stub.
-_STUB_CUTOFF = 50
-_BERNOULLI_TERMS = 15
 
 
 @dataclass(frozen=True)
@@ -191,39 +190,24 @@ def _split_sum_integrand(alpha: float, lam: float, t_max: float,
     return values
 
 
-def _em_tail(s: np.ndarray, na: float) -> np.ndarray:
-    """The Euler-Maclaurin continuation past the direct sum at each s, with
-    na = cutoff + shift (see oracles.hurwitz_euler_maclaurin)."""
-    log_na = math.log(na)
-    tail = np.exp((1.0 - s) * log_na) / (s - 1.0) + 0.5 * np.exp(-s * log_na)
-    rising = s
-    pow_na = np.exp((-s - 1.0) * log_na)
-    for k in range(1, _BERNOULLI_TERMS + 1):
-        if k > 1:
-            rising = rising * (s + (2 * k - 3)) * (s + (2 * k - 2))
-            pow_na = pow_na / (na * na)
-        tail += _B2K_OVER_FACT[k] * rising * pow_na
-    return tail
-
-
-def _oracle_integrand(alpha: float, lam: Fraction, cutoff: int):
+def _oracle_integrand(alpha: float, lam: Fraction, cfg: EulerMaclaurinConfig):
     """values(t_start, h, lo, hi) of the Euler-Maclaurin integrand at
-    s = 1/2 + i t_j via the rational-lam decomposition
-    q^(-s) sum_r e^(2 pi i r p/q) zetaH(s, (r + alpha)/q), with one cutoff for
-    every point."""
-    p, q = lam.numerator, lam.denominator
-    shifts = [(r + alpha) / q for r in range(q)]
-    phases = [complex(math.cos(TWO_PI * r * p / q), math.sin(TWO_PI * r * p / q))
-              for r in range(q)]
-    logs = np.log(np.arange(cutoff, dtype=float) + np.array(shifts)[:, None])
+    s = 1/2 + i t_j: the direct sums and continuation of
+    hurwitz_euler_maclaurin on every component of the rational-lam
+    decomposition, with one truncation cfg for every point."""
+    q, parts = _decompose(alpha, lam)
+    shifts, phases = zip(*parts)
+    logs = np.log(np.arange(cfg.cutoff, dtype=float)
+                  + np.array(shifts)[:, None])
     f = logs.ravel()
     w = (np.array(phases)[:, None] * np.exp(-0.5 * logs)).ravel()
 
     def values(t_start: float, h: float, lo: int, hi: int) -> np.ndarray:
         s = 0.5 + 1j * (t_start + h * np.arange(lo, hi))
         total = _dirichlet(w, f, t_start, h, lo, hi)
-        for shift, phase in zip(shifts, phases):
-            total += phase * _em_tail(s, cutoff + shift)
+        for shift, phase in parts:
+            total += phase * sum(_em_tail(s, cfg.cutoff + shift,
+                                          cfg.bernoulli_terms))
         return total * np.exp(-s * math.log(q)) if q > 1 else total
 
     return values
@@ -330,15 +314,16 @@ def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
     idxs = [min(nf, 4 * round((c - T0) / (4.0 * h))) for c in checkpoints]
 
     if method == "oracle":
-        values = _oracle_integrand(a_float, lam_fraction, max(2 * math.ceil(T), 50))
+        values = _oracle_integrand(a_float, lam_fraction, default_em_config(T))
     else:
         values = _split_sum_integrand(a_float, lam_float, T, method == "partialSum")
     results = _simpson(values, T0, h, idxs, smooth=(method == "oracle"))
-    # the [1, t0] stub on its own grid, with its own halving estimate
+    # the [1, t0] stub on its own grid, cutoff 50, own halving estimate
     n_stub = 8 * max(1, math.ceil((T0 - 1.0) / (4.0 * step)))
-    ((stub, stub_est),) = _simpson(
-        _oracle_integrand(a_float, lam_fraction, _STUB_CUTOFF), 1.0,
-        (T0 - 1.0) / n_stub, [n_stub], smooth=True)
+    stub_values = _oracle_integrand(a_float, lam_fraction,
+                                    EulerMaclaurinConfig(cutoff=50))
+    ((stub, stub_est),) = _simpson(stub_values, 1.0, (T0 - 1.0) / n_stub,
+                                   [n_stub], smooth=True)
 
     records = []
     for k, (integral, est) in zip(idxs, results):

@@ -31,6 +31,10 @@ sigma.  Each (sigma, a) sum is still one contiguous array built by the same
 expression, so it is bit-identical to a single-point evaluation; the
 one-point calls are the table's one-sigma case.
 
+The continuation is one generator, ``_em_tail`` (cmath for a complex s,
+numpy for an array), and the regrouping one function, ``_decompose``; the
+mean-square grid integrand uses both.  The tests check them against mpmath.
+
 The reported error estimate combines the magnitude of the last correction
 term of the asymptotic series with a rounding-noise floor.  The floor matters:
 at |t| ~ 1e3 the truncation term is ~1e-34 while the accumulated phase
@@ -140,6 +144,35 @@ def lerch_direct(s: complex, params: LerchParams, terms: int) -> EvalResult:
     return EvalResult(value, tail, terms, 0, False)
 
 
+def _em_tail(s, na: float, terms: int):
+    """The Euler-Maclaurin continuation past the direct sum over n < N, with
+    na = N + a: yields (N+a)^(1-s)/(s-1), (N+a)^(-s)/2, then
+    B_2k/(2k)! (s)_{2k-1} (N+a)^(-s-2k+1) for k = 1..terms, at a complex s
+    (cmath) or elementwise over an array of them (numpy)."""
+    exp = cmath.exp if isinstance(s, complex) else np.exp
+    log_na = math.log(na)
+    yield exp((1.0 - s) * log_na) / (s - 1.0)
+    yield 0.5 * exp(-s * log_na)
+    rising = s
+    pow_na = exp((-s - 1.0) * log_na)
+    for k in range(1, terms + 1):
+        if k > 1:
+            rising = rising * ((s + (2 * k - 3)) * (s + (2 * k - 2)))
+            pow_na = pow_na / (na * na)
+        yield _B2K_OVER_FACT[k] * rising * pow_na
+
+
+def _decompose(alpha: float, lam) -> tuple[int, list[tuple[float, complex]]]:
+    """(q, [((r + alpha)/q, e^(2 pi i r p/q)) for r < q]) for rational
+    lam = p/q, the residue-class regrouping
+    zl(s, alpha, p/q) = q^(-s) sum_r e^(2 pi i r p/q) zetaH(s, (r + alpha)/q).
+    """
+    a, f = _check_alpha(alpha), as_unit_fraction(lam, "lam")
+    p, q = f.numerator, f.denominator
+    return q, [((r + a) / q, cmath.exp(2j * math.pi * r * p / q))
+               for r in range(q)]
+
+
 def _hurwitz_table(t: float, sigmas: Sequence[float], shifts: Iterable[float],
                    cfg: EulerMaclaurinConfig
                    ) -> dict[tuple[float, float], EvalResult]:
@@ -151,24 +184,13 @@ def _hurwitz_table(t: float, sigmas: Sequence[float], shifts: Iterable[float],
     N = cfg.cutoff
     table = {}
     for alpha in shifts:
-        na = N + alpha
-        log_na = math.log(na)
         sums = _direct_sums(sigmas, t, alpha, 0.0, N)
         for sigma, (value, abs_sum) in zip(sigmas, sums):
-            s = complex(sigma, t)
-            cont = cmath.exp((1.0 - s) * log_na) / (s - 1.0)
-            half = 0.5 * cmath.exp(-s * log_na)
+            cont, half, *terms = _em_tail(complex(sigma, t), N + alpha,
+                                          cfg.bernoulli_terms)
             value += cont + half
             abs_sum += abs(cont) + abs(half)
-
-            rising = s
-            pow_na = cmath.exp((-s - 1.0) * log_na)
-            last = 0.0
-            for k in range(1, cfg.bernoulli_terms + 1):
-                if k > 1:
-                    rising *= (s + (2 * k - 3)) * (s + (2 * k - 2))
-                    pow_na /= na * na
-                term = _B2K_OVER_FACT[k] * rising * pow_na
+            for term in terms:
                 value += term
                 last = abs(term)
                 abs_sum += last
@@ -224,36 +246,29 @@ def lerch_reference_table(t: float, sigmas: Iterable[float],
     if not math.isfinite(t):
         raise DomainError(f"non-finite t: {t!r}")
     points = [_check_s(complex(sigma, t)) for sigma in dict.fromkeys(sigmas)]
-    plans = []
-    for alpha, lam in pairs:
-        a = _check_alpha(alpha)
-        f = as_unit_fraction(lam, "lam")
-        q = f.denominator
-        plans.append((alpha, lam, f.numerator, q,
-                      [(r + a) / q for r in range(q)]))
+    plans = [(alpha, lam, *_decompose(alpha, lam)) for alpha, lam in pairs]
     if any(abs(s - 1.0) <= _POLE_TOL for s in points):
         raise PoleError("Hurwitz zeta has its pole at s = 1")
     if cfg is None:
         cfg = default_em_config(t)
     cfg.check_height(t)
 
-    shifts = dict.fromkeys(a for *_, pair_shifts in plans for a in pair_shifts)
+    shifts = dict.fromkeys(a for *_, parts in plans for a, _ in parts)
     comps = _hurwitz_table(t, [s.real for s in points], shifts, cfg)
     table = {}
     for s in points:
-        for alpha, lam, p, q, pair_shifts in plans:
+        for alpha, lam, q, parts in plans:
             if q == 1:
-                table[s.real, alpha, lam] = comps[s.real, pair_shifts[0]]
+                table[s.real, alpha, lam] = comps[s.real, parts[0][0]]
                 continue
-            # zl(s, a, p/q) = q^(-s) sum_r e^(2 pi i r p/q) zetaH(s, (r+a)/q)
             scale = cmath.exp(-s * math.log(q))
             value = 0.0 + 0.0j
             estimate = 0.0
             main_terms = dual_terms = 0
             reliable = True
-            for r, a in enumerate(pair_shifts):
+            for a, phase in parts:
                 comp = comps[s.real, a]
-                value += cmath.exp(2j * math.pi * r * p / q) * comp.value
+                value += phase * comp.value
                 estimate += comp.error_estimate
                 main_terms += comp.main_terms
                 dual_terms += comp.dual_terms

@@ -145,6 +145,17 @@ class TestEval:
         doc = json.loads(out)
         assert doc["reliable"] is True
 
+    @pytest.mark.parametrize("flags", [["--out", "x.txt"], ["--no-meta"]],
+                             ids=["out", "no-meta"])
+    def test_takes_no_out_or_no_meta(self, capsys, tmp_path, monkeypatch,
+                                     flags):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "eval", "--sigma", "0.5", "--t", "100",
+                             *flags)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
 
 class TestFecheck:
     def test_deterministic_csv(self, capsys, tmp_path):

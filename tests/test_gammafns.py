@@ -147,13 +147,6 @@ class TestGammaPhaseProduct:
 
 
 class TestLogComplex:
-    def test_multiplication_adds(self):
-        a = LogComplex(1.0, 0.3)
-        b = LogComplex(-2.0, 7.0)
-        c = a * b
-        assert c.log_modulus == pytest.approx(-1.0)
-        assert c.argument == pytest.approx(7.3)
-
     def test_arguments_stay_unreduced(self):
         w = LogComplex(0.0, 5.0 * TWO_PI + 0.25)
         assert w.argument > TWO_PI

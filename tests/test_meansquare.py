@@ -136,8 +136,8 @@ class TestMeanSquareIntegral:
         h = (T - T0) / nf
         ts = T0 + h * np.arange(nf + 1)
         v_afe = _split_sum_integrand(0.5, 0.5, T, partial=False)(T0, h, 0, nf + 1)
-        v_orc = _oracle_integrand(0.5, Fraction(1, 2), 2 * math.ceil(T))(
-            T0, h, 0, nf + 1)
+        cfg = EulerMaclaurinConfig(cutoff=2 * math.ceil(T))
+        v_orc = _oracle_integrand(0.5, Fraction(1, 2), cfg)(T0, h, 0, nf + 1)
         c = get_cfit("lerch")
         ia = io_ = budget = 0.0
         w = np.ones(nf + 1)
@@ -231,12 +231,12 @@ class TestGridKernel:
                                                         alpha, lam):
         h = 0.01
         n = _BLOCK + 3
-        got = _oracle_integrand(alpha, lam, cutoff)(t_start, h, 0, n)
         cfg = EulerMaclaurinConfig(cutoff=cutoff, bernoulli_terms=15)
+        got = _oracle_integrand(alpha, lam, cfg)(t_start, h, 0, n)
         for j in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, n - 1):
             want = lerch_via_hurwitz(complex(0.5, t_start + h * j), alpha, lam,
                                      cfg).value
-            assert got[j] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
+            assert got[j] == pytest.approx(want, abs=1e-11 * (1 + abs(want)))
 
 
 class TestExponentFit:
