@@ -58,9 +58,9 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .gammafns import chi, gamma_phase_product
+from .gammafns import TWO_PI, chi, gamma_phase_product
 from .oracles import lerch_reference_table
-from .params import EvalResult, LerchParams
+from .params import EvalResult, LerchParams, check_height, check_s
 
 __all__ = ["AfeSplit", "ErrorEnvelope", "CalibrationPoint", "choose_split",
            "afe_eval", "afe_lerch", "afe_hurwitz", "afe_riemann",
@@ -69,7 +69,6 @@ __all__ = ["AfeSplit", "ErrorEnvelope", "CalibrationPoint", "choose_split",
            "calibrate_all", "read_calibration", "write_calibration", "get_cfit",
            "reload_calibration", "KINDS", "CALIBRATED_T"]
 
-TWO_PI = 2.0 * math.pi
 KINDS = ("lerch", "hurwitz", "riemann")
 
 # Envelope constants measured by ``calibrate_all()`` on the default grids
@@ -118,8 +117,7 @@ def choose_split(t: float, mode: str = "balanced") -> AfeSplit:
                 by the mean-square experiment.  Needs |t| >= ~9.91 so that
                 x >= 1.
     """
-    if not math.isfinite(t):
-        raise DomainError(f"non-finite t: {t!r}")
+    t = check_height(t)
     if abs(t) < TWO_PI:
         raise DomainError(f"splits need |t| >= 2*pi, got |t| = {abs(t):.6g}")
     if mode == "balanced":
@@ -251,9 +249,7 @@ def afe_eval(kind: str, s: complex, alpha: float, lam: float, split: AfeSplit,
     constant of the kind) times the kind's error envelope; the result is
     reliable only for |t| in CALIBRATED_T, where that constant was fitted.
     """
-    s = complex(s)
-    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise DomainError(f"non-finite s: {s!r}")
+    s = check_s(s)
     if not 0.0 <= s.real <= 1.0:
         raise DomainError(
             f"split-sum evaluation requires 0 <= sigma <= 1, got sigma = {s.real}")

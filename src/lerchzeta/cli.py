@@ -30,7 +30,7 @@ from typing import NamedTuple
 from . import afe, funceq, meansquare
 from .errors import ConfigError, DomainError
 from .oracles import lerch_via_hurwitz
-from .params import MAX_DENOMINATOR
+from .params import MAX_DENOMINATOR, check_unit
 
 __all__ = ["main"]
 
@@ -42,8 +42,7 @@ def _parse_fraction(text: str, name: str) -> tuple[float, Fraction | None]:
         frac = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"cannot parse {name}={text!r} as p/q or decimal")
-    if not 0 < frac <= 1:
-        raise DomainError(f"{name} must lie in (0, 1], got {text}")
+    check_unit(frac, name)
     if frac.denominator <= MAX_DENOMINATOR:
         return float(frac), frac
     return float(frac), None
@@ -88,8 +87,10 @@ def _check_out(path: str) -> None:
         raise ConfigError(f"cannot write {path}: permission denied")
 
 
-def _emit(args, rows: list[dict], csv_writer, records) -> None:
-    """Write records as CSV (via the module writer) or as their JSON mirror."""
+def _emit(args, rows: list[dict]) -> None:
+    """Write rows as CSV or as their JSON mirror.  The CSV columns are the
+    row keys except ``reliable``; a column whose first value is a float is
+    written with %.17g, any other with str."""
     meta = _meta_line(args)
     if args.format == "json":
         doc = {"records": rows}
@@ -98,7 +99,14 @@ def _emit(args, rows: list[dict], csv_writer, records) -> None:
         text = json.dumps(doc, indent=2) + "\n"
     else:
         buf = io.StringIO()
-        csv_writer(records, buf, meta=meta)
+        if meta:
+            buf.write(f"# {meta}\n")
+        cols = [c for c in rows[0] if c != "reliable"]
+        buf.write(",".join(cols) + "\n")
+        line = ",".join(f"%({c}).17g" if isinstance(rows[0][c], float)
+                        else f"%({c})s" for c in cols) + "\n"
+        for row in rows:
+            buf.write(line % row)
         text = buf.getvalue()
     if args.out == "-":
         sys.stdout.write(text)
@@ -165,7 +173,7 @@ def _cmd_fecheck(args) -> int:
              "alpha_num": r.alpha.numerator, "alpha_den": r.alpha.denominator,
              "lambda_num": r.lam.numerator, "lambda_den": r.lam.denominator,
              "residual": r.residual, "reliable": r.reliable} for r in records]
-    _emit(args, rows, funceq.write_scan_csv, records)
+    _emit(args, rows)
     worst = max((r.residual for r in records), default=0.0)
     print(f"fecheck: {len(records)} points, max_residual = {worst:.3e}",
           file=sys.stderr)
@@ -188,19 +196,6 @@ def _scan_splits(t: float) -> list[tuple[str, afe.AfeSplit]]:
             ("meanSquare", afe.choose_split(t, "meanSquare")),
             ("skew2", afe.AfeSplit(2.0 * xb, 0.5 * xb)),
             ("skew05", afe.AfeSplit(0.5 * xb, 2.0 * xb))]
-
-
-def _write_afescan_csv(rows, fh, meta=None) -> None:
-    if meta:
-        fh.write(f"# {meta}\n")
-    fh.write("kind,sigma,t,split,x,y,alpha_num,alpha_den,lambda_num,lambda_den,"
-             "abs_err,envelope,ratio\n")
-    for r in rows:
-        fh.write(f"{r['kind']},{r['sigma']:.17g},{r['t']:.17g},{r['split']},"
-                 f"{r['x']:.17g},{r['y']:.17g},"
-                 f"{r['alpha_num']},{r['alpha_den']},"
-                 f"{r['lambda_num']},{r['lambda_den']},"
-                 f"{r['abs_err']:.17g},{r['envelope']:.17g},{r['ratio']:.17g}\n")
 
 
 class _ScanPoint(NamedTuple):
@@ -238,7 +233,7 @@ def _cmd_afescan(args) -> int:
             for kind in kinds
             for pt, err, env in afe.envelope_scan(
                 kind, _afescan_points(kind, heights))]
-    _emit(args, rows, _write_afescan_csv, rows)
+    _emit(args, rows)
     failed = 0
     for kind, cfit in cfits.items():
         kr = [r for r in rows if r["kind"] == kind]
@@ -288,7 +283,7 @@ def _cmd_meansquare(args) -> int:
              "residual": r.residual, "quad_err": r.quadrature_error_estimate,
              "method": r.method, "step": r.step, "reliable": r.reliable}
             for r in records]
-    _emit(args, rows, meansquare.write_meansquare_csv, records)
+    _emit(args, rows)
     if len(records) >= 4:
         fit = meansquare.fit_residual_exponent(
             [r.T for r in records], [r.residual for r in records],

@@ -33,20 +33,20 @@ routes (decomposition oracle vs Gamma-factor assembly), so a residual at the
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import NamedTuple, Sequence
 
-from .afe import kind_pairs
+from .afe import KINDS, kind_pairs
 from .errors import DomainError
 from .gammafns import chi
 from .gammafns import gamma_phase_product as _gpp
 from .oracles import lerch_via_hurwitz, riemann_reference
-from .params import EulerMaclaurinConfig, EvalResult, as_unit_fraction
+from .params import (EulerMaclaurinConfig, EvalResult, as_unit_fraction,
+                     check_s)
 
 __all__ = ["fe_rhs", "fe_lerch_rhs", "fe_hurwitz_rhs", "fe_residual_scan",
-           "default_fe_grid", "write_scan_csv", "ScanPoint", "ScanRecord",
-           "FE_KINDS"]
+           "default_fe_grid", "ScanPoint", "ScanRecord", "FE_KINDS"]
 
-FE_KINDS = ("lerch", "hurwitz", "riemann")
+FE_KINDS = KINDS
 
 _ABS_FLOOR = 1e-300
 
@@ -64,6 +64,7 @@ def fe_rhs(s: complex, alpha, lam,
     lam = 1 (see the module docstring).  Both dual values are rational-lam
     oracle calls at 1 - s, so the result is fully independent of the
     left-hand side."""
+    s = check_s(s)
     alpha = as_unit_fraction(alpha, "alpha")
     lam = as_unit_fraction(lam, "lam")
     a, l = float(alpha), float(lam)
@@ -153,17 +154,3 @@ def default_fe_grid(kind: str) -> list[ScanPoint]:
              if a < 1 or kind == "riemann"]
     return [ScanPoint(complex(sigma, t), a, l)
             for t in _GRID_T for sigma in _GRID_SIGMA for a, l in pairs]
-
-
-def write_scan_csv(records: Iterable[ScanRecord], fh: TextIO,
-                   meta: str | None = None) -> None:
-    """Scan report as CSV: (sigma, t, alpha_num, alpha_den, lambda_num,
-    lambda_den, residual), ASCII, '.' decimals, newline-terminated rows."""
-    if meta:
-        fh.write(f"# {meta}\n")
-    fh.write("sigma,t,alpha_num,alpha_den,lambda_num,lambda_den,residual\n")
-    for r in records:
-        fh.write(f"{r.s.real:.17g},{r.s.imag:.17g},"
-                 f"{r.alpha.numerator},{r.alpha.denominator},"
-                 f"{r.lam.numerator},{r.lam.denominator},"
-                 f"{r.residual:.17g}\n")

@@ -21,7 +21,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, PoleError
+from .errors import PoleError
+from .params import POLE_TOL, check_s
 
 __all__ = ["LogComplex", "log_gamma", "gamma", "chi", "gamma_phase_product"]
 
@@ -41,10 +42,7 @@ _LANCZOS_C = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
-_LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-# |z - nearest pole| below this counts as "at the pole".
-_POLE_TOL = 1e-14
+_LOG_SQRT_TWO_PI = 0.5 * LOG_TWO_PI
 
 # exp() overflows above this log-modulus.
 _MAX_LOG = math.log(1.7976931348623157e308)
@@ -71,13 +69,6 @@ class LogComplex:
             raise OverflowError(
                 f"log-modulus {self.log_modulus:.6g} exceeds double range")
         return cmath.exp(complex(self.log_modulus, self.argument))
-
-
-def _require_finite(z: complex, what: str = "argument") -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"non-finite {what}: {z!r}")
-    return z
 
 
 def _log_sin_pi(z: complex) -> complex:
@@ -112,8 +103,8 @@ def log_gamma(z: complex) -> LogComplex:
     carry extra multiples of 2*pi).  Conjugation symmetry
     ``log_gamma(conj(z)) == conj(log_gamma(z))`` holds exactly by code path.
     """
-    z = _require_finite(z)
-    if z.imag == 0.0 and z.real <= 0.5 and abs(z.real - round(z.real)) <= _POLE_TOL:
+    z = check_s(z, "z")
+    if z.imag == 0.0 and z.real <= 0.5 and abs(z.real - round(z.real)) <= POLE_TOL:
         raise PoleError(f"Gamma pole at z = {z.real:.17g}")
     w = _log_gamma_complex(z)
     return LogComplex(w.real, w.imag)
@@ -151,10 +142,10 @@ def chi(s: complex) -> LogComplex:
     chi(2k) = (-1)^k pi (2 pi)^(2k-1) / (2k-1)!; odd positive integers are
     genuine poles.
     """
-    s = _require_finite(s)
-    if s.imag == 0.0 and s.real >= 1.0 - _POLE_TOL:
+    s = check_s(s)
+    if s.imag == 0.0 and s.real >= 1.0 - POLE_TOL:
         near = round(s.real)
-        if abs(s.real - near) <= _POLE_TOL and near >= 1:
+        if abs(s.real - near) <= POLE_TOL and near >= 1:
             if near % 2 == 1:
                 raise PoleError(f"chi has a pole at s = {near}")
             k = near // 2
@@ -176,9 +167,9 @@ def gamma_phase_product(s: complex, phase_coeff_of_s: float,
     magnitudes of the Gamma and phase parts cancel symbolically here, so the
     result is representable even where Gamma(1-s) alone is not.
     """
-    s = _require_finite(s)
-    if s.imag == 0.0 and s.real >= 1.0 - _POLE_TOL \
-            and abs(s.real - round(s.real)) <= _POLE_TOL:
+    s = check_s(s)
+    if s.imag == 0.0 and s.real >= 1.0 - POLE_TOL \
+            and abs(s.real - round(s.real)) <= POLE_TOL:
         raise PoleError(f"Gamma(1-s) pole at s = {s.real:.17g}")
     w = (_log_gamma_complex(1.0 - s) + (s - 1.0) * LOG_TWO_PI
          + 1j * math.pi * (phase_coeff_of_s * s + phase_const))

@@ -58,23 +58,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .afe import _TERMS
-from .gammafns import gamma_phase_product
+from .gammafns import TWO_PI, gamma_phase_product
 from .oracles import _decompose, _em_tail, lerch_via_hurwitz
 from .params import (EulerMaclaurinConfig, LerchParams, as_unit_fraction,
-                     default_em_config)
+                     check_height, check_unit, default_em_config)
 
 __all__ = ["T0", "METHODS", "MeanSquareRecord", "ExponentFit",
            "critical_line_value", "mean_square_integral", "mean_square_ladder",
-           "fit_residual_exponent", "dropped_remainder_class",
-           "write_meansquare_csv"]
-
-TWO_PI = 2.0 * math.pi
+           "fit_residual_exponent", "dropped_remainder_class"]
 
 # Below t0 the meanSquare split has x < 1; the [1, t0] stub always goes
 # through the oracle route.
@@ -213,17 +210,6 @@ def _oracle_integrand(alpha: float, lam: Fraction, cfg: EulerMaclaurinConfig):
     return values
 
 
-def _coerce_pair(alpha, lam, need_rational_lam: bool):
-    """(alpha_float, lam_float, lam_fraction_or_None) from flexible inputs."""
-    a = float(alpha)
-    l = float(lam)
-    LerchParams(a, l)  # range/finiteness validation
-    if not need_rational_lam:
-        return a, l, None
-    lf = as_unit_fraction(lam, "lam")
-    return a, l, lf
-
-
 def critical_line_value(t: float, alpha, lam, method: str = "afe") -> complex:
     """zl(1/2 + it, alpha, lam) by the chosen route (see module docstring).
 
@@ -233,17 +219,15 @@ def critical_line_value(t: float, alpha, lam, method: str = "afe") -> complex:
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}")
-    if not (isinstance(t, (int, float)) and math.isfinite(t)):
-        raise DomainError(f"non-finite t: {t!r}")
+    t = check_height(t)
     if method == "oracle":
-        a, _, lf = _coerce_pair(alpha, lam, True)
-        return lerch_via_hurwitz(complex(0.5, t), a, lf).value
-    a, l, _ = _coerce_pair(alpha, lam, False)
+        return lerch_via_hurwitz(complex(0.5, t), alpha, lam).value
+    p = LerchParams(float(alpha), float(lam))
     if t < T0:
         raise DomainError(
             f"method {method!r} needs t >= {T0} (meanSquare split), got {t:.6g}")
-    values = _split_sum_integrand(a, l, t, method == "partialSum")
-    return complex(values(float(t), 0.0, 0, 1)[0])
+    values = _split_sum_integrand(p.alpha, p.lam, t, method == "partialSum")
+    return complex(values(t, 0.0, 0, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +279,12 @@ def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
         raise DomainError(f"unknown method {method!r}")
     if not (0.0 < step <= 0.05):
         raise ConfigError(f"step must lie in (0, 0.05], got {step}")
-    if not (math.isfinite(T) and T >= max(T0, 20.0)):
-        raise DomainError(f"T must be finite and >= {max(T0, 20.0)}, got {T}")
+    if check_height(T, "T") < max(T0, 20.0):
+        raise DomainError(f"T must be >= {max(T0, 20.0)}, got {T}")
     # the stub's oracle route makes rational lam a requirement for every method
-    a_float, lam_float, lam_fraction = _coerce_pair(alpha, lam, True)
+    lam_fraction = as_unit_fraction(lam, "lam")
+    a_float = check_unit(float(alpha), "alpha")
+    lam_float = float(lam_fraction)
 
     if checkpoints is None:
         checkpoints = sorted({max(20.0, T / 8.0), max(20.0, T / 4.0),
@@ -372,15 +358,3 @@ def fit_residual_exponent(Ts: Sequence[float], residuals: Sequence[float],
         return ExponentFit(math.nan, math.nan, True)
     slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
     return ExponentFit(float(slope), float(math.exp(intercept)), False)
-
-
-def write_meansquare_csv(records: Iterable[MeanSquareRecord], fh: TextIO,
-                         meta: str | None = None) -> None:
-    if meta:
-        fh.write(f"# {meta}\n")
-    fh.write("T,alpha,lambda,integral,main_term,residual,quad_err,method,step\n")
-    for r in records:
-        fh.write(f"{r.T:.17g},{r.alpha:.17g},{r.lam:.17g},"
-                 f"{r.integral_value:.17g},{r.main_term:.17g},"
-                 f"{r.residual:.17g},{r.quadrature_error_estimate:.17g},"
-                 f"{r.method},{r.step:.17g}\n")

@@ -53,14 +53,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .params import (EulerMaclaurinConfig, EvalResult, LerchParams,
-                     as_unit_fraction, default_em_config)
+from .params import (POLE_TOL, EulerMaclaurinConfig, EvalResult, LerchParams,
+                     as_unit_fraction, check_height, check_s, check_unit,
+                     default_em_config)
 
 __all__ = ["lerch_direct", "hurwitz_euler_maclaurin", "lerch_via_hurwitz",
            "lerch_reference_table", "riemann_reference"]
 
 _EPS = 2.220446049250313e-16
-_POLE_TOL = 1e-14
 
 
 def _bernoulli_over_factorial(kmax: int) -> tuple[float, ...]:
@@ -76,20 +76,6 @@ def _bernoulli_over_factorial(kmax: int) -> tuple[float, ...]:
 
 
 _B2K_OVER_FACT = _bernoulli_over_factorial(30)
-
-
-def _check_s(s: complex) -> complex:
-    s = complex(s)
-    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise DomainError(f"non-finite s: {s!r}")
-    return s
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and 0.0 < alpha <= 1.0):
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    return alpha
 
 
 def _direct_sums(sigmas: Sequence[float], t: float, alpha: float, lam: float,
@@ -125,7 +111,7 @@ def lerch_direct(s: complex, params: LerchParams, terms: int) -> EvalResult:
     the result is flagged unreliable: convergence is slow and this regime is
     not used as an oracle.
     """
-    s = _check_s(s)
+    s = check_s(s)
     if terms < 1:
         raise DomainError(f"terms must be positive, got {terms}")
     sigma = s.real
@@ -167,7 +153,8 @@ def _decompose(alpha: float, lam) -> tuple[int, list[tuple[float, complex]]]:
     lam = p/q, the residue-class regrouping
     zl(s, alpha, p/q) = q^(-s) sum_r e^(2 pi i r p/q) zetaH(s, (r + alpha)/q).
     """
-    a, f = _check_alpha(alpha), as_unit_fraction(lam, "lam")
+    a = check_unit(float(alpha), "alpha")
+    f = as_unit_fraction(lam, "lam")
     p, q = f.numerator, f.denominator
     return q, [((r + a) / q, cmath.exp(2j * math.pi * r * p / q))
                for r in range(q)]
@@ -219,9 +206,9 @@ def hurwitz_euler_maclaurin(s: complex, alpha: float,
     magnitude of the last correction term plus a rounding-noise floor; the
     result is flagged unreliable when the estimate exceeds 1e-10 |value|.
     """
-    s = _check_s(s)
-    alpha = _check_alpha(alpha)
-    if abs(s - 1.0) <= _POLE_TOL:
+    s = check_s(s)
+    alpha = check_unit(float(alpha), "alpha")
+    if abs(s - 1.0) <= POLE_TOL:
         raise PoleError("Hurwitz zeta has its pole at s = 1")
     if cfg is None:
         cfg = default_em_config(s.imag)
@@ -242,12 +229,10 @@ def lerch_reference_table(t: float, sigmas: Iterable[float],
     by their shift (r + alpha)/q, so a shift that several pairs share is
     evaluated once, and its logarithms and phases once for all sigmas.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"non-finite t: {t!r}")
-    points = [_check_s(complex(sigma, t)) for sigma in dict.fromkeys(sigmas)]
+    t = check_height(t)
+    points = [check_s(complex(sigma, t)) for sigma in dict.fromkeys(sigmas)]
     plans = [(alpha, lam, *_decompose(alpha, lam)) for alpha, lam in pairs]
-    if any(abs(s - 1.0) <= _POLE_TOL for s in points):
+    if any(abs(s - 1.0) <= POLE_TOL for s in points):
         raise PoleError("Hurwitz zeta has its pole at s = 1")
     if cfg is None:
         cfg = default_em_config(t)
@@ -258,9 +243,6 @@ def lerch_reference_table(t: float, sigmas: Iterable[float],
     table = {}
     for s in points:
         for alpha, lam, q, parts in plans:
-            if q == 1:
-                table[s.real, alpha, lam] = comps[s.real, parts[0][0]]
-                continue
             scale = cmath.exp(-s * math.log(q))
             value = 0.0 + 0.0j
             estimate = 0.0
@@ -288,7 +270,7 @@ def lerch_via_hurwitz(s: complex, alpha: float, lam,
     Hurwitz value (identical arithmetic).  Requires q <= 64 and s != 1.  The
     one-point case of lerch_reference_table.
     """
-    s = _check_s(s)
+    s = check_s(s)
     (result,) = lerch_reference_table(s.imag, (s.real,), ((alpha, lam),),
                                       cfg).values()
     return result

@@ -1,9 +1,12 @@
-"""Shared parameter and result types.
+"""Shared parameter and result types, and the one statement of what a valid
+input is.
 
 The complex variable s is an ordinary Python ``complex`` (sigma = s.real,
 t = s.imag); both zeta-function parameters live in (0, 1].  Rational
 parameters are ``fractions.Fraction`` values, which is what the
-Hurwitz-decomposition oracle needs.
+Hurwitz-decomposition oracle needs.  check_s, check_height and check_unit
+are the input checks every module applies where s, t, T, alpha or lam
+enters.
 """
 
 from __future__ import annotations
@@ -11,13 +14,49 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 from .errors import ConfigError, DomainError
 
 __all__ = ["LerchParams", "EulerMaclaurinConfig", "EvalResult",
-           "as_unit_fraction", "default_em_config"]
+           "as_unit_fraction", "check_height", "check_s", "check_unit",
+           "default_em_config", "MAX_HEIGHT", "POLE_TOL"]
 
 MAX_DENOMINATOR = 64
+
+# The largest |t| any route accepts.  Every sum forms its phases
+# t log(n + a) in doubles, whose rounding |t| log(n + a) 2^-53 reaches a
+# radian near |t| = 1e15: above it no digit of a phase is right.
+MAX_HEIGHT = 1e15
+
+# |z - nearest pole| below this counts as "at the pole".
+POLE_TOL = 1e-14
+
+
+def check_s(s, name: str = "s") -> complex:
+    """s as a complex, refused unless its real part is finite and
+    |Im s| <= MAX_HEIGHT."""
+    s = complex(s)
+    if not (math.isfinite(s.real) and abs(s.imag) <= MAX_HEIGHT):
+        raise DomainError(f"{name} must be finite with |Im {name}| <= "
+                          f"{MAX_HEIGHT:g}, got {s!r}")
+    return s
+
+
+def check_height(t, name: str = "t") -> float:
+    """A height t (or T) as a float, refused unless |t| <= MAX_HEIGHT."""
+    t = float(t)
+    if not abs(t) <= MAX_HEIGHT:
+        raise DomainError(f"{name} must be finite with |{name}| <= "
+                          f"{MAX_HEIGHT:g}, got {t}")
+    return t
+
+
+def check_unit(value, name: str):
+    """value, refused unless it is a real number in (0, 1] (no nan is)."""
+    if not (isinstance(value, Real) and 0 < value <= 1):
+        raise DomainError(f"{name} must be a real in (0, 1], got {value}")
+    return value
 
 
 def as_unit_fraction(value, name: str = "parameter") -> Fraction:
@@ -30,8 +69,7 @@ def as_unit_fraction(value, name: str = "parameter") -> Fraction:
         f = Fraction(value)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} is not rational: {value!r}") from exc
-    if not 0 < f <= 1:
-        raise DomainError(f"{name} must lie in (0, 1], got {f}")
+    check_unit(f, name)
     if f.denominator > MAX_DENOMINATOR:
         raise DomainError(
             f"{name} denominator {f.denominator} exceeds {MAX_DENOMINATOR}")
@@ -46,11 +84,8 @@ class LerchParams:
     lam: float
 
     def __post_init__(self):
-        for name, v in (("alpha", self.alpha), ("lam", self.lam)):
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise DomainError(f"{name} must be a finite real, got {v!r}")
-            if not 0.0 < v <= 1.0:
-                raise DomainError(f"{name} must lie in (0, 1], got {v}")
+        check_unit(self.alpha, "alpha")
+        check_unit(self.lam, "lam")
 
     @property
     def is_hurwitz(self) -> bool:

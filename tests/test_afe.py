@@ -15,6 +15,7 @@ from lerchzeta.afe import (CALIBRATED_T, DEFAULT_CFIT, CalibrationPoint,
                            default_calibration_grid, envelope_fit,
                            envelope_scan, kind_pairs, read_calibration,
                            reload_calibration, write_calibration)
+from lerchzeta.params import MAX_HEIGHT
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,6 +45,12 @@ class TestChooseSplit:
             choose_split(1.0)
         with pytest.raises(DomainError):
             choose_split(7.0, "meanSquare")  # x would drop below 1
+
+    def test_heights_up_to_max_height(self):
+        assert choose_split(-MAX_HEIGHT) == choose_split(MAX_HEIGHT)
+        for t in (math.nextafter(MAX_HEIGHT, math.inf), math.inf, math.nan):
+            with pytest.raises(DomainError):
+                choose_split(t)
 
     @pytest.mark.parametrize("mode", ["balanced", "meanSquare"])
     def test_negative_t_same_split(self, mode):

@@ -12,9 +12,10 @@ import pytest
 import lerchzeta
 from lerchzeta import (AfeSplit, LerchParams, afe_hurwitz, afe_lerch,
                        afe_riemann, choose_split, error_envelope,
-                       lerch_via_hurwitz)
+                       fe_residual_scan, lerch_via_hurwitz, mean_square_ladder)
 from lerchzeta.afe import reload_calibration
 from lerchzeta.cli import main
+from lerchzeta.funceq import ScanPoint
 
 
 def run(capsys, *argv):
@@ -328,6 +329,72 @@ class TestCalibrate:
                              str(tmp_path / "missing" / "dir" / "c.txt"))
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+class TestCsv:
+    def test_meansquare_columns_and_values(self, capsys):
+        recs = mean_square_ladder(80.0, Fraction(1), Fraction(1), step=0.05)
+        code, out, _ = run(capsys, "meansquare", "--T", "80", "--alpha", "1",
+                           "--lambda", "1", "--step", "0.05", "--no-meta")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "T,alpha,lambda,integral,main_term,residual,quad_err,method,step"
+        assert len(lines) == 1 + len(recs)
+        first = lines[1].split(",")
+        assert float(first[0]) == recs[0].T
+        assert first[7] == "afe"
+
+    def test_fecheck_shape(self, capsys):
+        records = fe_residual_scan(
+            "hurwitz", [ScanPoint(complex(0.5, 10.0), Fraction(1, 4), Fraction(1))])
+        code, out, _ = run(capsys, "fecheck", "--kind", "hurwitz")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("# lerchzeta fecheck ")
+        assert lines[1] == "sigma,t,alpha_num,alpha_den,lambda_num,lambda_den,residual"
+        (fields,) = [f for f in (line.split(",") for line in lines[2:])
+                     if f[:4] == ["0.5", "10", "1", "4"]]
+        assert len(fields) == 7
+        assert fields[2:6] == ["1", "4", "1", "1"]
+        assert float(fields[6]) == records[0].residual
+
+    @pytest.mark.parametrize("argv", [
+        ("fecheck", "--kind", "riemann"),
+        ("afescan", "--kind", "hurwitz", "--t", "80"),
+        ("meansquare", "--T", "40", "--alpha", "1/3", "--lambda", "1/2",
+         "--step", "0.05")], ids=["fecheck", "afescan", "meansquare"])
+    def test_csv_mirrors_json(self, capsys, argv):
+        _, csv_out, _ = run(capsys, *argv, "--no-meta")
+        _, json_out, _ = run(capsys, *argv, "--no-meta", "--format", "json")
+        records = json.loads(json_out)["records"]
+        header, *lines = csv_out.splitlines()
+        cols = header.split(",")
+        assert len(lines) == len(records)
+        for line, rec in zip(lines, records):
+            assert cols == [k for k in rec if k != "reliable"]
+            assert line.split(",") == [
+                "%.17g" % v if isinstance(v, float) else str(v)
+                for v in (rec[c] for c in cols)]
+
+
+class TestHeightBound:
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--sigma", "0.5", "--t", "1e300"),
+        ("eval", "--sigma", "0.5", "--t", "1e300", "--method", "oracle"),
+        ("eval", "--sigma", "0.5", "--t", "1e300", "--method", "fe"),
+        ("eval", "--sigma", "0.5", "--t=-2e15", "--method", "oracle"),
+        ("afescan", "--t", "1e300"),
+        ("meansquare", "--T", "1e300"),
+        ("meansquare", "--T", "1e300", "--method", "oracle"),
+        ("meansquare", "--T", "2e15", "--method", "partialSum")],
+        ids=["eval-afe", "eval-oracle", "eval-fe", "eval-oracle-below",
+             "afescan", "meansquare-afe", "meansquare-oracle",
+             "meansquare-partialSum"])
+    def test_beyond_max_height_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "1e+15" in err
 
 
 class TestBadFlags:

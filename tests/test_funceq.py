@@ -1,6 +1,5 @@
 """Reflection-identity checks: both sides computed by independent routes."""
 
-import io
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,7 @@ import pytest
 from lerchzeta import (DomainError, LerchParams, chi, fe_hurwitz_rhs,
                        fe_lerch_rhs, fe_residual_scan, fe_rhs, lerch_direct,
                        lerch_via_hurwitz, riemann_reference)
-from lerchzeta.funceq import ScanPoint, default_fe_grid, write_scan_csv
+from lerchzeta.funceq import ScanPoint, default_fe_grid
 
 
 def rel(a, b):
@@ -100,16 +99,3 @@ class TestResidualScan:
         for kind in ("lerch", "hurwitz"):
             records = fe_residual_scan(kind, default_fe_grid(kind))
             assert max(r.residual for r in records) <= 1e-7
-
-    def test_csv_shape(self):
-        records = fe_residual_scan(
-            "hurwitz", [ScanPoint(complex(0.5, 10.0), Fraction(1, 4), Fraction(1))])
-        buf = io.StringIO()
-        write_scan_csv(records, buf, meta="test run")
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# test run"
-        assert lines[1] == "sigma,t,alpha_num,alpha_den,lambda_num,lambda_den,residual"
-        fields = lines[2].split(",")
-        assert len(fields) == 7
-        assert fields[2:6] == ["1", "4", "1", "1"]
-        assert float(fields[6]) == records[0].residual

@@ -43,6 +43,8 @@ class TestLogGamma:
     def test_rejects_nan(self):
         with pytest.raises(DomainError):
             log_gamma(complex(float("nan"), 1.0))
+        with pytest.raises(DomainError):
+            gamma_phase_product(complex(0.5, 2e15), 0.5, 0.0)
 
     def test_reflection_identity(self):
         # exp(logG(s) + logG(1-s)) sin(pi s)/pi = 1; |t| kept <= 50 so the

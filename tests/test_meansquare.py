@@ -1,6 +1,5 @@
 """Mean-square integration machinery."""
 
-import io
 import math
 import tracemalloc
 from fractions import Fraction
@@ -15,8 +14,7 @@ from lerchzeta import (ConfigError, DomainError, EulerMaclaurinConfig,
                        mean_square_ladder, riemann_reference)
 from lerchzeta.afe import choose_split
 from lerchzeta.meansquare import (_BLOCK, T0, _dirichlet, _oracle_integrand,
-                                  _split_sum_integrand, dropped_remainder_class,
-                                  write_meansquare_csv)
+                                  _split_sum_integrand, dropped_remainder_class)
 
 TWO_PI = 2.0 * math.pi
 
@@ -258,16 +256,3 @@ class TestExponentFit:
         Ts = [250.0, 500.0, 1000.0, 2000.0]
         fit = fit_residual_exponent(Ts, [1e-9] * 4, [1e-6] * 4)
         assert fit.degenerate
-
-
-class TestCsv:
-    def test_columns_and_values(self):
-        recs = mean_square_ladder(80.0, Fraction(1), Fraction(1), step=0.05)
-        buf = io.StringIO()
-        write_meansquare_csv(recs, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "T,alpha,lambda,integral,main_term,residual,quad_err,method,step"
-        assert len(lines) == 1 + len(recs)
-        first = lines[1].split(",")
-        assert float(first[0]) == recs[0].T
-        assert first[7] == "afe"

@@ -181,6 +181,8 @@ class TestReferenceTable:
         with pytest.raises(DomainError):
             lerch_reference_table(math.nan, (0.5,), [(0.5, Fraction(1, 2))])
         with pytest.raises(DomainError):
+            lerch_reference_table(-2e15, (0.5,), [(0.5, Fraction(1, 2))])
+        with pytest.raises(DomainError):
             lerch_reference_table(50.0, (0.5,), [(0.5, 0.123456789)])
         with pytest.raises(ConfigError):
             lerch_reference_table(300.0, (0.5,), [(0.5, Fraction(1, 2))],
