@@ -60,7 +60,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .gammafns import TWO_PI, chi, gamma_phase_product
 from .oracles import lerch_reference_table
-from .params import EvalResult, LerchParams, check_height, check_s
+from .params import MAX_TERMS, EvalResult, LerchParams, check_height, check_s
 
 __all__ = ["AfeSplit", "ErrorEnvelope", "CalibrationPoint", "choose_split",
            "afe_eval", "afe_lerch", "afe_hurwitz", "afe_riemann",
@@ -84,7 +84,8 @@ _SPLIT_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class AfeSplit:
-    """The sum-length pair (x, y), both >= 1, constrained by 2 pi x y = |t|.
+    """The sum-length pair (x, y), both in [1, MAX_TERMS], constrained by
+    2 pi x y = |t|.
 
     The constraint is against the s each evaluation is called with, so it is
     re-checked at use time rather than at construction.
@@ -96,9 +97,10 @@ class AfeSplit:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise DomainError(f"non-finite split ({self.x}, {self.y})")
-        if self.x < 1.0 or self.y < 1.0:
+        if not (1.0 <= self.x <= MAX_TERMS and 1.0 <= self.y <= MAX_TERMS):
             raise DomainError(
-                f"split lengths must both be >= 1, got ({self.x:.6g}, {self.y:.6g})")
+                f"split lengths must both lie in [1, {MAX_TERMS}] (MAX_TERMS), "
+                f"got ({self.x:.6g}, {self.y:.6g})")
 
     def check_for(self, s: complex) -> None:
         t = abs(s.imag)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 from . import afe, funceq, meansquare
 from .errors import ConfigError, DomainError
 from .oracles import lerch_via_hurwitz
-from .params import MAX_DENOMINATOR, check_unit
+from .params import MAX_DENOMINATOR, check_height, check_unit
 
 __all__ = ["main"]
 
@@ -191,7 +191,7 @@ _SCAN_SIGMA = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def _scan_splits(t: float) -> list[tuple[str, afe.AfeSplit]]:
-    xb = math.sqrt(abs(t) / (2.0 * math.pi))
+    xb = math.sqrt(abs(check_height(t)) / (2.0 * math.pi))
     return [("balanced", afe.AfeSplit(xb, xb)),
             ("meanSquare", afe.choose_split(t, "meanSquare")),
             ("skew2", afe.AfeSplit(2.0 * xb, 0.5 * xb)),

@@ -6,7 +6,7 @@ t = s.imag); both zeta-function parameters live in (0, 1].  Rational
 parameters are ``fractions.Fraction`` values, which is what the
 Hurwitz-decomposition oracle needs.  check_s, check_height and check_unit
 are the input checks every module applies where s, t, T, alpha or lam
-enters.
+enters, and MAX_TERMS bounds the length of every sum a route forms.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import ConfigError, DomainError
 
 __all__ = ["LerchParams", "EulerMaclaurinConfig", "EvalResult",
            "as_unit_fraction", "check_height", "check_s", "check_unit",
-           "default_em_config", "MAX_HEIGHT", "POLE_TOL"]
+           "default_em_config", "MAX_HEIGHT", "MAX_TERMS", "POLE_TOL"]
 
 MAX_DENOMINATOR = 64
 
@@ -28,6 +28,13 @@ MAX_DENOMINATOR = 64
 # t log(n + a) in doubles, whose rounding |t| log(n + a) 2^-53 reaches a
 # radian near |t| = 1e15: above it no digit of a phase is right.
 MAX_HEIGHT = 1e15
+
+# The most terms any one sum may take: a split length x or y, or an
+# Euler-Maclaurin cutoff.  The balanced split at MAX_HEIGHT has
+# x = y = 1.26e7, so it fits; the oracle's cutoff 2 ceil(|t|) stops near
+# |t| = 1e7 and the meanSquare split's x near t = 5.6e8.  Above it a sum
+# would take minutes or allocate gigabytes.
+MAX_TERMS = 20_000_000
 
 # |z - nearest pole| below this counts as "at the pole".
 POLE_TOL = 1e-14
@@ -110,8 +117,9 @@ class EulerMaclaurinConfig:
     bernoulli_terms: int = 15
 
     def __post_init__(self):
-        if self.cutoff < 1:
-            raise ConfigError(f"cutoff must be positive, got {self.cutoff}")
+        if not 1 <= self.cutoff <= MAX_TERMS:
+            raise ConfigError(f"cutoff must lie in 1..{MAX_TERMS} (MAX_TERMS), "
+                              f"got {self.cutoff}")
         if not 1 <= self.bernoulli_terms <= 30:
             raise ConfigError(
                 f"bernoulli_terms must be in 1..30, got {self.bernoulli_terms}")

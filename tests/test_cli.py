@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -395,6 +396,33 @@ class TestHeightBound:
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "1e+15" in err
+
+
+class TestTermBound:
+    """A sum longer than params.MAX_TERMS exits 2 before anything is
+    allocated.  Before the bound, the oracle at t = 1e9 did not return and
+    the meanSquare split at t = 1e12 asked numpy for 226 GiB."""
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--sigma", "0.5", "--t", "1e9", "--method", "oracle"),
+        ("eval", "--sigma", "0.5", "--t", "1e9", "--method", "fe"),
+        ("eval", "--sigma", "0.5", "--t", "1e12", "--split", "meansquare"),
+        ("eval", "--sigma", "0.5", "--t", "1e12", "--split", "x=1e9"),
+        ("meansquare", "--T", "1e12"),
+        ("meansquare", "--T", "1e9", "--method", "oracle")],
+        ids=["eval-oracle", "eval-fe", "eval-meansquare-split",
+             "eval-given-split", "meansquare-afe", "meansquare-oracle"])
+    def test_beyond_max_terms_exits_2(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "MAX_TERMS" in err
+        assert peak < 1 << 20
 
 
 class TestBadFlags:

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lerchzeta import (LogComplex, PoleError, chi, gamma, gamma_phase_product,
-                       log_gamma, riemann_reference)
+                       gammafns, log_gamma, riemann_reference)
 from lerchzeta.errors import DomainError
+from lerchzeta.params import MAX_HEIGHT
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,7 +33,11 @@ class TestLogGamma:
     def test_at_five(self):
         assert log_gamma(5.0).to_complex() == pytest.approx(24.0, rel=1e-13)
 
-    @pytest.mark.parametrize("z", [0.0, -1.0, -7.0, complex(-3.0, 0.0)])
+    # within POLE_TOL of a pole off the real axis too: the reflection's
+    # log(1 - e^(2 pi i z)) would otherwise be log(0)
+    @pytest.mark.parametrize("z", [0.0, -1.0, -7.0, complex(-3.0, 0.0),
+                                   complex(0.0, 1e-170),
+                                   complex(-2.0, -1e-16)])
     def test_poles(self, z):
         with pytest.raises(PoleError):
             log_gamma(z)
@@ -103,8 +110,9 @@ class TestChi:
                                                       rel=1e-12)
         ratio = riemann_reference(2.0).value / riemann_reference(-1.0).value
         assert chi(2.0).to_complex() == pytest.approx(ratio, rel=1e-10)
+        assert chi(complex(2.0, 1e-170)) == chi(2.0)
 
-    @pytest.mark.parametrize("s", [1.0, 3.0, 5.0])
+    @pytest.mark.parametrize("s", [1.0, 3.0, 5.0, complex(3.0, 1e-170)])
     def test_odd_integer_poles(self, s):
         with pytest.raises(PoleError):
             chi(s)
@@ -144,8 +152,9 @@ class TestGammaPhaseProduct:
         assert v == pytest.approx(naive, rel=1e-10)
 
     def test_pole_propagates(self):
-        with pytest.raises(PoleError):
-            gamma_phase_product(2.0, 0.5, 0.0)
+        for s in (2.0, complex(1.0, 1e-170), complex(3.0, -1e-15)):
+            with pytest.raises(PoleError):
+                gamma_phase_product(s, 0.5, 0.0)
 
 
 class TestLogComplex:
@@ -160,3 +169,79 @@ class TestLogComplex:
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
             LogComplex(800.0, 0.0).to_complex()
+
+
+def _bits(call):
+    """float.hex of both fields of call(), or the exception class it raised."""
+    try:
+        v = call()
+    except (PoleError, DomainError) as exc:
+        return type(exc)
+    return v.log_modulus.hex(), v.argument.hex()
+
+
+def _fresh(s, a, b):
+    gammafns._gamma_power.cache_clear()
+    return _bits(lambda: gamma_phase_product(s, a, b))
+
+
+# Real parts on both sides of 1/2 (Re s > 1/2 takes the reflection branch of
+# log Gamma(1 - s)), integers included; heights of either sign and both zeros.
+_SIGMA = st.one_of(st.floats(-3.0, 3.0), st.integers(-2, 3).map(float))
+_HEIGHT = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3000.0, 3000.0))
+# The afe and funceq dual-factor phases, and arbitrary ones.
+_PHASE = st.one_of(
+    st.sampled_from([(-0.5, 0.5), (0.5, -0.5), (-0.5, 0.5 - 2.0 / 9.0),
+                     (0.5, -0.5 + 4.0 / 9.0)]),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-2.0, 2.0)))
+
+
+class TestGammaPhaseMemo:
+    """gamma_phase_product keeps log Gamma(1 - s) (2 pi)^(s - 1) of the last
+    s; after any sequence of calls every result equals a cold evaluation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pool=st.lists(st.builds(complex, _SIGMA, _HEIGHT), min_size=1,
+                         max_size=3),
+           calls=st.lists(st.tuples(st.integers(0, 2), _PHASE), min_size=1,
+                          max_size=12))
+    def test_any_sequence_equals_cold_evaluation(self, pool, calls):
+        seq = [(pool[i % len(pool)], a, b) for i, (a, b) in calls]
+        warm = [_bits(lambda: gamma_phase_product(s, a, b)) for s, a, b in seq]
+        assert warm == [_fresh(s, a, b) for s, a, b in seq]
+
+    @settings(max_examples=100, deadline=None)
+    @given(s=st.builds(complex, _SIGMA, _HEIGHT), p1=_PHASE, p2=_PHASE)
+    def test_same_s_two_phases(self, s, p1, p2):
+        warm = [_bits(lambda: gamma_phase_product(s, *p)) for p in (p1, p2)]
+        assert warm == [_fresh(s, *p1), _fresh(s, *p2)]
+
+    @pytest.mark.parametrize("sigma", [0.5, 0.25, 0.75, 1.5, -1.25, 0.0, -0.0])
+    def test_signed_zero_heights(self, sigma):
+        # x + 0j and x - 0j are equal keys; each order must give cold bits
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            seq = [(complex(sigma, h), *p) for h in (first, second)
+                   for p in ((-0.5, 0.5), (0.5, -0.5), (0.5, 0.0))]
+            warm = [_bits(lambda: gamma_phase_product(*c)) for c in seq]
+            assert warm == [_fresh(*c) for c in seq]
+
+    def test_alternating_heights(self):
+        seq = [(complex(0.5, t), *p) for t in (100.0, 100.5, 100.0, -100.0)
+               for p in ((-0.5, 0.5), (0.5, -0.5))]
+        warm = [_bits(lambda: gamma_phase_product(*c)) for c in seq]
+        assert warm == [_fresh(*c) for c in seq]
+
+    def test_checks_run_after_a_memo_hit(self):
+        near = complex(2.0 + 1e-13, 0.0)  # 1e-13 clears POLE_TOL
+        gamma_phase_product(near, 0.5, 0.0)
+        gamma_phase_product(near, -0.5, 0.0)
+        with pytest.raises(PoleError):
+            gamma_phase_product(2.0, 0.5, 0.0)
+        top = complex(0.5, MAX_HEIGHT)
+        gamma_phase_product(top, 0.5, 0.0)
+        gamma_phase_product(top, -0.5, 0.0)
+        with pytest.raises(DomainError):
+            gamma_phase_product(complex(0.5, math.nextafter(MAX_HEIGHT, math.inf)),
+                                0.5, 0.0)
+        with pytest.raises(DomainError):
+            gamma_phase_product(complex(math.nan, MAX_HEIGHT), 0.5, 0.0)
