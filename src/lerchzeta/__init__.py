@@ -3,12 +3,12 @@ Lerch zeta-functions, with reflection-identity checks and critical-line
 mean-square experiments."""
 
 from .afe import (AfeSplit, ErrorEnvelope, afe_eval, afe_hurwitz, afe_lerch,
-                  afe_riemann, calibrate_all, choose_split, envelope_fit,
-                  envelope_scan, error_envelope, get_cfit)
+                  afe_riemann, choose_split, envelope_fit, envelope_scan,
+                  error_envelope, get_cfit)
 from .errors import ConfigError, DomainError, PoleError
 from .funceq import (default_fe_grid, fe_hurwitz_rhs, fe_lerch_rhs, fe_rhs,
                      fe_residual_scan)
-from .gammafns import LogComplex, chi, gamma, gamma_phase_product, log_gamma
+from .gammafns import chi, gamma, gamma_phase_product, log_gamma
 from .meansquare import (ExponentFit, MeanSquareRecord, critical_line_value,
                          fit_residual_exponent, mean_square_integral,
                          mean_square_ladder)
@@ -22,12 +22,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AfeSplit", "ConfigError", "DomainError", "ErrorEnvelope",
     "EulerMaclaurinConfig", "EvalResult", "ExponentFit", "LerchParams",
-    "LogComplex", "MeanSquareRecord", "PoleError", "afe_eval", "afe_hurwitz",
-    "afe_lerch", "afe_riemann", "calibrate_all", "chi", "choose_split",
-    "critical_line_value", "default_fe_grid", "envelope_fit", "envelope_scan",
-    "error_envelope", "fe_hurwitz_rhs", "fe_lerch_rhs", "fe_residual_scan",
-    "fe_rhs", "fit_residual_exponent", "gamma", "gamma_phase_product",
-    "get_cfit", "hurwitz_euler_maclaurin", "lerch_direct",
-    "lerch_reference_table", "lerch_via_hurwitz", "log_gamma",
-    "mean_square_integral", "mean_square_ladder", "riemann_reference",
+    "MeanSquareRecord", "PoleError", "afe_eval", "afe_hurwitz", "afe_lerch",
+    "afe_riemann", "chi", "choose_split", "critical_line_value",
+    "default_fe_grid", "envelope_fit", "envelope_scan", "error_envelope",
+    "fe_hurwitz_rhs", "fe_lerch_rhs", "fe_residual_scan", "fe_rhs",
+    "fit_residual_exponent", "gamma", "gamma_phase_product", "get_cfit",
+    "hurwitz_euler_maclaurin", "lerch_direct", "lerch_reference_table",
+    "lerch_via_hurwitz", "log_gamma", "mean_square_integral",
+    "mean_square_ladder", "riemann_reference",
 ]

@@ -65,13 +65,13 @@ from .params import MAX_TERMS, EvalResult, LerchParams, check_height, check_s
 __all__ = ["AfeSplit", "ErrorEnvelope", "CalibrationPoint", "choose_split",
            "afe_eval", "afe_lerch", "afe_hurwitz", "afe_riemann",
            "error_envelope", "envelope_scan", "envelope_fit", "kind_pairs",
-           "default_calibration_grid",
-           "calibrate_all", "read_calibration", "write_calibration", "get_cfit",
-           "reload_calibration", "KINDS", "CALIBRATED_T"]
+           "default_calibration_grid", "read_calibration",
+           "write_calibration", "get_cfit", "reload_calibration", "KINDS",
+           "CALIBRATED_T"]
 
 KINDS = ("lerch", "hurwitz", "riemann")
 
-# Envelope constants measured by ``calibrate_all()`` on the default grids
+# Envelope constants measured by ``envelope_fit`` on the default grids
 # (see default_calibration_grid); regenerate with the `calibrate` command.
 DEFAULT_CFIT = {
     "lerch": 2.2309988976348705,
@@ -221,9 +221,8 @@ def _dual_factor(z: complex, phase: tuple[float, float] | None) -> complex:
     key = (z, phase)
     factor = _memo.factors.get(key)
     if factor is None:
-        factor = _memo.factors[key] = (
-            chi(z) if phase is None else gamma_phase_product(z, *phase)
-        ).to_complex()
+        factor = _memo.factors[key] = (chi(z) if phase is None
+                                       else gamma_phase_product(z, *phase))
     return factor
 
 
@@ -421,11 +420,6 @@ def default_calibration_grid(kind: str) -> list[CalibrationPoint]:
                 for alpha, lam in pairs:
                     grid.append(CalibrationPoint(s, alpha, lam, split))
     return grid
-
-
-def calibrate_all() -> dict[str, float]:
-    return {kind: envelope_fit(kind, default_calibration_grid(kind))
-            for kind in KINDS}
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,8 @@ def fe_rhs(s: complex, alpha, lam,
     b = 1.0 - l if lam < 1 else 1.0  # the second dual's alpha-slot
     d1 = lerch_via_hurwitz(1.0 - s, l, _complement(alpha), cfg)
     d2 = lerch_via_hurwitz(1.0 - s, b, alpha, cfg)
-    f1 = _gpp(s, -0.5, 0.5 - 2.0 * a * l).to_complex()
-    f2 = _gpp(s, 0.5, -0.5 + 2.0 * a * b).to_complex()
+    f1 = _gpp(s, -0.5, 0.5 - 2.0 * a * l)
+    f2 = _gpp(s, 0.5, -0.5 + 2.0 * a * b)
     value = f1 * d1.value + f2 * d2.value
     est = (abs(f1) * d1.error_estimate + abs(f2) * d2.error_estimate
            + 64.0 * 2.22e-16 * abs(value))
@@ -128,7 +128,7 @@ def fe_residual_scan(kind: str, grid: Sequence[ScanPoint],
         if kind == "riemann":
             lhs = riemann_reference(pt.s, cfg)
             z1 = riemann_reference(1.0 - pt.s, cfg)
-            rhs_value = chi(pt.s).to_complex() * z1.value
+            rhs_value = chi(pt.s) * z1.value
             reliable = lhs.reliable and z1.reliable
         else:
             lhs = lerch_via_hurwitz(pt.s, float(pt.alpha), pt.lam, cfg)

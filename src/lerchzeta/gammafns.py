@@ -4,10 +4,13 @@ Everything in the critical strip that involves Gamma(1-s) is a product of a
 magnitude that grows or decays like exp(pi*|t|/2) with a phase factor doing
 the opposite.  Forming the factors naively overflows double precision around
 |t| ~ 1400, so all products here are assembled in the log domain and only
-exponentiated once the cancellation has happened.  ``LogComplex`` is the
-carrier for such values: it represents ``exp(log_modulus + 1i*argument)``
-with the argument kept *unreduced* (not wrapped mod 2*pi) so phases from
-several factors accumulate linearly without branch jumps.
+exponentiated once the cancellation has happened.  log_gamma returns that
+log as a plain complex: the real part is log|Gamma| and the imaginary part
+the *unreduced* argument (not wrapped mod 2*pi), so phases from several
+factors accumulate linearly without branch jumps.  gamma, chi and
+gamma_phase_product exponentiate their log once, at the end, and return
+plain complex values: a modulus beyond double range raises OverflowError, a
+tiny one underflows silently to 0.
 
 gamma_phase_product keeps log Gamma(1-s) (2 pi)^(s-1) of the last s it saw
 (a one-entry memo behind the input and pole checks), so the second dual
@@ -24,13 +27,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import PoleError
 from .params import POLE_TOL, check_s
 
-__all__ = ["LogComplex", "log_gamma", "gamma", "chi", "gamma_phase_product"]
+__all__ = ["log_gamma", "gamma", "chi", "gamma_phase_product"]
 
 TWO_PI = 2.0 * math.pi
 LOG_TWO_PI = math.log(TWO_PI)
@@ -50,31 +52,13 @@ _LANCZOS_C = (
 )
 _LOG_SQRT_TWO_PI = 0.5 * LOG_TWO_PI
 
-# exp() overflows above this log-modulus.
-_MAX_LOG = math.log(1.7976931348623157e308)
 
-
-@dataclass(frozen=True)
-class LogComplex:
-    """A nonzero complex number stored as ``exp(log_modulus + 1i*argument)``.
-
-    ``argument`` is deliberately unreduced; callers that need a principal
-    argument can wrap it themselves.
-    """
-
-    log_modulus: float
-    argument: float
-
-    def conjugate(self) -> "LogComplex":
-        return LogComplex(self.log_modulus, -self.argument)
-
-    def to_complex(self) -> complex:
-        """Exponentiate.  Raises OverflowError if the modulus is not
-        representable; silently underflows to 0 for very negative moduli."""
-        if self.log_modulus > _MAX_LOG:
-            raise OverflowError(
-                f"log-modulus {self.log_modulus:.6g} exceeds double range")
-        return cmath.exp(complex(self.log_modulus, self.argument))
+def _exp(w: complex) -> complex:
+    """exp(w).  cmath.exp raises OverflowError for a finite w whose
+    exponential is out of range; an infinite log-modulus gets the same."""
+    if w.real == math.inf:
+        raise OverflowError("log-modulus exceeds double range")
+    return cmath.exp(w)
 
 
 def _log_sin_pi(z: complex) -> complex:
@@ -101,8 +85,9 @@ def _log_sin_pi(z: complex) -> complex:
     return complex(math.log(math.sin(math.pi * f)), math.pi * (n % 2))
 
 
-def log_gamma(z: complex) -> LogComplex:
-    """log Gamma(z) as a LogComplex, Lanczos g=7 with reflection.
+def log_gamma(z: complex) -> complex:
+    """log Gamma(z), Lanczos g=7 with reflection: the real part is
+    log|Gamma(z)|, the imaginary part an unreduced argument.
 
     The direct branch (Re z >= 1/2) is the standard continuous one; the
     reflection branch agrees with it after exponentiation (its argument may
@@ -112,8 +97,7 @@ def log_gamma(z: complex) -> LogComplex:
     z = check_s(z, "z")
     if z.real <= 0.5 and abs(z - round(z.real)) <= POLE_TOL:
         raise PoleError(f"Gamma pole at z = {z!r}")
-    w = _log_gamma_complex(z)
-    return LogComplex(w.real, w.imag)
+    return _log_gamma_complex(z)
 
 
 def _log_gamma_complex(z: complex) -> complex:
@@ -135,39 +119,40 @@ def _log_gamma_complex(z: complex) -> complex:
 def gamma(z: complex) -> complex:
     """Gamma(z) = exp(log_gamma(z)).  Raises OverflowError when the result
     is not representable in double precision."""
-    return log_gamma(z).to_complex()
+    return _exp(log_gamma(z))
 
 
-def chi(s: complex) -> LogComplex:
+def chi(s: complex) -> complex:
     """The proportionality factor chi(s) = 2 Gamma(1-s) sin(pi s/2) (2 pi)^(s-1)
     appearing in zeta(s) = chi(s) zeta(1-s).
 
-    Assembled entirely in the log domain: with sin(pi s/2) rewritten as
-    (i/2) e^{-i pi s/2} (1 - e^{i pi s}), the e^{pi t/2} growth of the
-    exponential cancels the decay of Gamma(1-s) before anything is
-    exponentiated.  At even positive integers the 0*inf cross of the two
-    factors is replaced by its analytic limit
-    chi(2k) = (-1)^k pi (2 pi)^(2k-1) / (2k-1)!; odd positive integers are
-    genuine poles.
+    Assembled entirely in the log domain.  For Re s <= 1, with sin(pi s/2)
+    rewritten as (i/2) e^{-i pi s/2} (1 - e^{i pi s}), the e^{pi t/2} growth
+    of the exponential cancels the decay of Gamma(1-s) before anything is
+    exponentiated.  For Re s > 1 the reflection form
+    chi(s) = pi (2 pi)^(s-1) / (Gamma(s) cos(pi s/2)) is used instead: it has
+    no pole of Gamma(1-s) to cancel against a zero of sin(pi s/2), so it
+    keeps its digits at and next to the even positive integers.  Odd
+    positive integers are genuine poles.
     """
     s = check_s(s)
     if s.real >= 1.0 - POLE_TOL:
         near = round(s.real)
-        if abs(s - near) <= POLE_TOL and near >= 1:
-            if near % 2 == 1:
-                raise PoleError(f"chi has a pole at s = {near}")
-            k = near // 2
-            mag = math.log(math.pi) + (2 * k - 1) * LOG_TWO_PI - math.lgamma(2 * k)
-            return LogComplex(mag, math.pi * (k % 2))
+        if abs(s - near) <= POLE_TOL and near % 2 == 1:
+            raise PoleError(f"chi has a pole at s = {near}")
     if s.imag < 0.0:
         return chi(s.conjugate()).conjugate()
-    w = (math.log(2.0) + _log_gamma_complex(1.0 - s) + _log_sin_pi(s / 2.0)
-         + (s - 1.0) * LOG_TWO_PI)
-    return LogComplex(w.real, w.imag)
+    if s.real > 1.0:
+        w = (math.log(math.pi) + (s - 1.0) * LOG_TWO_PI
+             - _log_gamma_complex(s) - _log_sin_pi(s / 2.0 + 0.5))
+    else:
+        w = (math.log(2.0) + _log_gamma_complex(1.0 - s) + _log_sin_pi(s / 2.0)
+             + (s - 1.0) * LOG_TWO_PI)
+    return _exp(w)
 
 
 def gamma_phase_product(s: complex, phase_coeff_of_s: float,
-                        phase_const: float) -> LogComplex:
+                        phase_const: float) -> complex:
     """Gamma(1-s) (2 pi)^(s-1) e^{(a s + b) pi i} with a = phase_coeff_of_s,
     b = phase_const, combined in the log domain.
 
@@ -178,8 +163,8 @@ def gamma_phase_product(s: complex, phase_coeff_of_s: float,
     s = check_s(s)
     if s.real >= 1.0 - POLE_TOL and abs(s - round(s.real)) <= POLE_TOL:
         raise PoleError(f"Gamma(1-s) pole at s = {s!r}")
-    w = _gamma_power(s) + 1j * math.pi * (phase_coeff_of_s * s + phase_const)
-    return LogComplex(w.real, w.imag)
+    return _exp(_gamma_power(s)
+                + 1j * math.pi * (phase_coeff_of_s * s + phase_const))
 
 
 @lru_cache(maxsize=1)

@@ -21,8 +21,8 @@ T = 2000 its residual/T sits above the oracle's by 0.34 for
 (alpha, lam) = (1/2, 1/2) and by 0.99 for (1/4, 3/4).  The meanSquare split
 has y = sqrt(log t) ~ 2.8 there, so the envelope term y^(-1/2) ~ 0.6 is not
 small.  Measured T = 2000 ladder times (2-core Xeon, Python 3.11.7,
-numpy 2.4.6): afe 1.6-1.9 s and oracle 2.6-3.0 s at (1/2, 1/2); afe
-2.2-2.3 s and oracle 5.0-5.7 s at (1/4, 3/4).
+numpy 2.4.6): afe 1.1-1.2 s and oracle 2.9-3.3 s at (1/2, 1/2); afe
+1.1-1.4 s and oracle 4.9-5.5 s at (1/4, 3/4).
 
 The meanSquare split needs x >= 1, which forces t >= t0 = 10; the stub
 [1, t0] is always integrated with the oracle route (contribution is O(10)
@@ -80,7 +80,7 @@ from .params import (EulerMaclaurinConfig, LerchParams, as_unit_fraction,
 
 __all__ = ["T0", "METHODS", "MeanSquareRecord", "ExponentFit",
            "critical_line_value", "mean_square_integral", "mean_square_ladder",
-           "fit_residual_exponent", "dropped_remainder_class"]
+           "fit_residual_exponent"]
 
 # Below t0 the meanSquare split has x < 1; the [1, t0] stub always goes
 # through the oracle route.
@@ -118,12 +118,6 @@ class ExponentFit:
     exponent: float
     constant: float
     degenerate: bool
-
-
-def dropped_remainder_class(alpha: float) -> str:
-    """Size class of what the bare partial sum drops relative to the full
-    critical-line value."""
-    return "O(1)" if alpha < 1.0 else "O((log t)^(1/4))"
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +185,7 @@ def _split_sum_integrand(alpha: float, lam: float, t_max: float,
         for j, ti in enumerate(t.tolist()):
             si = complex(0.5, ti)
             for k, (_, _, (a, b)) in enumerate(dual_sums):
-                g[k, j] = gamma_phase_product(si, a, b).to_complex()
+                g[k, j] = gamma_phase_product(si, a, b)
         for (dw, df, _), gk in zip(dual_sums, g):
             total = total + gk * _dirichlet(dw, df, t_start, h, lo, hi,
                                             dual_counts)

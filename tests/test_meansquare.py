@@ -14,7 +14,7 @@ from lerchzeta import (ConfigError, DomainError, EulerMaclaurinConfig,
                        mean_square_ladder, riemann_reference)
 from lerchzeta.afe import choose_split
 from lerchzeta.meansquare import (_BLOCK, T0, _dirichlet, _oracle_integrand,
-                                  _split_sum_integrand, dropped_remainder_class)
+                                  _split_sum_integrand)
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,10 +61,6 @@ class TestCriticalLineValue:
     def test_oracle_needs_rational(self):
         with pytest.raises(DomainError):
             critical_line_value(50.0, 0.5, 1 / 3, "oracle")
-
-    def test_remainder_classes(self):
-        assert dropped_remainder_class(0.5) == "O(1)"
-        assert dropped_remainder_class(1.0) == "O((log t)^(1/4))"
 
 
 class TestMeanSquareIntegral:
