@@ -2,19 +2,15 @@
 Lerch zeta-functions, with reflection-identity checks and critical-line
 mean-square experiments."""
 
-from .afe import (AfeSplit, ErrorEnvelope, afe_eval, afe_hurwitz, afe_lerch,
-                  afe_riemann, choose_split, envelope_fit, envelope_scan,
-                  error_envelope, get_cfit)
+from .afe import (AfeSplit, ErrorEnvelope, afe_eval, afe_lerch, choose_split,
+                  envelope_fit, envelope_scan, error_envelope, get_cfit)
 from .errors import ConfigError, DomainError, PoleError
-from .funceq import (default_fe_grid, fe_hurwitz_rhs, fe_lerch_rhs, fe_rhs,
-                     fe_residual_scan)
+from .funceq import default_fe_grid, fe_residual_scan, fe_rhs
 from .gammafns import chi, gamma, gamma_phase_product, log_gamma
 from .meansquare import (ExponentFit, MeanSquareRecord, critical_line_value,
-                         fit_residual_exponent, mean_square_integral,
-                         mean_square_ladder)
+                         fit_residual_exponent, mean_square_ladder)
 from .oracles import (hurwitz_euler_maclaurin, lerch_direct,
-                      lerch_reference_table, lerch_via_hurwitz,
-                      riemann_reference)
+                      lerch_reference_table, lerch_via_hurwitz)
 from .params import EulerMaclaurinConfig, EvalResult, LerchParams
 
 __version__ = "0.1.0"
@@ -22,12 +18,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AfeSplit", "ConfigError", "DomainError", "ErrorEnvelope",
     "EulerMaclaurinConfig", "EvalResult", "ExponentFit", "LerchParams",
-    "MeanSquareRecord", "PoleError", "afe_eval", "afe_hurwitz", "afe_lerch",
-    "afe_riemann", "chi", "choose_split", "critical_line_value",
-    "default_fe_grid", "envelope_fit", "envelope_scan", "error_envelope",
-    "fe_hurwitz_rhs", "fe_lerch_rhs", "fe_residual_scan", "fe_rhs",
+    "MeanSquareRecord", "PoleError", "afe_eval", "afe_lerch", "chi",
+    "choose_split", "critical_line_value", "default_fe_grid", "envelope_fit",
+    "envelope_scan", "error_envelope", "fe_residual_scan", "fe_rhs",
     "fit_residual_exponent", "gamma", "gamma_phase_product", "get_cfit",
     "hurwitz_euler_maclaurin", "lerch_direct", "lerch_reference_table",
-    "lerch_via_hurwitz", "log_gamma", "mean_square_integral",
-    "mean_square_ladder", "riemann_reference",
+    "lerch_via_hurwitz", "log_gamma", "mean_square_ladder",
 ]

@@ -15,9 +15,12 @@ and whose phases drop the parameter terms; the Riemann variant is its a = 1
 reduction with both dual factors merged into the chi factor.
 
 All three are a main sum plus dual sums of e^(2 pi i n freq) (n+shift)^(...)
-terms.  The term table _TERMS states each kind's shifts, frequencies, first
-dual index and factors once; the one evaluator afe_eval, which afe_lerch,
-afe_hurwitz and afe_riemann call, and the mean-square integrand read it.
+terms.  Each kind is stated once, in its SplitKind record (split_kind(kind),
+the one place an unknown kind is refused): its term row of shifts,
+frequencies, first dual index and factors, its envelope exponent, its
+(alpha, lam) pairs and its calibration grid.  The one evaluator afe_eval and
+the mean-square integrand read the term row; scan_grid builds the points of
+the calibration grid and of the afescan rows from the pairs.
 
 The sums at one height share most of their work: every sigma, split shape
 and (alpha, lam) pair reuses log(n + shift) and the phases, every sigma's
@@ -25,9 +28,10 @@ terms serve all split lengths, and the dual factors depend only on s and the
 phase constants.  afe_eval keeps that work in a memo of one height (the
 t > 0 height after the mirror) and drops it when it sees another height, so
 a scan over one height at a time builds each array and each Gamma factor
-once, and the memo never holds more than one height's arrays.  Each sum is
-still a contiguous slice built by the same elementwise expression, so every
-value is bit-identical to computing it afresh.
+once, and the memo never holds more than one height's arrays, none longer
+than _MEMO_TERMS.  Each sum is still a contiguous slice built by the same
+elementwise expression, so every value is bit-identical to computing it
+afresh.
 
 The truncation error is modelled by the two-term envelope
 
@@ -53,7 +57,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -62,14 +66,12 @@ from .gammafns import TWO_PI, chi, gamma_phase_product
 from .oracles import lerch_reference_table
 from .params import MAX_TERMS, EvalResult, LerchParams, check_height, check_s
 
-__all__ = ["AfeSplit", "ErrorEnvelope", "CalibrationPoint", "choose_split",
-           "afe_eval", "afe_lerch", "afe_hurwitz", "afe_riemann",
+__all__ = ["AfeSplit", "ErrorEnvelope", "CalibrationPoint", "SplitKind",
+           "split_kind", "choose_split", "afe_eval", "afe_lerch",
            "error_envelope", "envelope_scan", "envelope_fit", "kind_pairs",
-           "default_calibration_grid", "read_calibration",
+           "scan_grid", "default_calibration_grid", "read_calibration",
            "write_calibration", "get_cfit", "reload_calibration", "KINDS",
            "CALIBRATED_T"]
-
-KINDS = ("lerch", "hurwitz", "riemann")
 
 # Envelope constants measured by ``envelope_fit`` on the default grids
 # (see default_calibration_grid); regenerate with the `calibrate` command.
@@ -147,17 +149,12 @@ class ErrorEnvelope(NamedTuple):
         return self.term1 + self.term2
 
 
-# Each kind's envelope exponent of |t| is _ENVELOPE_C[kind] - sigma.
-_ENVELOPE_C = {"lerch": 0.5, "hurwitz": 1.0, "riemann": 0.5}
-
-
 def error_envelope(kind: str, s: complex, split: AfeSplit) -> ErrorEnvelope:
-    if kind not in KINDS:
-        raise DomainError(f"unknown envelope kind {kind!r}")
+    c = split_kind(kind).envelope_c
     split.check_for(s)
     sigma = s.real
     t = abs(s.imag)
-    e = _ENVELOPE_C[kind] - sigma
+    e = c - sigma
     return ErrorEnvelope(kind, split.x ** (-sigma), t ** e * split.y ** (sigma - 1.0))
 
 
@@ -175,6 +172,7 @@ class _HeightMemo:
     to keep the memo one height large.  Arrays grow on demand to the
     longest sum requested, each element built by the same expression, so a
     slice of a grown array equals the array a shorter request would build.
+    A sum longer than _MEMO_TERMS is built for its call and not kept.
     """
 
     def __init__(self) -> None:
@@ -197,11 +195,18 @@ class _HeightMemo:
 
 _memo = _HeightMemo()
 
+# The longest sum whose arrays the memo keeps.  Scan and calibration sums
+# (|t| <= 1100) have at most about 67 terms; a balanced split at t = 1e11
+# has 126,156, whose arrays (about 80 bytes a term over the main and dual
+# sums) would otherwise stay held until the next height.
+_MEMO_TERMS = 1024
+
 
 def _power_sum(s_exp: complex, shift: float, weight_freq: float,
                first: int, last: int) -> complex:
     """sum_{n=first..last} e^(2 pi i n weight_freq) (n + shift)^(s_exp)."""
     count = last - first + 1
+    keep = count <= _MEMO_TERMS
     key = (s_exp, shift, weight_freq, first)
     terms = _memo.terms.get(key)
     if terms is None or len(terms) < count:
@@ -211,8 +216,11 @@ def _power_sum(s_exp: complex, shift: float, weight_freq: float,
             n = np.arange(first, last + 1, dtype=float)
             logs = np.log(n + shift)
             phases = np.exp(1j * (s_exp.imag * logs + TWO_PI * weight_freq * n))
-            _memo.phases[pkey] = logs, phases
-        terms = _memo.terms[key] = np.exp(s_exp.real * logs) * phases
+            if keep:
+                _memo.phases[pkey] = logs, phases
+        terms = np.exp(s_exp.real * logs) * phases
+        if keep:
+            _memo.terms[key] = terms
     return complex(terms[:count].sum())
 
 
@@ -226,18 +234,67 @@ def _dual_factor(z: complex, phase: tuple[float, float] | None) -> complex:
     return factor
 
 
-# The term table: for each kind, (alpha, lam) -> ((main shift, main
-# frequency), first dual index, one (shift, frequency, factor) per dual sum).
-# A factor is the (phase_coeff_of_s, phase_const) pair of
-# gamma_phase_product, or None for chi(s).
-_TERMS = {
-    "lerch": lambda a, l: (
-        (a, l), 0, ((l, 1.0 - a, (-0.5, 0.5 - 2.0 * a * l)),
-                    (1.0 - l, a, (0.5, -0.5 + 2.0 * a * (1.0 - l))))),
-    "hurwitz": lambda a, l: (
-        (a, 0.0), 1, ((0.0, 1.0 - a, (-0.5, 0.5)), (0.0, a, (0.5, -0.5)))),
-    "riemann": lambda a, l: ((1.0, 0.0), 1, ((0.0, 0.0, None),)),
+# ---------------------------------------------------------------------------
+# The kinds
+# ---------------------------------------------------------------------------
+
+class SplitKind(NamedTuple):
+    """Everything that differs between the split-sum kinds.  ``terms`` maps
+    (alpha, lam) to the term row ((main shift, main frequency), first dual
+    index, one (shift, frequency, factor) per dual sum), a factor being the
+    (phase_coeff_of_s, phase_const) of gamma_phase_product or None for
+    chi(s)."""
+
+    terms: Callable[[float, float], tuple]
+    envelope_c: float  # the envelope's exponent of |t| is envelope_c - sigma
+    pairs: tuple[tuple[Fraction, Fraction], ...]  # scan rows, in row order
+    cal_heights: int  # the calibration grid's number of heights
+    cal_skews: tuple[float, ...]  # and its y/x skew factors
+
+
+_CAL_SIGMAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+_CAL_ALPHAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+_CAL_LAMBDAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+_CAL_SKEWS = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+_CAL_SKEWS_DENSE = (0.125, 0.1875, 0.25, 0.375, 0.5, 0.75, 1.0,
+                    1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
+
+# Lerch takes 0 < lam < 1, Hurwitz lam = 1, Riemann alpha = lam = 1.  The
+# riemann grid is denser (four times the heights, more skews) because its
+# single pair gives fewer samples per height.
+_KINDS = {
+    "lerch": SplitKind(
+        lambda a, l: ((a, l), 0, (
+            (l, 1.0 - a, (-0.5, 0.5 - 2.0 * a * l)),
+            (1.0 - l, a, (0.5, -0.5 + 2.0 * a * (1.0 - l))))),
+        0.5, tuple((a, l) for a in _CAL_ALPHAS for l in _CAL_LAMBDAS),
+        48, _CAL_SKEWS),
+    "hurwitz": SplitKind(
+        lambda a, l: ((a, 0.0), 1, ((0.0, 1.0 - a, (-0.5, 0.5)),
+                                    (0.0, a, (0.5, -0.5)))),
+        1.0, tuple((a, Fraction(1)) for a in _CAL_ALPHAS), 48, _CAL_SKEWS),
+    "riemann": SplitKind(
+        lambda a, l: ((1.0, 0.0), 1, ((0.0, 0.0, None),)),
+        0.5, ((Fraction(1), Fraction(1)),), 192, _CAL_SKEWS_DENSE),
 }
+
+KINDS = tuple(_KINDS)
+
+
+def split_kind(kind: str) -> SplitKind:
+    """The record of a kind.  Every function that takes a kind looks it up
+    here, the one place an unknown kind raises DomainError."""
+    try:
+        return _KINDS[kind]
+    except KeyError:
+        raise DomainError(f"unknown split-sum kind {kind!r} (the kinds are "
+                          f"{', '.join(KINDS)})") from None
+
+
+def kind_pairs(kind: str) -> list[tuple[Fraction, Fraction]]:
+    """The (alpha, lam) pairs of a kind's calibration grid and afescan rows,
+    in row order."""
+    return list(split_kind(kind).pairs)
 
 
 def afe_eval(kind: str, s: complex, alpha: float, lam: float, split: AfeSplit,
@@ -245,17 +302,20 @@ def afe_eval(kind: str, s: complex, alpha: float, lam: float, split: AfeSplit,
     """Split-sum value of one kind's zeta function in the strip: lerch takes
     0 < lam < 1, hurwitz lam = 1, riemann alpha = lam = 1.
 
-    The value is the main sum plus, per dual sum in table order, its factor
-    times the sum.  The error estimate is c_fit (default: the active
-    constant of the kind) times the kind's error envelope; the result is
-    reliable only for |t| in CALIBRATED_T, where that constant was fitted.
+    The value is the main sum plus, per dual sum in term-row order, its
+    factor times the sum.  The riemann main sum keeps the hurwitz boundary
+    n = 0..floor(x) over (n+1)^(-s), so the two agree at alpha = 1 to
+    rounding.  The error estimate is c_fit (default: the active constant of
+    the kind) times the kind's error envelope; the result is reliable only
+    for |t| in CALIBRATED_T, where that constant was fitted.
     """
     s = check_s(s)
     if not 0.0 <= s.real <= 1.0:
         raise DomainError(
             f"split-sum evaluation requires 0 <= sigma <= 1, got sigma = {s.real}")
+    terms = split_kind(kind).terms
     params = LerchParams(alpha, lam)
-    if kind not in _TERMS or params.is_hurwitz == (kind == "lerch") \
+    if params.is_hurwitz == (kind == "lerch") \
             or kind == "riemann" and alpha != 1.0:
         raise DomainError(
             f"no {kind!r} split sum at (alpha, lam) = ({alpha}, {lam}): lerch "
@@ -265,7 +325,7 @@ def afe_eval(kind: str, s: complex, alpha: float, lam: float, split: AfeSplit,
     if s.imag < 0.0:
         z, params = s.conjugate(), params.conjugate_pair()
     _memo.at(z.imag)
-    (shift, freq), first, duals = _TERMS[kind](params.alpha, params.lam)
+    (shift, freq), first, duals = terms(params.alpha, params.lam)
     M = math.floor(split.x)
     N = math.floor(split.y)
     value = _power_sum(-z, shift, freq, 0, M)
@@ -286,62 +346,48 @@ def afe_lerch(s: complex, params: LerchParams, split: AfeSplit,
     return afe_eval("lerch", s, params.alpha, params.lam, split, c_fit)
 
 
-def afe_hurwitz(s: complex, alpha: float, split: AfeSplit,
-                c_fit: float | None = None) -> EvalResult:
-    """Split-sum value of the Hurwitz zeta-function in the strip.
-
-    Dual sums run over 1 <= n <= y (as the lam = 1 equation is stated), with
-    phase factors e^{+-(1-s) pi i/2}.
-    """
-    return afe_eval("hurwitz", s, alpha, 1.0, split, c_fit)
-
-
-def afe_riemann(s: complex, split: AfeSplit,
-                c_fit: float | None = None) -> EvalResult:
-    """Split-sum value of zeta(s): the alpha = 1 reduction, with the two dual
-    factors combined into chi(s).
-
-    The main sum uses the alpha = 1 Hurwitz boundary (n = 0..floor(x) over
-    (n+1)^(-s)) so that afe_riemann and afe_hurwitz(s, 1, split) agree to
-    rounding; the one-term difference from the classical n <= x convention is
-    absorbed by the x^(-sigma) envelope term.
-    """
-    return afe_eval("riemann", s, 1.0, 1.0, split, c_fit)
-
-
 # ---------------------------------------------------------------------------
 # Envelope-constant calibration
 # ---------------------------------------------------------------------------
 
 class CalibrationPoint(NamedTuple):
-    s: complex
-    alpha: float
+    """A scan-grid point: s = sigma + i t, a rational (alpha, lam), and a
+    split with its shape name (the afescan ``split`` column)."""
+
+    sigma: float
+    t: float
+    alpha: Fraction
     lam: Fraction
     split: AfeSplit
+    shape: str = ""
+
+    @property
+    def s(self) -> complex:
+        return complex(self.sigma, self.t)
 
 
 def envelope_scan(kind: str, grid: Iterable[CalibrationPoint]
                   ) -> Iterator[tuple[CalibrationPoint, float, float]]:
     """Yield (point, |split-sum - oracle|, envelope total) for each grid
     point, in grid order.  A point is a CalibrationPoint, or any object with
-    its s, alpha, lam and split fields, and is yielded as given.
+    its sigma, t, s, alpha, lam and split fields, and is yielded as given.
 
     The oracle is the rational-lam decomposition, so every grid point needs a
     rational lam.  Each run of consecutive points at the same height takes
     its oracle values from one lerch_reference_table; each point makes one
     afe_eval call with c_fit = 1, whose error estimate is the envelope.
     """
-    if kind not in KINDS:
-        raise DomainError(f"unknown envelope kind {kind!r}")
-    for t, run in groupby(grid, key=lambda pt: pt.s.imag):
+    split_kind(kind)
+    for t, run in groupby(grid, key=lambda pt: pt.t):
         run = list(run)
         table = lerch_reference_table(
-            t, [pt.s.real for pt in run],
-            dict.fromkeys((pt.alpha, pt.lam) for pt in run))
+            t, [pt.sigma for pt in run],
+            dict.fromkeys((float(pt.alpha), pt.lam) for pt in run))
         for pt in run:
-            res = afe_eval(kind, pt.s, pt.alpha, float(pt.lam), pt.split,
+            alpha = float(pt.alpha)
+            res = afe_eval(kind, pt.s, alpha, float(pt.lam), pt.split,
                            c_fit=1.0)
-            ref = table[pt.s.real, pt.alpha, pt.lam].value
+            ref = table[pt.sigma, alpha, pt.lam].value
             yield pt, abs(res.value - ref), res.error_estimate
 
 
@@ -356,12 +402,19 @@ def envelope_fit(kind: str, grid: Iterable[CalibrationPoint]) -> float:
     return worst
 
 
-_CAL_SIGMAS = (0.0, 0.25, 0.5, 0.75, 1.0)
-_CAL_ALPHAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
-_CAL_LAMBDAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-_CAL_SKEWS = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
-_CAL_SKEWS_DENSE = (0.125, 0.1875, 0.25, 0.375, 0.5, 0.75, 1.0,
-                    1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
+def scan_grid(kind: str, heights: Iterable[float],
+              shapes: Callable[[float], list[tuple[str, AfeSplit]]]
+              ) -> Iterator[CalibrationPoint]:
+    """A scan's points, lazily, in row order: each height t, then sigma in
+    {0, 1/4, 1/2, 3/4, 1}, then each named split of shapes(t), then each
+    pair of kind_pairs(kind)."""
+    pairs = split_kind(kind).pairs
+    for t in heights:
+        splits = shapes(t)
+        for sigma in _CAL_SIGMAS:
+            for name, split in splits:
+                for alpha, lam in pairs:
+                    yield CalibrationPoint(sigma, t, alpha, lam, split, name)
 
 
 # The heights the envelope constants are fitted over; split-sum results
@@ -369,32 +422,17 @@ _CAL_SKEWS_DENSE = (0.125, 0.1875, 0.25, 0.375, 0.5, 0.75, 1.0,
 CALIBRATED_T = (40.0, 1100.0)
 
 
-def _calibration_heights(n: int) -> list[float]:
-    return [round(v, 1) for v in np.geomspace(*CALIBRATED_T, n)]
-
-
-def _shapes_at(t: float, skews: Iterable[float]) -> list[AfeSplit]:
+def _skewed_shapes(t: float, skews: Iterable[float]
+                   ) -> list[tuple[str, AfeSplit]]:
+    """The meanSquare split, then "skewF" (x = xb/F, y = xb F, xb the
+    balanced length) for each skew F that keeps both lengths >= 1."""
     xb = math.sqrt(t / TWO_PI)
-    shapes = [choose_split(t, "meanSquare")]
+    shapes = [("meanSquare", choose_split(t, "meanSquare"))]
     for f in skews:
         x, y = xb / f, xb * f
         if x >= 1.0 and y >= 1.0:
-            shapes.append(AfeSplit(x, y))
+            shapes.append((f"skew{f:g}", AfeSplit(x, y)))
     return shapes
-
-
-def kind_pairs(kind: str) -> list[tuple[Fraction, Fraction]]:
-    """The (alpha, lam) pairs of a kind's calibration grid and afescan rows,
-    in row order: alpha in {1/4, 1/2, 3/4, 1} x lam in {1/4, 1/2, 3/4}
-    (lerch), the same alphas at lam = 1 (hurwitz), alpha = lam = 1 (riemann).
-    """
-    if kind == "lerch":
-        return [(a, l) for a in _CAL_ALPHAS for l in _CAL_LAMBDAS]
-    if kind == "hurwitz":
-        return [(a, Fraction(1)) for a in _CAL_ALPHAS]
-    if kind == "riemann":
-        return [(Fraction(1), Fraction(1))]
-    raise DomainError(f"unknown envelope kind {kind!r}")
 
 
 def default_calibration_grid(kind: str) -> list[CalibrationPoint]:
@@ -408,18 +446,11 @@ def default_calibration_grid(kind: str) -> list[CalibrationPoint]:
     the grid has to cover heights and skews beyond any point the constant
     will be trusted at.
     """
-    pairs = [(float(a), l) for a, l in kind_pairs(kind)]
-    heights = _calibration_heights(192 if kind == "riemann" else 48)
-    skews = _CAL_SKEWS_DENSE if kind == "riemann" else _CAL_SKEWS
-    grid = []
-    for t in heights:
-        shapes = _shapes_at(t, skews)
-        for sigma in _CAL_SIGMAS:
-            s = complex(sigma, t)
-            for split in shapes:
-                for alpha, lam in pairs:
-                    grid.append(CalibrationPoint(s, alpha, lam, split))
-    return grid
+    spec = split_kind(kind)
+    heights = [round(v, 1) for v in np.geomspace(*CALIBRATED_T,
+                                                  spec.cal_heights)]
+    return list(scan_grid(kind, heights,
+                          lambda t: _skewed_shapes(t, spec.cal_skews)))
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +483,10 @@ def read_calibration(path: str) -> dict[str, float]:
             continue
         key, _, raw = line.partition("=")
         kind = key.strip()
-        if kind not in KINDS:
-            raise DomainError(f"unknown calibration kind {kind!r} in {path}")
+        try:
+            split_kind(kind)
+        except DomainError as exc:
+            raise DomainError(f"{exc} in {path}") from None
         try:
             value = float(raw)
         except ValueError:
@@ -470,16 +503,14 @@ def get_cfit(kind: str) -> float:
     LERCH_AFE_CALIBRATION environment variable if set, else the packaged
     defaults."""
     global _active_cfit
+    split_kind(kind)
     if _active_cfit is None:
         path = os.environ.get(ENV_CALIBRATION)
         table = dict(DEFAULT_CFIT)
         if path:
             table.update(read_calibration(path))
         _active_cfit = table
-    try:
-        return _active_cfit[kind]
-    except KeyError:
-        raise DomainError(f"unknown envelope kind {kind!r}") from None
+    return _active_cfit[kind]
 
 
 def reload_calibration() -> None:

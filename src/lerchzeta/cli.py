@@ -25,7 +25,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import afe, funceq, meansquare
 from .errors import ConfigError, DomainError
@@ -164,7 +163,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_fecheck(args) -> int:
     _check_out(args.out)
-    kinds = funceq.FE_KINDS if args.kind == "all" else (args.kind,)
+    kinds = afe.KINDS if args.kind == "all" else (args.kind,)
     records = []
     for kind in kinds:
         records.extend(funceq.fe_residual_scan(kind, funceq.default_fe_grid(kind)))
@@ -187,7 +186,6 @@ def _cmd_fecheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 _SCAN_T = (80.0, 120.0, 300.0, 700.0)
-_SCAN_SIGMA = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def _scan_splits(t: float) -> list[tuple[str, afe.AfeSplit]]:
@@ -198,41 +196,21 @@ def _scan_splits(t: float) -> list[tuple[str, afe.AfeSplit]]:
             ("skew05", afe.AfeSplit(0.5 * xb, 2.0 * xb))]
 
 
-class _ScanPoint(NamedTuple):
-    """An afescan point: the fields envelope_scan reads, and the columns of
-    its row that do not depend on the scan."""
-
-    s: complex
-    alpha: float
-    lam: Fraction
-    split: afe.AfeSplit
-    row: dict
-
-
-def _afescan_points(kind: str, heights):
-    """One kind's scan points, lazily, in row order."""
-    pairs = afe.kind_pairs(kind)
-    for t in heights:
-        for sigma in _SCAN_SIGMA:
-            s = complex(sigma, t)
-            for split_name, split in _scan_splits(t):
-                for a, l in pairs:
-                    yield _ScanPoint(s, float(a), l, split, {
-                        "kind": kind, "sigma": sigma, "t": t,
-                        "split": split_name, "x": split.x, "y": split.y,
-                        "alpha_num": a.numerator, "alpha_den": a.denominator,
-                        "lambda_num": l.numerator, "lambda_den": l.denominator})
-
-
 def _cmd_afescan(args) -> int:
     _check_out(args.out)
     kinds = afe.KINDS if args.kind == "all" else (args.kind,)
     heights = args.t or list(_SCAN_T)
     cfits = {kind: afe.get_cfit(kind) for kind in kinds}
-    rows = [dict(pt.row, abs_err=err, envelope=env, ratio=err / env)
+    # pt.sigma and pt.t, not pt.s.real and pt.s.imag: the rows then share
+    # the grid's float objects instead of holding two new ones each
+    rows = [{"kind": kind, "sigma": pt.sigma, "t": pt.t, "split": pt.shape,
+             "x": pt.split.x, "y": pt.split.y, "alpha_num": pt.alpha.numerator,
+             "alpha_den": pt.alpha.denominator, "lambda_num": pt.lam.numerator,
+             "lambda_den": pt.lam.denominator,
+             "abs_err": err, "envelope": env, "ratio": err / env}
             for kind in kinds
             for pt, err, env in afe.envelope_scan(
-                kind, _afescan_points(kind, heights))]
+                kind, afe.scan_grid(kind, heights, _scan_splits))]
     _emit(args, rows)
     failed = 0
     for kind, cfit in cfits.items():
@@ -329,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_eval)
 
     sp = sub.add_parser("fecheck", help="functional-equation residual scan")
-    sp.add_argument("--kind", choices=funceq.FE_KINDS + ("all",), default="all")
+    sp.add_argument("--kind", choices=afe.KINDS + ("all",), default="all")
     _add_common(sp)
     sp.set_defaults(func=_cmd_fecheck)
 

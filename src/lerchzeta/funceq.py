@@ -21,9 +21,10 @@ Both zeta families satisfy reflection identities connecting s with 1 - s:
   variant fails the checks here by unit-modulus factors and is not used.)
   At a = 1 both duals collapse onto zeta(1-s) and the factor pair sums to
   chi(s).  The Hurwitz form is the Lerch form at lam = 1 with the second
-  alpha-slot 1 - lam = 0 read as the full period 1, so fe_rhs evaluates
-  both.  Its phases are written here, not read from afe's term table, so
-  the check shares no equation with the split sums it checks.
+  alpha-slot 1 - lam = 0 read as the full period 1, so the one function
+  fe_rhs evaluates both.  Its phases are written here, not read from afe's
+  kind record, so the check shares no equation with the split sums it
+  checks; from afe it takes only the kind lookup and the parameter pairs.
 
 Everything is validated numerically: both sides come from independent
 routes (decomposition oracle vs Gamma-factor assembly), so a residual at the
@@ -35,18 +36,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .afe import KINDS, kind_pairs
-from .errors import DomainError
+from .afe import kind_pairs, split_kind
 from .gammafns import chi
 from .gammafns import gamma_phase_product as _gpp
-from .oracles import lerch_via_hurwitz, riemann_reference
-from .params import (EulerMaclaurinConfig, EvalResult, as_unit_fraction,
-                     check_s)
+from .oracles import hurwitz_euler_maclaurin, lerch_via_hurwitz
+from .params import EvalResult, as_unit_fraction, check_s
 
-__all__ = ["fe_rhs", "fe_lerch_rhs", "fe_hurwitz_rhs", "fe_residual_scan",
-           "default_fe_grid", "ScanPoint", "ScanRecord", "FE_KINDS"]
-
-FE_KINDS = KINDS
+__all__ = ["fe_rhs", "fe_residual_scan", "default_fe_grid", "ScanPoint",
+           "ScanRecord"]
 
 _ABS_FLOOR = 1e-300
 
@@ -57,8 +54,7 @@ def _complement(f: Fraction) -> Fraction:
     return Fraction(1) if c == 0 else c
 
 
-def fe_rhs(s: complex, alpha, lam,
-           cfg: EulerMaclaurinConfig | None = None) -> EvalResult:
+def fe_rhs(s: complex, alpha, lam) -> EvalResult:
     """Right-hand side of the reflection identity at rational (alpha, lam):
     the Lerch form for 0 < lam < 1, the Hurwitz periodic-sum form for
     lam = 1 (see the module docstring).  Both dual values are rational-lam
@@ -69,8 +65,8 @@ def fe_rhs(s: complex, alpha, lam,
     lam = as_unit_fraction(lam, "lam")
     a, l = float(alpha), float(lam)
     b = 1.0 - l if lam < 1 else 1.0  # the second dual's alpha-slot
-    d1 = lerch_via_hurwitz(1.0 - s, l, _complement(alpha), cfg)
-    d2 = lerch_via_hurwitz(1.0 - s, b, alpha, cfg)
+    d1 = lerch_via_hurwitz(1.0 - s, l, _complement(alpha))
+    d2 = lerch_via_hurwitz(1.0 - s, b, alpha)
     f1 = _gpp(s, -0.5, 0.5 - 2.0 * a * l)
     f2 = _gpp(s, 0.5, -0.5 + 2.0 * a * b)
     value = f1 * d1.value + f2 * d2.value
@@ -80,22 +76,6 @@ def fe_rhs(s: complex, alpha, lam,
                       d1.main_terms + d2.main_terms,
                       d1.dual_terms + d2.dual_terms,
                       d1.reliable and d2.reliable)
-
-
-def fe_lerch_rhs(s: complex, alpha, lam,
-                 cfg: EulerMaclaurinConfig | None = None) -> EvalResult:
-    """Right-hand side of the Lerch reflection identity at rational (alpha,
-    lam), 0 < lam < 1 (see fe_rhs)."""
-    if as_unit_fraction(lam, "lam") == 1:
-        raise DomainError("lam = 1 reflects through fe_hurwitz_rhs")
-    return fe_rhs(s, alpha, lam, cfg)
-
-
-def fe_hurwitz_rhs(s: complex, alpha,
-                   cfg: EulerMaclaurinConfig | None = None) -> EvalResult:
-    """Right-hand side of the Hurwitz reflection identity at rational alpha,
-    in the periodic-sum form described in the module docstring."""
-    return fe_rhs(s, alpha, 1, cfg)
 
 
 class ScanPoint(NamedTuple):
@@ -112,8 +92,7 @@ class ScanRecord(NamedTuple):
     reliable: bool
 
 
-def fe_residual_scan(kind: str, grid: Sequence[ScanPoint],
-                     cfg: EulerMaclaurinConfig | None = None) -> list[ScanRecord]:
+def fe_residual_scan(kind: str, grid: Sequence[ScanPoint]) -> list[ScanRecord]:
     """Relative residual |LHS - RHS| / (|LHS| + 1e-300) per grid point,
     reported worst-first.  Unreliable oracle points are flagged, not dropped.
 
@@ -121,18 +100,17 @@ def fe_residual_scan(kind: str, grid: Sequence[ScanPoint],
     point's (alpha, lam); "riemann" checks zeta(s) = chi(s) zeta(1-s) with
     both zeta values from the oracle.
     """
-    if kind not in FE_KINDS:
-        raise DomainError(f"unknown functional-equation kind {kind!r}")
+    split_kind(kind)
     records = []
     for pt in grid:
         if kind == "riemann":
-            lhs = riemann_reference(pt.s, cfg)
-            z1 = riemann_reference(1.0 - pt.s, cfg)
+            lhs = hurwitz_euler_maclaurin(pt.s, 1.0)
+            z1 = hurwitz_euler_maclaurin(1.0 - pt.s, 1.0)
             rhs_value = chi(pt.s) * z1.value
             reliable = lhs.reliable and z1.reliable
         else:
-            lhs = lerch_via_hurwitz(pt.s, float(pt.alpha), pt.lam, cfg)
-            rhs = fe_rhs(pt.s, pt.alpha, pt.lam, cfg)
+            lhs = lerch_via_hurwitz(pt.s, float(pt.alpha), pt.lam)
+            rhs = fe_rhs(pt.s, pt.alpha, pt.lam)
             rhs_value, reliable = rhs.value, lhs.reliable and rhs.reliable
         residual = abs(lhs.value - rhs_value) / (abs(lhs.value) + _ABS_FLOOR)
         records.append(ScanRecord(pt.s, pt.alpha, pt.lam, residual, reliable))
@@ -148,8 +126,6 @@ def default_fe_grid(kind: str) -> list[ScanPoint]:
     """The standard verification grid: t in {10, 25, 50}, sigma in
     {1/4, 1/2, 3/4}, and the kind's afe.kind_pairs without alpha = 1 (kept
     only by riemann, whose one pair it is)."""
-    if kind not in FE_KINDS:
-        raise DomainError(f"unknown functional-equation kind {kind!r}")
     pairs = [(a, l) for a, l in kind_pairs(kind)
              if a < 1 or kind == "riemann"]
     return [ScanPoint(complex(sigma, t), a, l)

@@ -55,9 +55,10 @@ _LOG_SQRT_TWO_PI = 0.5 * LOG_TWO_PI
 
 def _exp(w: complex) -> complex:
     """exp(w).  cmath.exp raises OverflowError for a finite w whose
-    exponential is out of range; an infinite log-modulus gets the same."""
-    if w.real == math.inf:
-        raise OverflowError("log-modulus exceeds double range")
+    exponential is out of range; an infinite or NaN log-modulus (inf - inf
+    far left of the strip) gets the same."""
+    if not w.real < math.inf:
+        raise OverflowError(f"log-modulus {w.real} is beyond double range")
     return cmath.exp(w)
 
 
@@ -133,7 +134,9 @@ def chi(s: complex) -> complex:
     chi(s) = pi (2 pi)^(s-1) / (Gamma(s) cos(pi s/2)) is used instead: it has
     no pole of Gamma(1-s) to cancel against a zero of sin(pi s/2), so it
     keeps its digits at and next to the even positive integers.  Odd
-    positive integers are genuine poles.
+    positive integers are genuine poles.  The zeros s = 0, -2, -4, ... give 0;
+    within 1/2 of one, at s = 2m + d, sin(pi s/2) = (-1)^m sin(pi d/2) keeps
+    the digits that 1 - e^{i pi s} loses.
     """
     s = check_s(s)
     if s.real >= 1.0 - POLE_TOL:
@@ -145,9 +148,17 @@ def chi(s: complex) -> complex:
     if s.real > 1.0:
         w = (math.log(math.pi) + (s - 1.0) * LOG_TWO_PI
              - _log_gamma_complex(s) - _log_sin_pi(s / 2.0 + 0.5))
+        return _exp(w)
+    m = round(s.real / 2.0)
+    d = s - 2 * m  # exact: s.real lies within 1 of the integer 2m
+    if m <= 0 and abs(d) < 0.5:
+        if d == 0.0:
+            return 0j
+        log_sin = cmath.log(cmath.sin(0.5 * math.pi * d)) + 1j * math.pi * m
     else:
-        w = (math.log(2.0) + _log_gamma_complex(1.0 - s) + _log_sin_pi(s / 2.0)
-             + (s - 1.0) * LOG_TWO_PI)
+        log_sin = _log_sin_pi(s / 2.0)
+    w = (math.log(2.0) + _log_gamma_complex(1.0 - s) + log_sin
+         + (s - 1.0) * LOG_TWO_PI)
     return _exp(w)
 
 

@@ -53,10 +53,10 @@ bounds the working set whatever T and q are.  The split-sum sums end at a
 per-point term count (floor(x(t)) + 1, and floor(y(t)) for the duals): a
 block sums up to the largest count among its points and subtracts the
 surplus terms at the points below it.  The split sums' shifts, frequencies,
-first dual index and Gamma phases are the rows of afe's term table, which
-afe_eval sums too.  The two Gamma factors of the afe dual sums stay scalar
-gamma_phase_product calls, two per grid point, made one point after the
-other so that the second reuses the first one's log Gamma(1-s).  Each chunk
+first dual index and Gamma phases are the term row of afe's kind record,
+which afe_eval sums too.  The two Gamma factors of the afe dual sums stay
+scalar gamma_phase_product calls, two per grid point, made one point after
+the other so that the second reuses the first one's log Gamma(1-s).  Each chunk
 of integrand values is folded into running fine and coarse Simpson sums and
 the records are taken as the checkpoints pass, so no array proportional to
 the grid is allocated.
@@ -72,14 +72,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .afe import _TERMS, choose_split
+from .afe import choose_split, split_kind
 from .gammafns import TWO_PI, gamma_phase_product
 from .oracles import _decompose, _em_tail, lerch_via_hurwitz
 from .params import (EulerMaclaurinConfig, LerchParams, as_unit_fraction,
                      check_height, check_unit, default_em_config)
 
 __all__ = ["T0", "METHODS", "MeanSquareRecord", "ExponentFit",
-           "critical_line_value", "mean_square_integral", "mean_square_ladder",
+           "critical_line_value", "mean_square_ladder",
            "fit_residual_exponent"]
 
 # Below t0 the meanSquare split has x < 1; the [1, t0] stub always goes
@@ -157,10 +157,10 @@ def _split_sum_integrand(alpha: float, lam: float, t_max: float,
                          partial: bool):
     """values(t_start, h, lo, hi) of the afe (or, with partial, the
     partialSum) integrand at s = 1/2 + i t_j with the meanSquare split, for
-    grids with t_j <= t_max.  The sums are the afe term-table row of the
-    lerch kind, or at lam = 1 of the hurwitz kind."""
-    (shift, freq), first, duals = _TERMS["lerch" if lam < 1.0 else "hurwitz"](
-        alpha, lam)
+    grids with t_j <= t_max.  The sums are the term row of the lerch kind,
+    or at lam = 1 of the hurwitz kind."""
+    (shift, freq), first, duals = split_kind(
+        "lerch" if lam < 1.0 else "hurwitz").terms(alpha, lam)
     longest = choose_split(max(t_max, T0), "meanSquare")
     n = np.arange(int(longest.x) + 4, dtype=float)
     mf = np.log(n + shift)
@@ -331,13 +331,6 @@ def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
             alpha=a_float, lam=lam_float, method=method, step=step,
             reliable=bool(quad_est <= 1e-3 * main)))
     return records
-
-
-def mean_square_integral(T: float, alpha, lam, step: float = 0.02,
-                         method: str = "afe") -> MeanSquareRecord:
-    """Single-checkpoint mean square; see mean_square_ladder."""
-    return mean_square_ladder(T, alpha, lam, step=step, method=method,
-                              checkpoints=[T])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ evaluators and the functional-equation checks:
                            ground truth where it converges absolutely.
 * ``hurwitz_euler_maclaurin`` -- Euler-Maclaurin continuation of the Hurwitz
                            series, valid for all s != 1, with a computable
-                           a-posteriori error estimate.
+                           a-posteriori error estimate.  At alpha = 1 it is
+                           the Riemann zeta-function.
 * ``lerch_via_hurwitz`` -- for rational lam = p/q, regrouping the Lerch series
                            over residue classes mod q turns it into q Hurwitz
                            values:
@@ -34,6 +35,8 @@ one-point calls are the table's one-sigma case.
 The continuation is one generator, ``_em_tail`` (cmath for a complex s,
 numpy for an array), and the regrouping one function, ``_decompose``; the
 mean-square grid integrand uses both.  The tests check them against mpmath.
+A component whose value is not finite (a term (n + a)^(-s) beyond double
+range, as for a < 1 at sigma = 800) raises OverflowError.
 
 The reported error estimate combines the magnitude of the last correction
 term of the asymptotic series with a rounding-noise floor.  The floor matters:
@@ -62,7 +65,7 @@ from .params import (POLE_TOL, EulerMaclaurinConfig, EvalResult, LerchParams,
                      default_em_config)
 
 __all__ = ["lerch_direct", "hurwitz_euler_maclaurin", "lerch_via_hurwitz",
-           "lerch_reference_table", "riemann_reference"]
+           "lerch_reference_table"]
 
 _EPS = 2.220446049250313e-16
 
@@ -175,7 +178,10 @@ def _hurwitz_table(t: float, sigmas: Sequence[float], shifts: Iterable[float],
     N = cfg.cutoff
     table = {}
     for alpha in shifts:
-        sums = _direct_sums(sigmas, t, alpha, 0.0, N)
+        # a term beyond double range makes its value non-finite, which
+        # raises below, so numpy's warnings would only repeat the error
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = _direct_sums(sigmas, t, alpha, 0.0, N)
         for sigma, (value, abs_sum) in zip(sigmas, sums):
             cont, half, *terms = _em_tail(complex(sigma, t), N + alpha,
                                           cfg.bernoulli_terms)
@@ -185,6 +191,10 @@ def _hurwitz_table(t: float, sigmas: Sequence[float], shifts: Iterable[float],
                 value += term
                 last = abs(term)
                 abs_sum += last
+            if not cmath.isfinite(value):
+                raise OverflowError(
+                    f"zetaH({complex(sigma, t)}, {alpha:.17g}) is beyond "
+                    f"double range")
 
             # Rounding floor: pairwise-summation noise plus the phase error of
             # computing t*log(n+a) for each term, decorrelated across n.
@@ -278,9 +288,3 @@ def lerch_via_hurwitz(s: complex, alpha: float, lam,
     (result,) = lerch_reference_table(s.imag, (s.real,), ((alpha, lam),),
                                       cfg).values()
     return result
-
-
-def riemann_reference(s: complex,
-                      cfg: EulerMaclaurinConfig | None = None) -> EvalResult:
-    """zeta(s) as the alpha = 1 Hurwitz value."""
-    return hurwitz_euler_maclaurin(s, 1.0, cfg)

@@ -20,11 +20,10 @@ import numpy as np
 import pytest
 
 from conftest import MS_CHECKPOINTS, report
-from lerchzeta import (AfeSplit, LerchParams, afe_hurwitz, afe_lerch,
-                       afe_riemann, chi, choose_split, error_envelope,
-                       fe_residual_scan, fit_residual_exponent,
-                       hurwitz_euler_maclaurin, lerch_direct,
-                       lerch_via_hurwitz, riemann_reference)
+from lerchzeta import (AfeSplit, LerchParams, afe_eval, afe_lerch, chi,
+                       choose_split, error_envelope, fe_residual_scan,
+                       fit_residual_exponent, hurwitz_euler_maclaurin,
+                       lerch_direct, lerch_via_hurwitz)
 from lerchzeta.funceq import default_fe_grid
 from lerchzeta.params import EulerMaclaurinConfig
 
@@ -87,7 +86,8 @@ def test_criterion_2_afe_envelope_suite(calibration):
                         headroom["lerch"] = max(headroom["lerch"], err / bound)
                         checked += 1
                 for a in ALPHAS:
-                    v = afe_hurwitz(s, float(a), split, c_fit=0.0).value
+                    v = afe_eval("hurwitz", s, float(a), 1.0, split,
+                                 c_fit=0.0).value
                     err = abs(v - oracle(s, a, Fraction(1)))
                     bound = calibration["hurwitz"] * error_envelope(
                         "hurwitz", s, split).total
@@ -96,7 +96,7 @@ def test_criterion_2_afe_envelope_suite(calibration):
                         f"{err:.4e} > {bound:.4e}")
                     headroom["hurwitz"] = max(headroom["hurwitz"], err / bound)
                     checked += 1
-                v = afe_riemann(s, split, c_fit=0.0).value
+                v = afe_eval("riemann", s, 1.0, 1.0, split, c_fit=0.0).value
                 err = abs(v - oracle(s, Fraction(1), Fraction(1)))
                 bound = calibration["riemann"] * error_envelope(
                     "riemann", s, split).total
@@ -138,8 +138,8 @@ def test_criterion_4_riemann_reduction():
         t = rng.uniform(TWO_PI + 0.05, 1000.0)
         s = complex(rng.uniform(0.0, 1.0), t)
         split = choose_split(t)
-        h = afe_hurwitz(s, 1.0, split).value
-        r = afe_riemann(s, split).value
+        h = afe_eval("hurwitz", s, 1.0, 1.0, split).value
+        r = afe_eval("riemann", s, 1.0, 1.0, split).value
         d = abs(h - r) / max(1.0, abs(r))
         worst = max(worst, d)
         assert d <= 1e-12
@@ -147,15 +147,15 @@ def test_criterion_4_riemann_reduction():
     for t in (10.0, 25.0, 50.0):
         for sigma in (0.25, 0.5, 0.75):
             s = complex(sigma, t)
-            lhs = riemann_reference(s).value
-            rhs = chi(s) * riemann_reference(1.0 - s).value
+            lhs = hurwitz_euler_maclaurin(s, 1.0).value
+            rhs = chi(s) * hurwitz_euler_maclaurin(1.0 - s, 1.0).value
             resid = abs(lhs - rhs) / abs(lhs)
             worst_fe = max(worst_fe, resid)
             assert resid <= 1e-8
     report(f"ACCEPTANCE 4 (Riemann reduction): PASS — "
-           f"afe_hurwitz(a=1) == afe_riemann to {worst:.2e} (<= 1e-12) on 100 "
-           f"random strip points; zeta(s) = chi(s) zeta(1-s) to {worst_fe:.2e} "
-           f"(<= 1e-8) on the FE grid")
+           f"hurwitz(a=1) == riemann split sum to {worst:.2e} (<= 1e-12) on "
+           f"100 random strip points; zeta(s) = chi(s) zeta(1-s) to "
+           f"{worst_fe:.2e} (<= 1e-8) on the FE grid")
 
 
 def test_criterion_5_mean_square_main_term(afe_ladders):

@@ -1,15 +1,15 @@
 """Split-sum evaluators, splits, envelopes, calibration plumbing."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lerchzeta import (AfeSplit, ConfigError, DomainError, LerchParams,
-                       afe_eval, afe_hurwitz, afe_lerch, afe_riemann,
-                       choose_split, error_envelope, get_cfit,
-                       lerch_via_hurwitz, riemann_reference)
+                       afe_eval, afe_lerch, choose_split, error_envelope,
+                       get_cfit, hurwitz_euler_maclaurin, lerch_via_hurwitz)
 from lerchzeta import afe
 from lerchzeta.afe import (CALIBRATED_T, DEFAULT_CFIT, CalibrationPoint,
                            default_calibration_grid, envelope_fit,
@@ -60,7 +60,7 @@ class TestChooseSplit:
     def test_split_invariant_checked_at_use(self):
         sp = choose_split(100.0)
         with pytest.raises(DomainError):
-            afe_riemann(complex(0.5, 120.0), sp)
+            afe_eval("riemann", complex(0.5, 120.0), 1.0, 1.0, sp)
 
     def test_lengths_at_least_one(self):
         with pytest.raises(DomainError):
@@ -92,7 +92,7 @@ class TestErrorEnvelope:
 
 
 class TestAfeEval:
-    """afe_eval is the one evaluator behind the three kind-specific ones."""
+    """afe_eval is the one evaluator behind afe_lerch."""
 
     @pytest.mark.parametrize("t", [100.0, -100.0, 433.7, -433.7])
     def test_matches_public_evaluators(self, t):
@@ -103,10 +103,8 @@ class TestAfeEval:
             for a, l in ((0.25, 0.75), (1 / 3, 0.3), (1.0, 0.5)):
                 assert afe_eval("lerch", s, a, l, sp) \
                     == afe_lerch(s, LerchParams(a, l), sp)
-            for a in (0.25, 1 / 3, 1.0):
-                assert afe_eval("hurwitz", s, a, 1.0, sp, c_fit=0.7) \
-                    == afe_hurwitz(s, a, sp, c_fit=0.7)
-            assert afe_eval("riemann", s, 1.0, 1.0, sp) == afe_riemann(s, sp)
+                assert afe_eval("lerch", s, a, l, sp, c_fit=0.7) \
+                    == afe_lerch(s, LerchParams(a, l), sp, c_fit=0.7)
 
     @pytest.mark.parametrize("kind, alpha, lam", [
         ("lerch", 0.5, 1.0), ("hurwitz", 0.5, 0.5), ("riemann", 1.0, 0.5),
@@ -164,7 +162,7 @@ class TestHeightMemo:
         assert warm == cold
 
     def test_holds_only_the_last_height(self):
-        grid = [CalibrationPoint(complex(sigma, t), a, l, choose_split(abs(t)))
+        grid = [CalibrationPoint(sigma, t, a, l, choose_split(abs(t)))
                 for t in (60.0, 90.0, -75.0) for sigma in (0.25, 1.0)
                 for a, l in ((0.25, Fraction(1, 2)), (1.0, Fraction(3, 4)))]
         list(envelope_scan("lerch", grid))
@@ -174,6 +172,26 @@ class TestHeightMemo:
         assert all(abs(key[0]) == 75.0 for key in memo.phases)
         assert all(abs(key[0].imag) == 75.0 for key in memo.terms)
         assert all(key[0].imag == 75.0 for key in memo.factors)
+
+    def test_long_sums_are_not_kept(self, monkeypatch):
+        # a balanced split at t = 1e11 has 126,156 terms a sum; keeping its
+        # arrays held 10.1 MB until the next height
+        t = 1e11
+        s, sp = complex(0.5, t), choose_split(t)
+        afe._memo.clear()
+        tracemalloc.start()
+        try:
+            got = afe_eval("lerch", s, 0.25, 0.75, sp)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2 ** 20
+        assert not afe._memo.phases and not afe._memo.terms
+        monkeypatch.setattr(afe, "_MEMO_TERMS", math.inf)
+        afe._memo.clear()
+        assert afe_eval("lerch", s, 0.25, 0.75, sp) == got
+        assert afe._memo.terms
+        afe._memo.clear()
 
 
 class TestAfeLerch:
@@ -217,12 +235,12 @@ class TestAfeLerch:
 class TestAfeHurwitz:
     def test_oracle_within_estimate(self):
         s = complex(0.5, 200.0)
-        res = afe_hurwitz(s, 0.25, choose_split(200.0))
+        res = afe_eval("hurwitz", s, 0.25, 1.0, choose_split(200.0))
         assert abs(res.value - oracle(s, 0.25, Fraction(1))) <= res.error_estimate
 
     def test_sigma_zero_endpoint(self):
         s = complex(0.0, 50.0)
-        res = afe_hurwitz(s, 0.5, choose_split(50.0))
+        res = afe_eval("hurwitz", s, 0.5, 1.0, choose_split(50.0))
         assert abs(res.value - oracle(s, 0.5, Fraction(1))) <= res.error_estimate
 
     def test_alpha_one_equals_riemann(self):
@@ -231,33 +249,34 @@ class TestAfeHurwitz:
             t = rng.uniform(TWO_PI + 0.1, 900.0)
             s = complex(rng.uniform(0, 1), t)
             sp = choose_split(t)
-            h = afe_hurwitz(s, 1.0, sp).value
-            r = afe_riemann(s, sp).value
+            h = afe_eval("hurwitz", s, 1.0, 1.0, sp).value
+            r = afe_eval("riemann", s, 1.0, 1.0, sp).value
             assert abs(h - r) <= 1e-12 * max(1.0, abs(r))
 
     def test_dual_terms_start_at_one(self):
         t = 123.0
         sp = choose_split(t)
-        res = afe_hurwitz(complex(0.5, t), 0.5, sp)
+        res = afe_eval("hurwitz", complex(0.5, t), 0.5, 1.0, sp)
         assert res.dual_terms == math.floor(sp.y)
 
 
 class TestAfeRiemann:
     def test_oracle_within_estimate(self):
         s = complex(0.5, 100.0)
-        res = afe_riemann(s, choose_split(100.0))
-        assert abs(res.value - riemann_reference(s).value) <= res.error_estimate
+        res = afe_eval("riemann", s, 1.0, 1.0, choose_split(100.0))
+        assert (abs(res.value - hurwitz_euler_maclaurin(s, 1.0).value)
+                <= res.error_estimate)
 
     def test_near_first_zero_cancellation(self):
         s = complex(0.5, 14.134725)
-        res = afe_riemann(s, choose_split(s.imag))
+        res = afe_eval("riemann", s, 1.0, 1.0, choose_split(s.imag))
         assert abs(res.value) <= res.error_estimate
 
     def test_negative_t_mirror(self):
         s = complex(0.5, -100.0)
         sp = choose_split(100.0)
-        res = afe_riemann(s, sp)
-        ref = riemann_reference(s).value
+        res = afe_eval("riemann", s, 1.0, 1.0, sp)
+        ref = hurwitz_euler_maclaurin(s, 1.0).value
         assert abs(res.value - ref) <= res.error_estimate
 
 
@@ -283,16 +302,16 @@ class TestReliability:
         s = complex(0.5, t)
         split = choose_split(t)
         assert afe_lerch(s, LerchParams(0.5, 0.5), split).reliable
-        assert afe_hurwitz(s, 0.5, split).reliable
-        assert afe_riemann(s, split).reliable
+        assert afe_eval("hurwitz", s, 0.5, 1.0, split).reliable
+        assert afe_eval("riemann", s, 1.0, 1.0, split).reliable
 
     @pytest.mark.parametrize("t", [39.9, 1100.5, 1e7, -1e7])
     def test_outside_calibrated_range(self, t):
         s = complex(0.5, t)
         split = choose_split(t)
         assert not afe_lerch(s, LerchParams(0.5, 0.5), split).reliable
-        assert not afe_hurwitz(s, 0.5, split).reliable
-        assert not afe_riemann(s, split).reliable
+        assert not afe_eval("hurwitz", s, 0.5, 1.0, split).reliable
+        assert not afe_eval("riemann", s, 1.0, 1.0, split).reliable
 
 
 class TestKindPairs:
@@ -324,8 +343,7 @@ class TestEnvelopeFit:
     def test_scan_matches_point_by_point_loop(self):
         # heights repeat out of order and sigmas interleave, so one height
         # is split into several runs
-        grid = [CalibrationPoint(complex(sig, t), a, l,
-                                 choose_split(abs(t), mode))
+        grid = [CalibrationPoint(sig, t, a, l, choose_split(abs(t), mode))
                 for t in (60.0, 90.0, 60.0, -90.0)
                 for mode in ("balanced", "meanSquare")
                 for sig in (1.0, 0.25)
@@ -343,8 +361,7 @@ class TestEnvelopeFit:
         # spread of heights stay within +-50% of their midpoint
         fits = []
         for t in (50.0, 150.0, 400.0):
-            grid = [CalibrationPoint(complex(sig, t), float(a), l,
-                                     choose_split(t))
+            grid = [CalibrationPoint(sig, t, a, l, choose_split(t))
                     for sig in (0.0, 0.5, 1.0)
                     for a in (Fraction(1, 2), Fraction(1))
                     for l in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))]
@@ -353,7 +370,7 @@ class TestEnvelopeFit:
         assert all(abs(f - mid) <= 0.5 * mid for f in fits)
 
     def test_riemann_measurement_is_order_one(self):
-        grid = [CalibrationPoint(complex(0.5, t), 1.0, Fraction(1),
+        grid = [CalibrationPoint(0.5, t, Fraction(1), Fraction(1),
                                  choose_split(t))
                 for t in (50.0, 100.0, 200.0, 500.0)]
         c = envelope_fit("riemann", grid)
@@ -361,7 +378,7 @@ class TestEnvelopeFit:
 
     def test_small_grid_nonnegative_finite(self):
         t = 90.0
-        grid = [CalibrationPoint(complex(0.5, t), 0.5, Fraction(1, 2),
+        grid = [CalibrationPoint(0.5, t, Fraction(1, 2), Fraction(1, 2),
                                  choose_split(t))]
         c = envelope_fit("lerch", grid)
         assert 0.0 <= c < 10.0
@@ -386,6 +403,12 @@ class TestCalibrationFile:
         path = tmp_path / "cal.txt"
         path.write_text(f"hurwitz = 0.5\nlerch = {constant}\n")
         with pytest.raises(ConfigError):
+            read_calibration(str(path))
+
+    def test_unknown_kind_names_the_file(self, tmp_path):
+        path = tmp_path / "cal.txt"
+        path.write_text("weird = 0.5\n")
+        with pytest.raises(DomainError, match=f"'weird'.* in {path}"):
             read_calibration(str(path))
 
     def test_unreadable_file_is_config_error(self, tmp_path):

@@ -11,8 +11,7 @@ from fractions import Fraction
 import pytest
 
 import lerchzeta
-from lerchzeta import (AfeSplit, LerchParams, afe_hurwitz, afe_lerch,
-                       afe_riemann, choose_split, error_envelope,
+from lerchzeta import (AfeSplit, afe_eval, choose_split, error_envelope,
                        fe_residual_scan, lerch_via_hurwitz, mean_square_ladder)
 from lerchzeta.afe import reload_calibration
 from lerchzeta.cli import main
@@ -121,8 +120,8 @@ class TestEval:
                            "--alpha", "1/2", "--lambda", "1/2",
                            "--split", "meansquare", "--format", "json")
         assert code == 0
-        res = afe_lerch(complex(0.5, -100.0), LerchParams(0.5, 0.5),
-                        choose_split(100.0, "meanSquare"))
+        res = afe_eval("lerch", complex(0.5, -100.0), 0.5, 0.5,
+                       choose_split(100.0, "meanSquare"))
         assert json.loads(out)["re"] == res.value.real
 
     def test_afe_strict_outside_calibrated_heights_exits_3(self, capsys):
@@ -237,12 +236,7 @@ def _afescan_rows_point_by_point(t):
             s = complex(sigma, t)
             for name, split in splits:
                 for a, l in pairs[kind]:
-                    if kind == "lerch":
-                        res = afe_lerch(s, LerchParams(float(a), float(l)), split)
-                    elif kind == "hurwitz":
-                        res = afe_hurwitz(s, float(a), split)
-                    else:
-                        res = afe_riemann(s, split)
+                    res = afe_eval(kind, s, float(a), float(l), split)
                     err = abs(res.value - lerch_via_hurwitz(s, float(a), l).value)
                     env = error_envelope(kind, s, split).total
                     rows.append({
@@ -423,6 +417,19 @@ class TestTermBound:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "MAX_TERMS" in err
         assert peak < 1 << 20
+
+
+class TestNonFiniteValue:
+    """A value beyond double range is an error, not a printed nan."""
+
+    @pytest.mark.parametrize("argv", [
+        ("--sigma=800", "--method", "oracle", "--strict"),
+        ("--sigma=-1e308", "--method", "fe")], ids=["oracle", "fe"])
+    def test_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "eval", *argv, "--t", "1", "--alpha",
+                             "1/2", "--lambda", "1/2")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestBadFlags:

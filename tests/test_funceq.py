@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from lerchzeta import (DomainError, LerchParams, chi, fe_hurwitz_rhs,
-                       fe_lerch_rhs, fe_residual_scan, fe_rhs, lerch_direct,
-                       lerch_via_hurwitz, riemann_reference)
+from lerchzeta import (DomainError, LerchParams, chi, fe_residual_scan, fe_rhs,
+                       hurwitz_euler_maclaurin, lerch_direct,
+                       lerch_via_hurwitz)
 from lerchzeta.funceq import ScanPoint, default_fe_grid
 
 
@@ -18,7 +18,7 @@ class TestFeLerch:
     def test_strip_point(self):
         s = complex(0.5, 30.0)
         lhs = lerch_via_hurwitz(s, 0.5, Fraction(1, 3)).value
-        rhs = fe_lerch_rhs(s, Fraction(1, 2), Fraction(1, 3)).value
+        rhs = fe_rhs(s, Fraction(1, 2), Fraction(1, 3)).value
         assert rel(lhs, rhs) <= 1e-8
 
     def test_real_self_dual_point(self):
@@ -26,62 +26,61 @@ class TestFeLerch:
         # the same parameter pair
         s = complex(0.5, 0.0)
         lhs = lerch_via_hurwitz(s, 0.5, Fraction(1, 2)).value
-        rhs = fe_lerch_rhs(s, Fraction(1, 2), Fraction(1, 2)).value
+        rhs = fe_rhs(s, Fraction(1, 2), Fraction(1, 2)).value
         assert rel(lhs, rhs) <= 1e-10
 
     def test_outside_strip_against_direct_series(self):
         s = complex(2.0, 15.0)
         lhs = lerch_direct(s, LerchParams(0.75, 0.25), 300000)
-        rhs = fe_lerch_rhs(s, Fraction(3, 4), Fraction(1, 4))
+        rhs = fe_rhs(s, Fraction(3, 4), Fraction(1, 4))
         assert abs(lhs.value - rhs.value) <= lhs.error_estimate + rhs.error_estimate
 
     def test_alpha_one_allowed(self):
         # lambda-slot 1 - alpha = 0 denotes the full period, same series as 1
         s = complex(0.5, 12.0)
         lhs = lerch_via_hurwitz(s, 1.0, Fraction(1, 3)).value
-        rhs = fe_lerch_rhs(s, Fraction(1), Fraction(1, 3)).value
+        rhs = fe_rhs(s, Fraction(1), Fraction(1, 3)).value
         assert rel(lhs, rhs) <= 1e-8
-
-    def test_lambda_one_rejected(self):
-        with pytest.raises(DomainError):
-            fe_lerch_rhs(complex(0.5, 10.0), Fraction(1, 2), Fraction(1))
 
     def test_irrational_rejected(self):
         with pytest.raises(DomainError):
-            fe_lerch_rhs(complex(0.5, 10.0), 1 / 3, Fraction(1, 2))
+            fe_rhs(complex(0.5, 10.0), 1 / 3, Fraction(1, 2))
 
 
 class TestFeHurwitz:
     def test_alpha_one_reduces_to_chi(self):
         s = complex(0.5, 30.0)
-        rhs = fe_hurwitz_rhs(s, Fraction(1)).value
-        zeta_s = riemann_reference(s).value
+        rhs = fe_rhs(s, Fraction(1), Fraction(1)).value
+        zeta_s = hurwitz_euler_maclaurin(s, 1.0).value
         assert rel(zeta_s, rhs) <= 1e-8
-        assert rel(rhs, chi(s) * riemann_reference(1 - s).value) <= 1e-8
+        assert rel(rhs, chi(s) * hurwitz_euler_maclaurin(1 - s, 1.0).value) \
+            <= 1e-8
 
     def test_strip_point(self):
         s = complex(0.5, 25.0)
         lhs = lerch_via_hurwitz(s, 1 / 3, Fraction(1)).value
-        rhs = fe_hurwitz_rhs(s, Fraction(1, 3)).value
+        rhs = fe_rhs(s, Fraction(1, 3), Fraction(1)).value
         assert rel(lhs, rhs) <= 1e-8
 
     def test_off_critical_line(self):
         s = complex(0.25, 40.0)
         lhs = lerch_via_hurwitz(s, 0.75, Fraction(1)).value
-        rhs = fe_hurwitz_rhs(s, Fraction(3, 4)).value
+        rhs = fe_rhs(s, Fraction(3, 4), Fraction(1)).value
         assert rel(lhs, rhs) <= 1e-8
 
 
 class TestFeRhs:
-    """fe_rhs is the one right-hand side behind both reflection forms."""
+    """fe_rhs is the one right-hand side of both reflection forms: the
+    Hurwitz periodic-sum form at lam = 1, the Lerch form below it."""
 
     @pytest.mark.parametrize("s", [complex(0.5, 25.0), complex(0.25, -30.0),
                                    complex(2.0, 10.0)])
     def test_matches_both_forms(self, s):
         for a in (Fraction(1, 4), Fraction(1, 3), Fraction(1)):
-            assert fe_rhs(s, a, 1) == fe_hurwitz_rhs(s, a)
-            for l in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)):
-                assert fe_rhs(s, a, l) == fe_lerch_rhs(s, a, l)
+            for l in (Fraction(1), Fraction(1, 4), Fraction(1, 2),
+                      Fraction(2, 3)):
+                lhs = lerch_via_hurwitz(s, float(a), l).value
+                assert rel(lhs, fe_rhs(s, a, l).value) <= 1e-8
 
 
 class TestResidualScan:

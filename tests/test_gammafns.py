@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lerchzeta import (PoleError, chi, gamma, gamma_phase_product, gammafns,
-                       log_gamma, riemann_reference)
+                       hurwitz_euler_maclaurin, log_gamma)
 from lerchzeta.errors import DomainError
 from lerchzeta.params import MAX_HEIGHT
 
@@ -96,8 +96,10 @@ class TestLogGamma:
     def test_overflow_raises(self):
         # an infinite log-modulus raises like a finite one out of range
         assert log_gamma(1e308).real == math.inf
+        # at -1e308 log Gamma(1-s) (2 pi)^(s-1) is inf - inf, a NaN
         for call in (lambda: gamma(1e308), lambda: gamma(complex(1e308, 5.0)),
                      lambda: gamma_phase_product(-1e300, 0.5, 0.0),
+                     lambda: gamma_phase_product(-1e308, 0.5, 0.0),
                      lambda: chi(-300.5)):
             with pytest.raises(OverflowError):
                 call()
@@ -121,14 +123,16 @@ class TestChi:
     def test_ratio_oracle(self):
         # chi(s) = zeta(s)/zeta(1-s), both sides from the reference evaluator
         s = complex(0.3, 30.0)
-        ratio = riemann_reference(s).value / riemann_reference(1.0 - s).value
+        ratio = (hurwitz_euler_maclaurin(s, 1.0).value
+                 / hurwitz_euler_maclaurin(1.0 - s, 1.0).value)
         assert chi(s) == pytest.approx(ratio, rel=1e-10)
 
     def test_even_integer_limit(self):
         # chi(2) = -2 pi^2, consistent with zeta(2)/zeta(-1)
         for s in (2.0, complex(2.0, 1e-170), complex(2.0, -1e-170)):
             assert chi(s) == pytest.approx(-2.0 * math.pi ** 2, rel=1e-15)
-        ratio = riemann_reference(2.0).value / riemann_reference(-1.0).value
+        ratio = (hurwitz_euler_maclaurin(2.0, 1.0).value
+                 / hurwitz_euler_maclaurin(-1.0, 1.0).value)
         assert chi(2.0) == pytest.approx(ratio, rel=1e-10)
 
     # Next to an even integer the Gamma(1-s) pole and the zero of
@@ -146,6 +150,24 @@ class TestChi:
             ref = complex(2 ** z * mpmath.pi ** (z - 1)
                           * mpmath.sin(mpmath.pi * z / 2) * mpmath.gamma(1 - z))
         assert abs(chi(s) - ref) <= rtol * abs(ref)
+
+    @pytest.mark.parametrize("s", [0.0, -2.0, complex(-4.0, 0.0), -300.0])
+    def test_zeros(self, s):
+        assert chi(s) == 0.0
+
+    # Next to a zero 1 - e^{i pi s} cancels; sin(pi d/2) of the offset d
+    # from the zero does not.
+    @pytest.mark.parametrize("s", [
+        complex(-2.0, 1e-300), complex(-2.0, -1e-300), complex(0.0, 1e-300),
+        complex(-6.0, 1e-200), complex(-4.0, 1e-8), complex(-2.3, -0.05),
+        complex(-0.2, 0.1)])
+    def test_next_to_the_zeros_against_mpmath(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            z = mpmath.mpc(s.real, s.imag)
+            ref = complex(2 * mpmath.gamma(1 - z) * mpmath.sinpi(z / 2)
+                          * (2 * mpmath.pi) ** (z - 1))
+        assert abs(chi(s) - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("s", [1.0, 3.0, 5.0, complex(3.0, 1e-170)])
     def test_odd_integer_poles(self, s):

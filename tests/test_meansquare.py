@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from lerchzeta import (ConfigError, DomainError, EulerMaclaurinConfig,
-                       LerchParams, afe_hurwitz, afe_lerch, critical_line_value,
-                       error_envelope, fit_residual_exponent, get_cfit,
-                       lerch_via_hurwitz, mean_square_integral,
-                       mean_square_ladder, riemann_reference)
+                       afe_eval, critical_line_value, error_envelope,
+                       fit_residual_exponent, get_cfit,
+                       hurwitz_euler_maclaurin, lerch_via_hurwitz,
+                       mean_square_ladder)
 from lerchzeta.afe import choose_split
 from lerchzeta.meansquare import (_BLOCK, T0, _dirichlet, _oracle_integrand,
                                   _split_sum_integrand)
@@ -37,21 +37,17 @@ class TestCriticalLineValue:
     def test_riemann_case_is_zeta(self):
         t = 57.0
         v = critical_line_value(t, Fraction(1), Fraction(1), "oracle")
-        assert v == riemann_reference(complex(0.5, t)).value
+        assert v == hurwitz_euler_maclaurin(complex(0.5, t), 1.0).value
 
     def test_afe_matches_module_evaluator(self):
         # the cached-table evaluator and the generic split-sum value must be
         # the same function up to rounding
-        from lerchzeta import LerchParams, afe_hurwitz, afe_lerch
         for (a, l) in ((0.5, 0.5), (1.0, 1.0), (0.75, 0.25)):
             for t in (50.0, 333.0, 1777.0):
                 fast = critical_line_value(t, a, l, "afe")
                 sp = choose_split(t, "meanSquare")
-                s = complex(0.5, t)
-                if l == 1.0:
-                    slow = afe_hurwitz(s, a, sp).value
-                else:
-                    slow = afe_lerch(s, LerchParams(a, l), sp).value
+                kind = "hurwitz" if l == 1.0 else "lerch"
+                slow = afe_eval(kind, complex(0.5, t), a, l, sp).value
                 assert fast == pytest.approx(slow, abs=1e-10 * (1 + abs(slow)))
 
     def test_below_threshold_rejected(self):
@@ -65,19 +61,23 @@ class TestCriticalLineValue:
 
 class TestMeanSquareIntegral:
     def test_richardson_self_consistency(self):
-        r1 = mean_square_integral(50.0, Fraction(1), Fraction(1), step=0.04)
-        r2 = mean_square_integral(50.0, Fraction(1), Fraction(1), step=0.02)
+        (r1,) = mean_square_ladder(50.0, Fraction(1), Fraction(1), step=0.04,
+                                   checkpoints=[50.0])
+        (r2,) = mean_square_ladder(50.0, Fraction(1), Fraction(1), step=0.02,
+                                   checkpoints=[50.0])
         assert abs(r1.integral_value - r2.integral_value) \
             <= 2.0 * max(r1.quadrature_error_estimate, 1e-12)
 
     def test_main_term_value(self):
-        rec = mean_square_integral(1000.0, Fraction(1), Fraction(1), step=0.05)
+        (rec,) = mean_square_ladder(1000.0, Fraction(1), Fraction(1),
+                                    step=0.05, checkpoints=[1000.0])
         assert rec.main_term == pytest.approx(1000.0 * math.log(1000.0 / TWO_PI),
                                               rel=1e-15)
         assert rec.main_term == pytest.approx(5069.9, abs=0.1)
 
     def test_integral_positive_and_reliable(self):
-        rec = mean_square_integral(100.0, Fraction(1, 2), Fraction(1, 2))
+        (rec,) = mean_square_ladder(100.0, Fraction(1, 2), Fraction(1, 2),
+                                    checkpoints=[100.0])
         assert rec.integral_value > 0.0
         assert rec.reliable
         assert rec.residual == rec.integral_value - rec.main_term
@@ -112,15 +112,17 @@ class TestMeanSquareIntegral:
 
     def test_step_cap(self):
         with pytest.raises(ConfigError):
-            mean_square_integral(100.0, Fraction(1), Fraction(1), step=0.2)
+            mean_square_ladder(100.0, Fraction(1), Fraction(1), step=0.2,
+                               checkpoints=[100.0])
 
     def test_small_T_rejected(self):
         with pytest.raises(DomainError):
-            mean_square_integral(15.0, Fraction(1), Fraction(1))
+            mean_square_ladder(15.0, Fraction(1), Fraction(1),
+                               checkpoints=[15.0])
 
     def test_irrational_lambda_rejected(self):
         with pytest.raises(DomainError):
-            mean_square_integral(100.0, 0.5, 1 / 3)
+            mean_square_ladder(100.0, 0.5, 1 / 3, checkpoints=[100.0])
 
     def test_method_consistency_afe_vs_oracle(self):
         # same grid, both integrands; difference bounded by the integrated
@@ -205,10 +207,8 @@ class TestGridKernel:
         for j in range(lo, hi):
             t = t_start + h * j
             s, split = complex(0.5, t), choose_split(t, "meanSquare")
-            if lam == 1.0:
-                want = afe_hurwitz(s, alpha, split).value
-            else:
-                want = afe_lerch(s, LerchParams(alpha, lam), split).value
+            kind = "hurwitz" if lam == 1.0 else "lerch"
+            want = afe_eval(kind, s, alpha, lam, split).value
             assert got[j] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
             n = np.arange(math.floor(split.x) + 1)
             direct = (np.exp(2j * math.pi * lam * n)

@@ -3,6 +3,7 @@ decomposition."""
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from lerchzeta import (ConfigError, DomainError, EulerMaclaurinConfig,
                        LerchParams, PoleError, hurwitz_euler_maclaurin,
-                       lerch_direct, lerch_via_hurwitz, riemann_reference)
+                       lerch_direct, lerch_via_hurwitz)
 from lerchzeta.meansquare import _BLOCK, _oracle_integrand
 from lerchzeta.oracles import lerch_reference_table
 from lerchzeta.params import default_em_config
@@ -56,16 +57,13 @@ class TestHurwitzEulerMaclaurin:
         assert res.value.real == pytest.approx(PI2_OVER_6, abs=1e-12)
         assert res.reliable
 
-    def test_alpha_one_is_riemann_reference(self):
-        s = complex(0.3, 42.0)
-        assert hurwitz_euler_maclaurin(s, 1.0).value == riemann_reference(s).value
-
     def test_zeta_zero_continuation(self):
-        assert riemann_reference(0.0).value.real == pytest.approx(-0.5, abs=1e-13)
-        assert abs(riemann_reference(0.0).value.imag) < 1e-13
+        zeta_0 = hurwitz_euler_maclaurin(0.0, 1.0).value
+        assert zeta_0.real == pytest.approx(-0.5, abs=1e-13)
+        assert abs(zeta_0.imag) < 1e-13
 
     def test_first_zero_landmark(self):
-        res = riemann_reference(complex(0.5, FIRST_ZERO_T))
+        res = hurwitz_euler_maclaurin(complex(0.5, FIRST_ZERO_T), 1.0)
         assert abs(res.value) <= 5e-4
         # unreliable flag fires near zeros: the estimate dwarfs the value
         assert not res.reliable
@@ -73,6 +71,17 @@ class TestHurwitzEulerMaclaurin:
     def test_pole(self):
         with pytest.raises(PoleError):
             hurwitz_euler_maclaurin(1.0, 0.5)
+
+    def test_value_beyond_double_range_raises(self):
+        # the n = 0 term (1/4)^-800 overflows; the sum used to come back as
+        # nan (through the phases of lerch_via_hurwitz) and be called
+        # reliable.  The error is the only report: numpy warns of nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                hurwitz_euler_maclaurin(complex(800.0, 1.0), 0.25)
+            with pytest.raises(OverflowError):
+                lerch_via_hurwitz(complex(800.0, 1.0), 0.5, Fraction(1, 2))
 
     def test_cutoff_stability_precondition(self):
         with pytest.raises(ConfigError):
