@@ -7,8 +7,8 @@ from .afe import (AfeSplit, ErrorEnvelope, afe_eval, afe_lerch, choose_split,
 from .errors import ConfigError, DomainError, PoleError
 from .funceq import default_fe_grid, fe_residual_scan, fe_rhs
 from .gammafns import chi, gamma, gamma_phase_product, log_gamma
-from .meansquare import (ExponentFit, MeanSquareRecord, critical_line_value,
-                         fit_residual_exponent, mean_square_ladder)
+from .meansquare import (ExponentFit, MeanSquareRecord, fit_residual_exponent,
+                         mean_square_ladder)
 from .oracles import (hurwitz_euler_maclaurin, lerch_direct,
                       lerch_reference_table, lerch_via_hurwitz)
 from .params import EulerMaclaurinConfig, EvalResult, LerchParams
@@ -19,7 +19,7 @@ __all__ = [
     "AfeSplit", "ConfigError", "DomainError", "ErrorEnvelope",
     "EulerMaclaurinConfig", "EvalResult", "ExponentFit", "LerchParams",
     "MeanSquareRecord", "PoleError", "afe_eval", "afe_lerch", "chi",
-    "choose_split", "critical_line_value", "default_fe_grid", "envelope_fit",
+    "choose_split", "default_fe_grid", "envelope_fit",
     "envelope_scan", "error_envelope", "fe_residual_scan", "fe_rhs",
     "fit_residual_exponent", "gamma", "gamma_phase_product", "get_cfit",
     "hurwitz_euler_maclaurin", "lerch_direct", "lerch_reference_table",

@@ -16,11 +16,11 @@ reduction with both dual factors merged into the chi factor.
 
 All three are a main sum plus dual sums of e^(2 pi i n freq) (n+shift)^(...)
 terms.  Each kind is stated once, in its SplitKind record (split_kind(kind),
-the one place an unknown kind is refused): its term row of shifts,
-frequencies, first dual index and factors, its envelope exponent, its
-(alpha, lam) pairs and its calibration grid.  The one evaluator afe_eval and
-the mean-square integrand read the term row; scan_grid builds the points of
-the calibration grid and of the afescan rows from the pairs.
+the one place an unknown kind is refused): the (alpha, lam) it takes, which
+afe_eval checks and kind_for reads, its term row of shifts, frequencies,
+first dual index and factors, its envelope exponent, its scan and fecheck
+pairs and its calibration grid.  afe_eval and the mean-square integrand read
+the term row; scan_grid builds the calibration and afescan points.
 
 The sums at one height share most of their work: every sigma, split shape
 and (alpha, lam) pair reuses log(n + shift) and the phases, every sigma's
@@ -56,7 +56,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -68,7 +68,7 @@ from .params import MAX_TERMS, EvalResult, LerchParams, check_height, check_s
 
 __all__ = ["AfeSplit", "ErrorEnvelope", "CalibrationPoint", "SplitKind",
            "split_kind", "choose_split", "afe_eval", "afe_lerch",
-           "error_envelope", "envelope_scan", "envelope_fit", "kind_pairs",
+           "error_envelope", "envelope_scan", "envelope_fit", "kind_for",
            "scan_grid", "default_calibration_grid", "read_calibration",
            "write_calibration", "get_cfit", "reload_calibration", "KINDS",
            "CALIBRATED_T"]
@@ -245,9 +245,11 @@ class SplitKind(NamedTuple):
     (phase_coeff_of_s, phase_const) of gamma_phase_product or None for
     chi(s)."""
 
+    takes: Callable[[float, float], bool]  # (alpha, lam) has a split sum
     terms: Callable[[float, float], tuple]
     envelope_c: float  # the envelope's exponent of |t| is envelope_c - sigma
     pairs: tuple[tuple[Fraction, Fraction], ...]  # scan rows, in row order
+    fe_pairs: tuple[tuple[Fraction, Fraction], ...]  # the fecheck grid's
     cal_heights: int  # the calibration grid's number of heights
     cal_skews: tuple[float, ...]  # and its y/x skew factors
 
@@ -258,24 +260,29 @@ _CAL_LAMBDAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 _CAL_SKEWS = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 _CAL_SKEWS_DENSE = (0.125, 0.1875, 0.25, 0.375, 0.5, 0.75, 1.0,
                     1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
+_ONE = Fraction(1)
 
-# Lerch takes 0 < lam < 1, Hurwitz lam = 1, Riemann alpha = lam = 1.  The
-# riemann grid is denser (four times the heights, more skews) because its
-# single pair gives fewer samples per height.
+# The fecheck grid leaves out alpha = 1 except for riemann, whose one pair it
+# is.  The riemann calibration grid is denser (four times the heights, more
+# skews) because its single pair gives fewer samples per height.
 _KINDS = {
     "lerch": SplitKind(
+        lambda a, l: l < 1.0,
         lambda a, l: ((a, l), 0, (
             (l, 1.0 - a, (-0.5, 0.5 - 2.0 * a * l)),
             (1.0 - l, a, (0.5, -0.5 + 2.0 * a * (1.0 - l))))),
-        0.5, tuple((a, l) for a in _CAL_ALPHAS for l in _CAL_LAMBDAS),
-        48, _CAL_SKEWS),
+        0.5, tuple(product(_CAL_ALPHAS, _CAL_LAMBDAS)),
+        tuple(product(_CAL_ALPHAS[:-1], _CAL_LAMBDAS)), 48, _CAL_SKEWS),
     "hurwitz": SplitKind(
+        lambda a, l: l == 1.0,
         lambda a, l: ((a, 0.0), 1, ((0.0, 1.0 - a, (-0.5, 0.5)),
                                     (0.0, a, (0.5, -0.5)))),
-        1.0, tuple((a, Fraction(1)) for a in _CAL_ALPHAS), 48, _CAL_SKEWS),
+        1.0, tuple((a, _ONE) for a in _CAL_ALPHAS),
+        tuple((a, _ONE) for a in _CAL_ALPHAS[:-1]), 48, _CAL_SKEWS),
     "riemann": SplitKind(
+        lambda a, l: a == l == 1.0,
         lambda a, l: ((1.0, 0.0), 1, ((0.0, 0.0, None),)),
-        0.5, ((Fraction(1), Fraction(1)),), 192, _CAL_SKEWS_DENSE),
+        0.5, ((_ONE, _ONE),), ((_ONE, _ONE),), 192, _CAL_SKEWS_DENSE),
 }
 
 KINDS = tuple(_KINDS)
@@ -291,10 +298,12 @@ def split_kind(kind: str) -> SplitKind:
                           f"{', '.join(KINDS)})") from None
 
 
-def kind_pairs(kind: str) -> list[tuple[Fraction, Fraction]]:
-    """The (alpha, lam) pairs of a kind's calibration grid and afescan rows,
-    in row order."""
-    return list(split_kind(kind).pairs)
+def kind_for(alpha: float, lam: float) -> str:
+    """The kind of the zeta function at (alpha, lam), both in (0, 1]: the
+    first of KINDS that takes the pair, so lerch for lam < 1 and hurwitz for
+    lam = 1 (riemann is the hurwitz kind's alpha = 1 special case)."""
+    p = LerchParams(alpha, lam)
+    return next(k for k, spec in _KINDS.items() if spec.takes(p.alpha, p.lam))
 
 
 def afe_eval(kind: str, s: complex, alpha: float, lam: float, split: AfeSplit,
@@ -313,10 +322,9 @@ def afe_eval(kind: str, s: complex, alpha: float, lam: float, split: AfeSplit,
     if not 0.0 <= s.real <= 1.0:
         raise DomainError(
             f"split-sum evaluation requires 0 <= sigma <= 1, got sigma = {s.real}")
-    terms = split_kind(kind).terms
+    spec = split_kind(kind)
     params = LerchParams(alpha, lam)
-    if params.is_hurwitz == (kind == "lerch") \
-            or kind == "riemann" and alpha != 1.0:
+    if not spec.takes(alpha, lam):
         raise DomainError(
             f"no {kind!r} split sum at (alpha, lam) = ({alpha}, {lam}): lerch "
             f"takes 0 < lam < 1, hurwitz lam = 1, riemann alpha = lam = 1")
@@ -325,7 +333,7 @@ def afe_eval(kind: str, s: complex, alpha: float, lam: float, split: AfeSplit,
     if s.imag < 0.0:
         z, params = s.conjugate(), params.conjugate_pair()
     _memo.at(z.imag)
-    (shift, freq), first, duals = terms(params.alpha, params.lam)
+    (shift, freq), first, duals = spec.terms(params.alpha, params.lam)
     M = math.floor(split.x)
     N = math.floor(split.y)
     value = _power_sum(-z, shift, freq, 0, M)
@@ -407,7 +415,7 @@ def scan_grid(kind: str, heights: Iterable[float],
               ) -> Iterator[CalibrationPoint]:
     """A scan's points, lazily, in row order: each height t, then sigma in
     {0, 1/4, 1/2, 3/4, 1}, then each named split of shapes(t), then each
-    pair of kind_pairs(kind)."""
+    of the kind's pairs (split_kind(kind).pairs)."""
     pairs = split_kind(kind).pairs
     for t in heights:
         splits = shapes(t)
@@ -441,7 +449,7 @@ def default_calibration_grid(kind: str) -> list[CalibrationPoint]:
     Heights are geometric in [40, 1100] (48 points; 192 for the riemann kind,
     whose single parameter pair gives fewer samples per height), split shapes
     cover the mean-square split and y/x skew factors 1/8..8, sigma runs over
-    {0, 1/4, 1/2, 3/4, 1}, and the parameter pairs are kind_pairs(kind).
+    {0, 1/4, 1/2, 3/4, 1}, and the parameter pairs are the kind's pairs.
     The measured ratio drifts slowly upward with t and with split skew, so
     the grid has to cover heights and skews beyond any point the constant
     will be trusted at.

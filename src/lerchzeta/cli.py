@@ -136,8 +136,8 @@ def _cmd_eval(args) -> int:
             print("warning: irrational parameter, no oracle cross-check applies",
                   file=sys.stderr)
         split = _parse_split(args.split, args.t)
-        res = afe.afe_eval("hurwitz" if lam_f == 1.0 else "lerch", s,
-                           alpha_f, lam_f, split)
+        res = afe.afe_eval(afe.kind_for(alpha_f, lam_f), s, alpha_f, lam_f,
+                           split)
 
     record = {
         "sigma": args.sigma, "t": args.t, "alpha": args.alpha, "lambda": args.lam,

@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .afe import kind_pairs, split_kind
+from .afe import split_kind
 from .gammafns import chi
 from .gammafns import gamma_phase_product as _gpp
 from .oracles import hurwitz_euler_maclaurin, lerch_via_hurwitz
@@ -124,9 +124,8 @@ _GRID_SIGMA = (0.25, 0.5, 0.75)
 
 def default_fe_grid(kind: str) -> list[ScanPoint]:
     """The standard verification grid: t in {10, 25, 50}, sigma in
-    {1/4, 1/2, 3/4}, and the kind's afe.kind_pairs without alpha = 1 (kept
-    only by riemann, whose one pair it is)."""
-    pairs = [(a, l) for a, l in kind_pairs(kind)
-             if a < 1 or kind == "riemann"]
+    {1/4, 1/2, 3/4}, and the kind's fecheck pairs, split_kind(kind).fe_pairs
+    (its scan pairs without alpha = 1, except for riemann)."""
+    pairs = split_kind(kind).fe_pairs
     return [ScanPoint(complex(sigma, t), a, l)
             for t in _GRID_T for sigma in _GRID_SIGMA for a, l in pairs]

@@ -72,15 +72,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .afe import choose_split, split_kind
+from .afe import choose_split, kind_for, split_kind
 from .gammafns import TWO_PI, gamma_phase_product
-from .oracles import _decompose, _em_tail, lerch_via_hurwitz
-from .params import (EulerMaclaurinConfig, LerchParams, as_unit_fraction,
-                     check_height, check_unit, default_em_config)
+from .oracles import _decompose, _em_tail
+from .params import (EulerMaclaurinConfig, as_unit_fraction, check_height,
+                     check_unit, default_em_config)
 
 __all__ = ["T0", "METHODS", "MeanSquareRecord", "ExponentFit",
-           "critical_line_value", "mean_square_ladder",
-           "fit_residual_exponent"]
+           "mean_square_ladder", "fit_residual_exponent"]
 
 # Below t0 the meanSquare split has x < 1; the [1, t0] stub always goes
 # through the oracle route.
@@ -157,10 +156,10 @@ def _split_sum_integrand(alpha: float, lam: float, t_max: float,
                          partial: bool):
     """values(t_start, h, lo, hi) of the afe (or, with partial, the
     partialSum) integrand at s = 1/2 + i t_j with the meanSquare split, for
-    grids with t_j <= t_max.  The sums are the term row of the lerch kind,
-    or at lam = 1 of the hurwitz kind."""
-    (shift, freq), first, duals = split_kind(
-        "lerch" if lam < 1.0 else "hurwitz").terms(alpha, lam)
+    grids with t_j <= t_max.  The sums are the term row of the pair's kind,
+    kind_for(alpha, lam): lerch, or at lam = 1 hurwitz."""
+    (shift, freq), first, duals = split_kind(kind_for(alpha, lam)).terms(
+        alpha, lam)
     longest = choose_split(max(t_max, T0), "meanSquare")
     n = np.arange(int(longest.x) + 4, dtype=float)
     mf = np.log(n + shift)
@@ -210,31 +209,10 @@ def _oracle_integrand(alpha: float, lam: Fraction, cfg: EulerMaclaurinConfig):
         s = 0.5 + 1j * (t_start + h * np.arange(lo, hi))
         total = _dirichlet(w, f, t_start, h, lo, hi)
         for shift, phase in parts:
-            total += phase * sum(_em_tail(s, cfg.cutoff + shift,
-                                          cfg.bernoulli_terms))
+            total += phase * sum(_em_tail(s, cfg.cutoff + shift))
         return total * np.exp(-s * math.log(q)) if q > 1 else total
 
     return values
-
-
-def critical_line_value(t: float, alpha, lam, method: str = "afe") -> complex:
-    """zl(1/2 + it, alpha, lam) by the chosen route (see module docstring).
-
-    afe and partialSum need t >= t0 (the meanSquare split) and are the
-    mean-square integrand on a one-point grid; oracle needs rational lam,
-    works for any t > 0 and is the reference evaluator lerch_via_hurwitz.
-    """
-    if method not in METHODS:
-        raise DomainError(f"unknown method {method!r}")
-    t = check_height(t)
-    if method == "oracle":
-        return lerch_via_hurwitz(complex(0.5, t), alpha, lam).value
-    p = LerchParams(float(alpha), float(lam))
-    if t < T0:
-        raise DomainError(
-            f"method {method!r} needs t >= {T0} (meanSquare split), got {t:.6g}")
-    values = _split_sum_integrand(p.alpha, p.lam, t, method == "partialSum")
-    return complex(values(t, 0.0, 0, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +257,9 @@ def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
 
     Default checkpoints form the geometric ladder {T/8, T/4, T/2, T} clipped
     below at 20.  Checkpoints snap to the quadrature grid (within 2*step), and
-    the snapped T is what each record reports.  The integrand is evaluated
-    once on the fine grid of spacing <= step/2 and shared by all checkpoints.
+    the snapped T is what each record reports, once for all checkpoints that
+    snap to it.  The integrand is evaluated once on the fine grid of spacing
+    <= step/2 and shared by all checkpoints.
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}")
@@ -294,17 +273,16 @@ def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
     lam_float = float(lam_fraction)
 
     if checkpoints is None:
-        checkpoints = sorted({max(20.0, T / 8.0), max(20.0, T / 4.0),
-                              max(20.0, T / 2.0), T})
-    else:
-        checkpoints = sorted(set(float(c) for c in checkpoints))
-        if not all(20.0 <= c <= T for c in checkpoints):
-            raise DomainError(f"checkpoints must lie in [20, T], got {checkpoints}")
+        checkpoints = [max(20.0, T / d) for d in (8.0, 4.0, 2.0, 1.0)]
+    checkpoints = [float(c) for c in checkpoints]
+    if not all(20.0 <= c <= T for c in checkpoints):
+        raise DomainError(f"checkpoints must lie in [20, T], got {checkpoints}")
 
     # fine grid: spacing <= step/2, total interval count divisible by 4
     nf = 4 * math.ceil((T - T0) / (2.0 * step))
     h = (T - T0) / nf
-    idxs = [min(nf, 4 * round((c - T0) / (4.0 * h))) for c in checkpoints]
+    idxs = sorted({min(nf, 4 * round((c - T0) / (4.0 * h)))
+                   for c in checkpoints})
 
     if method == "oracle":
         values = _oracle_integrand(a_float, lam_fraction, default_em_config(T))

@@ -35,8 +35,8 @@ one-point calls are the table's one-sigma case.
 The continuation is one generator, ``_em_tail`` (cmath for a complex s,
 numpy for an array), and the regrouping one function, ``_decompose``; the
 mean-square grid integrand uses both.  The tests check them against mpmath.
-A component whose value is not finite (a term (n + a)^(-s) beyond double
-range, as for a < 1 at sigma = 800) raises OverflowError.
+A component whose value is not finite (a term beyond double range, as for
+a < 1 at sigma = 800 or for any a at sigma = -800) raises OverflowError.
 
 The reported error estimate combines the magnitude of the last correction
 term of the asymptotic series with a rounding-noise floor.  The floor matters:
@@ -82,7 +82,8 @@ def _bernoulli_over_factorial(kmax: int) -> tuple[float, ...]:
     return tuple(float(B[2 * k]) / factorial(2 * k) for k in range(kmax + 1))
 
 
-_B2K_OVER_FACT = _bernoulli_over_factorial(30)
+_BERNOULLI_TERMS = 15  # K, the number of B_{2k} corrections
+_B2K_OVER_FACT = _bernoulli_over_factorial(_BERNOULLI_TERMS)
 
 
 def _direct_sums(sigmas: Sequence[float], t: float, alpha: float, lam: float,
@@ -122,7 +123,7 @@ def lerch_direct(s: complex, params: LerchParams, terms: int) -> EvalResult:
     if terms < 1:
         raise DomainError(f"terms must be positive, got {terms}")
     sigma = s.real
-    if sigma <= 1.0 and params.is_hurwitz:
+    if sigma <= 1.0 and params.lam == 1.0:
         raise DomainError(
             "direct Hurwitz series needs sigma > 1 (no tail bound otherwise)")
     if sigma <= 0.0:
@@ -137,10 +138,10 @@ def lerch_direct(s: complex, params: LerchParams, terms: int) -> EvalResult:
     return EvalResult(value, tail, terms, 0, False)
 
 
-def _em_tail(s, na: float, terms: int):
+def _em_tail(s, na: float):
     """The Euler-Maclaurin continuation past the direct sum over n < N, with
     na = N + a: yields (N+a)^(1-s)/(s-1), (N+a)^(-s)/2, then
-    B_2k/(2k)! (s)_{2k-1} (N+a)^(-s-2k+1) for k = 1..terms, at a complex s
+    B_2k/(2k)! (s)_{2k-1} (N+a)^(-s-2k+1) for k = 1..K, at a complex s
     (cmath) or elementwise over an array of them (numpy)."""
     exp = cmath.exp if isinstance(s, complex) else np.exp
     log_na = math.log(na)
@@ -148,7 +149,7 @@ def _em_tail(s, na: float, terms: int):
     yield 0.5 * exp(-s * log_na)
     rising = s
     pow_na = exp((-s - 1.0) * log_na)
-    for k in range(1, terms + 1):
+    for k in range(1, _BERNOULLI_TERMS + 1):
         if k > 1:
             rising = rising * ((s + (2 * k - 3)) * (s + (2 * k - 2)))
             pow_na = pow_na / (na * na)
@@ -183,8 +184,10 @@ def _hurwitz_table(t: float, sigmas: Sequence[float], shifts: Iterable[float],
         with np.errstate(over="ignore", invalid="ignore"):
             sums = _direct_sums(sigmas, t, alpha, 0.0, N)
         for sigma, (value, abs_sum) in zip(sigmas, sums):
-            cont, half, *terms = _em_tail(complex(sigma, t), N + alpha,
-                                          cfg.bernoulli_terms)
+            try:
+                cont, half, *terms = _em_tail(complex(sigma, t), N + alpha)
+            except OverflowError:  # cmath: a term beyond double range,
+                cont, half, terms = math.inf, 0.0, ()  # reported below
             value += cont + half
             abs_sum += abs(cont) + abs(half)
             for term in terms:
@@ -203,7 +206,7 @@ def _hurwitz_table(t: float, sigmas: Sequence[float], shifts: Iterable[float],
             estimate = max(last, floor)
             reliable = bool(estimate <= 1e-10 * abs(value))
             table[sigma, alpha] = EvalResult(value, estimate, N,
-                                             cfg.bernoulli_terms, reliable)
+                                             _BERNOULLI_TERMS, reliable)
     return table
 
 
@@ -211,7 +214,7 @@ def hurwitz_euler_maclaurin(s: complex, alpha: float,
                             cfg: EulerMaclaurinConfig | None = None) -> EvalResult:
     """Euler-Maclaurin value of the Hurwitz zeta-function, any s != 1.
 
-    With N = cfg.cutoff and K = cfg.bernoulli_terms:
+    With N = cfg.cutoff and K = 15 (_BERNOULLI_TERMS):
 
         sum_{n<N} (n+a)^(-s)  +  (N+a)^(1-s)/(s-1)  +  (N+a)^(-s)/2
         + sum_{k<=K} B_{2k}/(2k)! (s)_{2k-1} (N+a)^(-s-2k+1)

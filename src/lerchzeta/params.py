@@ -94,35 +94,32 @@ class LerchParams:
         check_unit(self.alpha, "alpha")
         check_unit(self.lam, "lam")
 
-    @property
-    def is_hurwitz(self) -> bool:
-        return self.lam == 1.0
-
     def conjugate_pair(self) -> "LerchParams":
         """The parameters of the conjugated function: conj(zl(s, a, lam)) =
-        zl(conj(s), a, 1 - lam), with lam = 1 fixed."""
-        return LerchParams(self.alpha, 1.0 if self.lam == 1.0 else 1.0 - self.lam)
+        zl(conj(s), a, 1 - lam), with lam = 1 fixed.  Refused for a lam so
+        small that 1 - lam rounds to 1, which would change the kind."""
+        lam = 1.0 if self.lam == 1.0 else 1.0 - self.lam
+        if lam == 1.0 != self.lam:
+            raise DomainError(f"lam = {self.lam} is too small to mirror: "
+                              f"1 - lam rounds to 1")
+        return LerchParams(self.alpha, lam)
 
 
 @dataclass(frozen=True)
 class EulerMaclaurinConfig:
-    """Truncation parameters for the Euler-Maclaurin evaluator.
+    """Truncation of the Euler-Maclaurin evaluator.
 
-    ``cutoff`` is the direct-sum length N0; ``bernoulli_terms`` the number of
-    B_{2k} corrections.  The stability region requires
+    ``cutoff`` is the direct-sum length N0 (the number of B_{2k} corrections
+    is fixed, see oracles).  The stability region requires
     cutoff >= ceil(|t|) + 10 at height t, checked at call time.
     """
 
     cutoff: int
-    bernoulli_terms: int = 15
 
     def __post_init__(self):
         if not 1 <= self.cutoff <= MAX_TERMS:
             raise ConfigError(f"cutoff must lie in 1..{MAX_TERMS} (MAX_TERMS), "
                               f"got {self.cutoff}")
-        if not 1 <= self.bernoulli_terms <= 30:
-            raise ConfigError(
-                f"bernoulli_terms must be in 1..30, got {self.bernoulli_terms}")
 
     def check_height(self, t: float) -> None:
         need = math.ceil(abs(t)) + 10
@@ -133,11 +130,9 @@ class EulerMaclaurinConfig:
 
 
 def default_em_config(t: float) -> EulerMaclaurinConfig:
-    """Default truncation at height t: cutoff = max(2*ceil(|t|), 50), 15
-    Bernoulli terms.  Keeps the asymptotic correction series decaying for
-    |t| <= 1e3."""
-    return EulerMaclaurinConfig(cutoff=max(2 * math.ceil(abs(t)), 50),
-                                bernoulli_terms=15)
+    """Default truncation at height t: cutoff = max(2*ceil(|t|), 50).  Keeps
+    the asymptotic correction series decaying for |t| <= 1e3."""
+    return EulerMaclaurinConfig(cutoff=max(2 * math.ceil(abs(t)), 50))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """Split-sum evaluators, splits, envelopes, calibration plumbing."""
 
 import math
+import struct
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lerchzeta import (AfeSplit, ConfigError, DomainError, LerchParams,
                        afe_eval, afe_lerch, choose_split, error_envelope,
@@ -13,8 +16,8 @@ from lerchzeta import (AfeSplit, ConfigError, DomainError, LerchParams,
 from lerchzeta import afe
 from lerchzeta.afe import (CALIBRATED_T, DEFAULT_CFIT, CalibrationPoint,
                            default_calibration_grid, envelope_fit,
-                           envelope_scan, kind_pairs, read_calibration,
-                           reload_calibration, write_calibration)
+                           envelope_scan, kind_for, read_calibration,
+                           reload_calibration, split_kind, write_calibration)
 from lerchzeta.params import MAX_HEIGHT
 
 TWO_PI = 2.0 * math.pi
@@ -318,19 +321,84 @@ class TestKindPairs:
     def test_pairs_in_row_order(self):
         q, h, tq, one = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4),
                          Fraction(1))
-        assert kind_pairs("lerch") == [(a, l) for a in (q, h, tq, one)
-                                       for l in (q, h, tq)]
-        assert kind_pairs("hurwitz") == [(q, one), (h, one), (tq, one),
-                                         (one, one)]
-        assert kind_pairs("riemann") == [(one, one)]
-        with pytest.raises(DomainError):
-            kind_pairs("weird")
+        assert split_kind("lerch").pairs == tuple(
+            (a, l) for a in (q, h, tq, one) for l in (q, h, tq))
+        assert split_kind("hurwitz").pairs == ((q, one), (h, one), (tq, one),
+                                               (one, one))
+        assert split_kind("riemann").pairs == ((one, one),)
+        # the fecheck grid leaves out alpha = 1 except for riemann
+        for kind in ("lerch", "hurwitz"):
+            assert split_kind(kind).fe_pairs == tuple(
+                (a, l) for a, l in split_kind(kind).pairs if a < 1)
+        assert split_kind("riemann").fe_pairs == ((one, one),)
 
     @pytest.mark.parametrize("kind", ["lerch", "hurwitz", "riemann"])
     def test_calibration_grid_uses_them(self, kind):
         grid = default_calibration_grid(kind)
-        pairs = [(float(a), l) for a, l in kind_pairs(kind)]
+        pairs = [(float(a), l) for a, l in split_kind(kind).pairs]
         assert [(pt.alpha, pt.lam) for pt in grid[:len(pairs)]] == pairs
+
+
+# alpha and lam in (0, 1], with the boundary value 1 drawn often: it is
+# where the kinds part
+_UNIT = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+_SIGMA = st.floats(0.0, 1.0)
+_T = st.floats(40.0, 1100.0)
+
+# the rule each kind states, written out here independently of the record
+_TAKES = {"lerch": lambda a, l: l < 1.0, "hurwitz": lambda a, l: l == 1.0,
+          "riemann": lambda a, l: a == 1.0 and l == 1.0}
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+class TestKindRule:
+    """Which (alpha, lam) each kind takes, stated once in the kind record."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(afe.KINDS), alpha=_UNIT, lam=_UNIT,
+           sigma=_SIGMA, t=_T)
+    def test_afe_eval_refuses_exactly_what_the_record_refuses(
+            self, kind, alpha, lam, sigma, t):
+        assert split_kind(kind).takes(alpha, lam) == _TAKES[kind](alpha, lam)
+        s, split = complex(sigma, t), choose_split(t)
+        if _TAKES[kind](alpha, lam):
+            afe_eval(kind, s, alpha, lam, split)
+        else:
+            with pytest.raises(DomainError, match=f"no {kind!r} split sum"):
+                afe_eval(kind, s, alpha, lam, split)
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=_UNIT, lam=_UNIT)
+    def test_kind_for_picks_lerch_or_hurwitz(self, alpha, lam):
+        assert kind_for(alpha, lam) == ("hurwitz" if lam == 1.0 else "lerch")
+
+    def test_kind_for_refuses_parameters_outside_the_unit_interval(self):
+        for alpha, lam in ((0.5, 0.0), (0.5, 1.5), (0.0, 0.5), (0.5, math.nan)):
+            with pytest.raises(DomainError):
+                kind_for(alpha, lam)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(afe.KINDS), alpha=_UNIT, lam=_UNIT,
+           sigma=_SIGMA, t=_T)
+    @example(kind="lerch", alpha=0.5, lam=1e-17, sigma=0.5, t=100.0)
+    def test_conjugation_mirror_bit_for_bit(self, kind, alpha, lam, sigma, t):
+        # conj(zl(s, a, lam)) = zl(conj(s), a, 1 - lam), with lam = 1 kept
+        alpha = 1.0 if kind == "riemann" else alpha
+        lam = lam if kind == "lerch" else 1.0
+        assume(_TAKES[kind](alpha, lam))
+        s, split = complex(sigma, t), choose_split(t)
+        mirror = 1.0 if lam == 1.0 else 1.0 - lam
+        if mirror == 1.0 != lam:
+            # 1 - lam rounds to 1: no lerch pair to mirror to
+            with pytest.raises(DomainError, match="too small to mirror"):
+                afe_eval(kind, s.conjugate(), alpha, lam, split)
+            return
+        got = afe_eval(kind, s.conjugate(), alpha, lam, split).value
+        want = afe_eval(kind, s, alpha, mirror, split).value.conjugate()
+        assert _bits(got) == _bits(want)
 
 
 class TestEnvelopeFit:

@@ -424,12 +424,16 @@ class TestNonFiniteValue:
 
     @pytest.mark.parametrize("argv", [
         ("--sigma=800", "--method", "oracle", "--strict"),
-        ("--sigma=-1e308", "--method", "fe")], ids=["oracle", "fe"])
+        ("--sigma=-1e308", "--method", "fe"),
+        ("--sigma=-800", "--method", "oracle"),
+        ("--sigma=800", "--method", "fe")],
+        ids=["oracle", "fe", "oracle-continuation", "fe-continuation"])
     def test_exits_2(self, capsys, argv):
         code, out, err = run(capsys, "eval", *argv, "--t", "1", "--alpha",
                              "1/2", "--lambda", "1/2")
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "zetaH(" in err and "beyond double range" in err
 
 
 class TestBadFlags:

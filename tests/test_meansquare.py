@@ -8,55 +8,15 @@ import numpy as np
 import pytest
 
 from lerchzeta import (ConfigError, DomainError, EulerMaclaurinConfig,
-                       afe_eval, critical_line_value, error_envelope,
-                       fit_residual_exponent, get_cfit,
-                       hurwitz_euler_maclaurin, lerch_via_hurwitz,
+                       afe_eval, error_envelope, fit_residual_exponent,
+                       get_cfit, hurwitz_euler_maclaurin, lerch_via_hurwitz,
                        mean_square_ladder)
 from lerchzeta.afe import choose_split
 from lerchzeta.meansquare import (_BLOCK, T0, _dirichlet, _oracle_integrand,
                                   _split_sum_integrand)
+from lerchzeta.params import default_em_config
 
 TWO_PI = 2.0 * math.pi
-
-
-class TestCriticalLineValue:
-    def test_afe_vs_oracle_within_envelope(self):
-        t = 100.0
-        v_afe = critical_line_value(t, Fraction(1, 2), Fraction(1, 2), "afe")
-        v_orc = critical_line_value(t, Fraction(1, 2), Fraction(1, 2), "oracle")
-        bound = get_cfit("lerch") * error_envelope(
-            "lerch", complex(0.5, t), choose_split(t, "meanSquare")).total
-        assert abs(v_afe - v_orc) <= bound
-
-    def test_partial_sum_drops_bounded_remainder(self):
-        t = 100.0
-        v_ps = critical_line_value(t, Fraction(1, 2), Fraction(1, 2), "partialSum")
-        v_orc = critical_line_value(t, Fraction(1, 2), Fraction(1, 2), "oracle")
-        assert abs(v_ps - v_orc) <= 5.0  # the dropped part is O(1)-class
-
-    def test_riemann_case_is_zeta(self):
-        t = 57.0
-        v = critical_line_value(t, Fraction(1), Fraction(1), "oracle")
-        assert v == hurwitz_euler_maclaurin(complex(0.5, t), 1.0).value
-
-    def test_afe_matches_module_evaluator(self):
-        # the cached-table evaluator and the generic split-sum value must be
-        # the same function up to rounding
-        for (a, l) in ((0.5, 0.5), (1.0, 1.0), (0.75, 0.25)):
-            for t in (50.0, 333.0, 1777.0):
-                fast = critical_line_value(t, a, l, "afe")
-                sp = choose_split(t, "meanSquare")
-                kind = "hurwitz" if l == 1.0 else "lerch"
-                slow = afe_eval(kind, complex(0.5, t), a, l, sp).value
-                assert fast == pytest.approx(slow, abs=1e-10 * (1 + abs(slow)))
-
-    def test_below_threshold_rejected(self):
-        with pytest.raises(DomainError):
-            critical_line_value(5.0, Fraction(1, 2), Fraction(1, 2), "afe")
-
-    def test_oracle_needs_rational(self):
-        with pytest.raises(DomainError):
-            critical_line_value(50.0, 0.5, 1 / 3, "oracle")
 
 
 class TestMeanSquareIntegral:
@@ -119,6 +79,12 @@ class TestMeanSquareIntegral:
         with pytest.raises(DomainError):
             mean_square_ladder(15.0, Fraction(1), Fraction(1),
                                checkpoints=[15.0])
+
+    def test_one_record_per_snapped_checkpoint(self):
+        # 20 and 20.001 snap to the same grid point (spacing 0.025)
+        recs = mean_square_ladder(40.0, 0.5, 0.5, step=0.05,
+                                  checkpoints=[20.0, 20.001, 40.0, 20.0])
+        assert [r.T for r in recs] == [20.0, 40.0]
 
     def test_irrational_lambda_rejected(self):
         with pytest.raises(DomainError):
@@ -192,8 +158,10 @@ class TestGridKernel:
         want = (self.W[:37] * np.exp(-1j * t * self.F[:37])).sum()
         assert got == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
 
-    @pytest.mark.parametrize("t_step", [_x_step(20.0), math.exp(4.0)],
-                             ids=["floor-x-steps", "floor-y-steps"])
+    @pytest.mark.parametrize("t_step", [_x_step(20.0), math.exp(4.0),
+                                        _x_step(103.0)],
+                             ids=["floor-x-steps", "floor-y-steps",
+                                  "floor-x-steps-near-1777"])
     @pytest.mark.parametrize("alpha,lam", [(0.5, 0.5), (0.75, 0.25), (1.0, 1.0),
                                            (1 / 3, 1.0)])
     def test_split_sum_integrand_matches_afe(self, t_step, alpha, lam):
@@ -216,6 +184,14 @@ class TestGridKernel:
             assert partial[j] == pytest.approx(direct,
                                                abs=1e-10 * (1 + abs(direct)))
 
+    def test_partial_sum_drops_bounded_remainder(self):
+        # the partialSum integrand at one point: the bare main sum, whose
+        # dropped remainder (the dual sums) is O(1)-class for a < 1
+        t = 100.0
+        (v_ps,) = _split_sum_integrand(0.5, 0.5, t, True)(t, 0.0, 0, 1)
+        v_orc = lerch_via_hurwitz(complex(0.5, t), 0.5, Fraction(1, 2)).value
+        assert abs(v_ps - v_orc) <= 5.0
+
     @pytest.mark.parametrize("t_start,cutoff", [(1.0, 50), (270.0, 600)],
                              ids=["stub", "ladder"])
     @pytest.mark.parametrize("alpha,lam", [(0.5, Fraction(1, 2)),
@@ -225,12 +201,25 @@ class TestGridKernel:
                                                         alpha, lam):
         h = 0.01
         n = _BLOCK + 3
-        cfg = EulerMaclaurinConfig(cutoff=cutoff, bernoulli_terms=15)
+        cfg = EulerMaclaurinConfig(cutoff=cutoff)
         got = _oracle_integrand(alpha, lam, cfg)(t_start, h, 0, n)
         for j in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, n - 1):
             want = lerch_via_hurwitz(complex(0.5, t_start + h * j), alpha, lam,
                                      cfg).value
             assert got[j] == pytest.approx(want, abs=1e-11 * (1 + abs(want)))
+
+
+class TestCriticalLineValue:
+    """The value the mean square integrates, at one point of the line."""
+
+    def test_riemann_case_is_zeta(self):
+        # the oracle integrand at (alpha, lam) = (1, 1), with the cutoff
+        # mean_square_ladder uses, is zeta(1/2 + i t)
+        t = 57.0
+        (v,) = _oracle_integrand(1.0, Fraction(1), default_em_config(t))(
+            t, 0.0, 0, 1)
+        want = hurwitz_euler_maclaurin(complex(0.5, t), 1.0).value
+        assert v == pytest.approx(want, abs=1e-11 * (1 + abs(want)))
 
 
 class TestExponentFit:
