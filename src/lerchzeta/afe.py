@@ -52,8 +52,10 @@ only t > 0 is computed directly.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, product
@@ -76,9 +78,9 @@ __all__ = ["AfeSplit", "ErrorEnvelope", "CalibrationPoint", "SplitKind",
 # Envelope constants measured by ``envelope_fit`` on the default grids
 # (see default_calibration_grid); regenerate with the `calibrate` command.
 DEFAULT_CFIT = {
-    "lerch": 2.2309988976348705,
-    "hurwitz": 0.49472446361980826,
-    "riemann": 1.2749107644931741,
+    "lerch": 2.2309988976347808,
+    "hurwitz": 0.4947244636198066,
+    "riemann": 1.2749107644931899,
 }
 
 _SPLIT_RTOL = 1e-12
@@ -201,6 +203,9 @@ _memo = _HeightMemo()
 # sums) would otherwise stay held until the next height.
 _MEMO_TERMS = 1024
 
+# exp overflows above this argument
+_LOG_MAX = math.log(sys.float_info.max)
+
 
 def _power_sum(s_exp: complex, shift: float, weight_freq: float,
                first: int, last: int) -> complex:
@@ -218,6 +223,11 @@ def _power_sum(s_exp: complex, shift: float, weight_freq: float,
             phases = np.exp(1j * (s_exp.imag * logs + TWO_PI * weight_freq * n))
             if keep:
                 _memo.phases[pkey] = logs, phases
+        if s_exp.real * logs[0] > _LOG_MAX:
+            # Re s_exp <= 0 (afe_eval keeps 0 <= sigma <= 1), so the first
+            # term is the largest; beyond double range, the sum is infinite
+            # and afe_eval raises, where numpy would warn and go on
+            return complex(math.inf)
         terms = np.exp(s_exp.real * logs) * phases
         if keep:
             _memo.terms[key] = terms
@@ -326,8 +336,8 @@ def afe_eval(kind: str, s: complex, alpha: float, lam: float, split: AfeSplit,
     params = LerchParams(alpha, lam)
     if not spec.takes(alpha, lam):
         raise DomainError(
-            f"no {kind!r} split sum at (alpha, lam) = ({alpha}, {lam}): lerch "
-            f"takes 0 < lam < 1, hurwitz lam = 1, riemann alpha = lam = 1")
+            f"no {kind!r} split sum at (alpha, lam) = ({alpha}, {lam}); "
+            f"the {kind_for(alpha, lam)!r} kind takes it")
     split.check_for(s)
     z = s
     if s.imag < 0.0:
@@ -340,6 +350,9 @@ def afe_eval(kind: str, s: complex, alpha: float, lam: float, split: AfeSplit,
     for shift, freq, phase in duals:
         value += _dual_factor(z, phase) * _power_sum(z - 1.0, shift, freq,
                                                      first, N)
+    if not cmath.isfinite(value):
+        raise OverflowError(f"{kind} split sum at s = {s}, (alpha, lam) = "
+                            f"({alpha}, {lam}) is beyond double range")
     if c_fit is None:
         c_fit = get_cfit(kind)
     est = c_fit * error_envelope(kind, s, split).total

@@ -20,9 +20,10 @@ The afe integrand is biased at the order of the second main term c T: at
 T = 2000 its residual/T sits above the oracle's by 0.34 for
 (alpha, lam) = (1/2, 1/2) and by 0.99 for (1/4, 3/4).  The meanSquare split
 has y = sqrt(log t) ~ 2.8 there, so the envelope term y^(-1/2) ~ 0.6 is not
-small.  Measured T = 2000 ladder times (2-core Xeon, Python 3.11.7,
-numpy 2.4.6): afe 1.1-1.2 s and oracle 2.9-3.3 s at (1/2, 1/2); afe
-1.1-1.4 s and oracle 4.9-5.5 s at (1/4, 3/4).
+small.  Measured T = 2000 ladder times, whole `meansquare` command
+(2-core shared Xeon, Python 3.11.7, numpy 2.4.6): afe 2.1-2.8 s at both
+(1/2, 1/2) and (1/4, 3/4); oracle 1.9-2.5 s at (1/2, 1/2) and 3.6-4.4 s
+at (1/4, 3/4).
 
 The meanSquare split needs x >= 1, which forces t >= t0 = 10; the stub
 [1, t0] is always integrated with the oracle route (contribution is O(10)

@@ -38,15 +38,18 @@ mean-square grid integrand uses both.  The tests check them against mpmath.
 A component whose value is not finite (a term beyond double range, as for
 a < 1 at sigma = 800 or for any a at sigma = -800) raises OverflowError.
 
-The reported error estimate combines the magnitude of the last correction
-term of the asymptotic series with a rounding-noise floor.  The floor matters:
-at |t| ~ 1e3 the truncation term is ~1e-34 while the accumulated phase
-rounding of the direct sum is ~1e-12, and the estimate must bound what a
-refined computation would actually change.  It does not cover the rounding of
-alpha (and of the shifts (r + alpha)/q) to doubles: at s = 1 + 1000i the
-alpha-derivative is about 1e4, and the value at the double nearest 1/3
-differs from mpmath.zeta(s, 1/3) (exact third, 30 digits) by 1.09 times the
-estimate, against 0.75 times for mpmath.zeta(s, float(1/3)).
+The default cutoff is the least the stability check accepts,
+N = ceil(|t|) + 10 (at least 50; params.default_em_config), and the
+15 corrections then end far below rounding: at |t| ~ 1e3 the last one is
+~5e-26.  So the estimate is in practice the rounding floor, ~1e-12 there:
+the phase error of t log(n + a), decorrelated across n, plus that of the
+n = 0 term a^(-s) alone, which dominates at a small shift a.  The estimate
+must bound what a refined computation would actually change.  It does not
+cover the rounding of alpha (and of the shifts (r + alpha)/q) to doubles: at
+s = 1 + 1000i the alpha-derivative is about 1e4, and the value at the double
+nearest 1/3 differs from mpmath.zeta(s, 1/3) (exact third, 30 digits) by
+0.39 times the estimate, against 0.27 times for
+mpmath.zeta(s, float(1/3)).
 """
 
 from __future__ import annotations
@@ -200,9 +203,16 @@ def _hurwitz_table(t: float, sigmas: Sequence[float], shifts: Iterable[float],
                     f"double range")
 
             # Rounding floor: pairwise-summation noise plus the phase error of
-            # computing t*log(n+a) for each term, decorrelated across n.
-            floor = _EPS * abs_sum * (8.0 + math.log2(N + 1)
-                                      + abs(t) * math.log(N + 2.0) / math.sqrt(N))
+            # computing t*log(n+a) for each term, decorrelated across n, plus
+            # that of the n = 0 term a^(-s) on its own: at a small shift it
+            # outweighs all the others together.
+            try:
+                lead = alpha ** -sigma
+            except OverflowError:  # within an ulp of the double range, where
+                lead = math.inf    # the direct sum rounded its n = 0 term down
+            floor = _EPS * (abs_sum * (8.0 + math.log2(N + 1)
+                                       + abs(t) * math.log(N + 2.0) / math.sqrt(N))
+                            + abs(t * math.log(alpha)) * lead)
             estimate = max(last, floor)
             reliable = bool(estimate <= 1e-10 * abs(value))
             table[sigma, alpha] = EvalResult(value, estimate, N,

@@ -31,8 +31,8 @@ MAX_HEIGHT = 1e15
 
 # The most terms any one sum may take: a split length x or y, or an
 # Euler-Maclaurin cutoff.  The balanced split at MAX_HEIGHT has
-# x = y = 1.26e7, so it fits; the oracle's cutoff 2 ceil(|t|) stops near
-# |t| = 1e7 and the meanSquare split's x near t = 5.6e8.  Above it a sum
+# x = y = 1.26e7, so it fits; the oracle's cutoff ceil(|t|) + 10 stops near
+# |t| = 2e7 and the meanSquare split's x near t = 5.6e8.  Above it a sum
 # would take minutes or allocate gigabytes.
 MAX_TERMS = 20_000_000
 
@@ -111,7 +111,8 @@ class EulerMaclaurinConfig:
 
     ``cutoff`` is the direct-sum length N0 (the number of B_{2k} corrections
     is fixed, see oracles).  The stability region requires
-    cutoff >= ceil(|t|) + 10 at height t, checked at call time.
+    cutoff >= _stable_cutoff(t) = ceil(|t|) + 10 at height t, checked at
+    call time.
     """
 
     cutoff: int
@@ -122,17 +123,27 @@ class EulerMaclaurinConfig:
                               f"got {self.cutoff}")
 
     def check_height(self, t: float) -> None:
-        need = math.ceil(abs(t)) + 10
+        need = _stable_cutoff(t)
         if self.cutoff < need:
             raise ConfigError(
                 f"cutoff {self.cutoff} below stability threshold {need} "
                 f"for |t| = {abs(t):.6g}")
 
 
+def _stable_cutoff(t: float) -> int:
+    """The least cutoff the Euler-Maclaurin evaluator accepts at height t,
+    ceil(|t|) + 10.  There |s|/(2 pi (N + a)) <= 1/(2 pi) for sigma in the
+    strip, so each of the B_{2k} corrections is at most about (2 pi)^-2
+    times the one before it."""
+    return math.ceil(abs(t)) + 10
+
+
 def default_em_config(t: float) -> EulerMaclaurinConfig:
-    """Default truncation at height t: cutoff = max(2*ceil(|t|), 50).  Keeps
-    the asymptotic correction series decaying for |t| <= 1e3."""
-    return EulerMaclaurinConfig(cutoff=max(2 * math.ceil(abs(t)), 50))
+    """Default truncation at height t: the least stable cutoff, and at least
+    50, so max(ceil(|t|) + 10, 50).  The 15 corrections then end more than
+    ten orders of magnitude below the rounding floor, and every extra term
+    would only add rounding."""
+    return EulerMaclaurinConfig(cutoff=max(_stable_cutoff(t), 50))
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,13 @@ class TestAfeEval:
         with pytest.raises(DomainError):
             afe_eval(kind, complex(0.5, 100.0), alpha, lam, choose_split(100.0))
 
+    @pytest.mark.parametrize("kind, alpha, lam, taker", [
+        ("riemann", 0.5, 1.0, "hurwitz"), ("hurwitz", 0.5, 0.5, "lerch")])
+    def test_refusal_names_the_kind_that_takes_the_pair(self, kind, alpha,
+                                                        lam, taker):
+        with pytest.raises(DomainError, match=f"the '{taker}' kind takes it"):
+            afe_eval(kind, complex(0.5, 100.0), alpha, lam, choose_split(100.0))
+
 
 def _memo_points(kind, t):
     """Points at one height: every sigma, pair and split, with the splits in
@@ -360,12 +367,18 @@ class TestKindRule:
     @settings(max_examples=200, deadline=None)
     @given(kind=st.sampled_from(afe.KINDS), alpha=_UNIT, lam=_UNIT,
            sigma=_SIGMA, t=_T)
+    @example(kind="lerch", alpha=1.0, lam=5e-324, sigma=0.0, t=40.0)
     def test_afe_eval_refuses_exactly_what_the_record_refuses(
             self, kind, alpha, lam, sigma, t):
         assert split_kind(kind).takes(alpha, lam) == _TAKES[kind](alpha, lam)
         s, split = complex(sigma, t), choose_split(t)
         if _TAKES[kind](alpha, lam):
-            afe_eval(kind, s, alpha, lam, split)
+            try:
+                afe_eval(kind, s, alpha, lam, split)
+            except OverflowError:
+                # only a shift near the bottom of the double range makes an
+                # n = 0 term alpha^(-s) or lam^(s-1) overflow
+                assert min(alpha, lam) < 1e-300
         else:
             with pytest.raises(DomainError, match=f"no {kind!r} split sum"):
                 afe_eval(kind, s, alpha, lam, split)
@@ -384,6 +397,7 @@ class TestKindRule:
     @given(kind=st.sampled_from(afe.KINDS), alpha=_UNIT, lam=_UNIT,
            sigma=_SIGMA, t=_T)
     @example(kind="lerch", alpha=0.5, lam=1e-17, sigma=0.5, t=100.0)
+    @example(kind="hurwitz", alpha=1e-320, lam=1.0, sigma=1.0, t=100.0)
     def test_conjugation_mirror_bit_for_bit(self, kind, alpha, lam, sigma, t):
         # conj(zl(s, a, lam)) = zl(conj(s), a, 1 - lam), with lam = 1 kept
         alpha = 1.0 if kind == "riemann" else alpha
@@ -396,8 +410,14 @@ class TestKindRule:
             with pytest.raises(DomainError, match="too small to mirror"):
                 afe_eval(kind, s.conjugate(), alpha, lam, split)
             return
+        try:
+            want = afe_eval(kind, s, alpha, mirror, split).value.conjugate()
+        except OverflowError:
+            # a value beyond double range is one on both sides of the mirror
+            with pytest.raises(OverflowError):
+                afe_eval(kind, s.conjugate(), alpha, lam, split)
+            return
         got = afe_eval(kind, s.conjugate(), alpha, lam, split).value
-        want = afe_eval(kind, s, alpha, mirror, split).value.conjugate()
         assert _bits(got) == _bits(want)
 
 

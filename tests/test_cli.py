@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -434,6 +435,25 @@ class TestNonFiniteValue:
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "zetaH(" in err and "beyond double range" in err
+
+    @pytest.mark.parametrize("kind, lam", [("lerch", 0.5), ("hurwitz", 1.0)])
+    def test_split_sum_raises(self, kind, lam):
+        # at sigma = 1 the n = 0 term 1/alpha of the main sum overflows; the
+        # sum used to come back as inf - inf i and be called reliable
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=rf"{kind} split sum at "
+                               r"s = \(1\+100j\).* beyond double range"):
+                afe_eval(kind, complex(1.0, 100.0), 1e-320, lam,
+                         choose_split(100.0))
+
+    def test_split_sum_exits_2(self, capsys):
+        code, out, err = run(capsys, "eval", "--sigma", "1", "--t", "100",
+                             "--alpha", "1e-320", "--lambda", "1/2")
+        assert code == 2 and out == ""
+        # the first line warns that alpha is irrational
+        assert err.splitlines()[-1].startswith("error: lerch split sum")
+        assert "beyond double range" in err
 
 
 class TestBadFlags:

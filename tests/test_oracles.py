@@ -3,6 +3,7 @@ decomposition."""
 
 import cmath
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -87,10 +88,32 @@ class TestHurwitzEulerMaclaurin:
                 with pytest.raises(OverflowError, match=beyond):
                     lerch_via_hurwitz(s, 0.5, Fraction(1, 2))
 
+    def test_leading_term_at_the_edge_of_double_range(self):
+        # at a = 1/DBL_MAX the direct sum keeps a^(-1) finite while a ** -1
+        # overflows; the floor then makes the estimate infinite, no error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = hurwitz_euler_maclaurin(complex(1.0, 10.0),
+                                          1.0 / sys.float_info.max)
+        assert cmath.isfinite(res.value) and not res.reliable
+
     def test_cutoff_stability_precondition(self):
         with pytest.raises(ConfigError):
             hurwitz_euler_maclaurin(complex(0.5, 300.0), 0.5,
                                     EulerMaclaurinConfig(cutoff=100))
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, -7.5, 39.2, 40.0, 40.5, 333.3,
+                                   -2000.0, 1e4 + 0.5])
+    def test_default_cutoff_is_the_least_stable_one(self, t):
+        # from |t| = 40 on, the default is the least cutoff the stability
+        # check accepts; below it, the floor 50
+        cutoff = default_em_config(t).cutoff
+        EulerMaclaurinConfig(cutoff).check_height(t)
+        if abs(t) < 40.0:
+            assert cutoff == 50
+        else:
+            with pytest.raises(ConfigError):
+                EulerMaclaurinConfig(cutoff - 1).check_height(t)
 
     def test_alpha_range(self):
         with pytest.raises(DomainError):
@@ -228,6 +251,20 @@ class TestContinuationAgainstMpmath:
         for alpha in self.ALPHAS:
             res = hurwitz_euler_maclaurin(s, alpha)
             assert abs(res.value - self.zeta(s, alpha)) <= res.error_estimate
+
+    @pytest.mark.parametrize("t", [40.0, 333.3, 2000.0, 1e4])
+    def test_default_cutoff_within_error_estimate(self, t):
+        # the least stable cutoff, down to small shifts: there the n = 0 term
+        # a^(-s) outweighs the rest, and the rounding of its phase t log a is
+        # not averaged away (1/4096 is a shift of lerch_via_hurwitz at
+        # alpha = 1/64, lam = 1/64)
+        for sigma in (0.0, 0.5, 1.0):
+            s = complex(sigma, t)
+            for alpha in (1 / 4096, 1 / 64, 1 / 16, 0.25, 1 / 3, 0.5, 1.0):
+                res = hurwitz_euler_maclaurin(s, alpha)
+                assert res.main_terms == math.ceil(t) + 10
+                assert abs(res.value - self.zeta(s, alpha)) \
+                    <= res.error_estimate
 
     @pytest.mark.parametrize("t_start,h,cfg", [
         (1.0, 9.0 / (_BLOCK + 2), EulerMaclaurinConfig(cutoff=50)),
