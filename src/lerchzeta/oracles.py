@@ -184,7 +184,7 @@ def _hurwitz_table(t: float, sigmas: Sequence[float], shifts: Iterable[float],
     for alpha in shifts:
         # a term beyond double range makes its value non-finite, which
         # raises below, so numpy's warnings would only repeat the error
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             sums = _direct_sums(sigmas, t, alpha, 0.0, N)
         for sigma, (value, abs_sum) in zip(sigmas, sums):
             try:

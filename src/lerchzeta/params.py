@@ -32,8 +32,10 @@ MAX_HEIGHT = 1e15
 # The most terms any one sum may take: a split length x or y, or an
 # Euler-Maclaurin cutoff.  The balanced split at MAX_HEIGHT has
 # x = y = 1.26e7, so it fits; the oracle's cutoff ceil(|t|) + 10 stops near
-# |t| = 2e7 and the meanSquare split's x near t = 5.6e8.  Above it a sum
-# would take minutes or allocate gigabytes.
+# |t| = 2e7 and the meanSquare split's x near t = 5.6e8.  It also bounds
+# the points of a mean-square grid (T near 2e5 at the default step) and
+# the terms of the oracle integrand at one point, q times the cutoff.
+# Above it a sum or grid would take minutes or allocate gigabytes.
 MAX_TERMS = 20_000_000
 
 # |z - nearest pole| below this counts as "at the pole".

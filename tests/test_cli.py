@@ -394,9 +394,12 @@ class TestHeightBound:
 
 
 class TestTermBound:
-    """A sum longer than params.MAX_TERMS exits 2 before anything is
-    allocated.  Before the bound, the oracle at t = 1e9 did not return and
-    the meanSquare split at t = 1e12 asked numpy for 226 GiB."""
+    """A sum longer than params.MAX_TERMS, a mean-square grid with more
+    points, or an oracle integrand with more terms over all q components
+    exits 2 before anything is allocated.  Before the bound, the oracle at
+    t = 1e9 did not return and the meanSquare split at t = 1e12 asked numpy
+    for 226 GiB; before the grid and component bounds, step 1e-9 (2e10
+    points) and T = 1e7 at q = 64 (6.4e8 logs, 5.1 GB) ran past 20 s."""
 
     @pytest.mark.parametrize("argv", [
         ("eval", "--sigma", "0.5", "--t", "1e9", "--method", "oracle"),
@@ -404,9 +407,17 @@ class TestTermBound:
         ("eval", "--sigma", "0.5", "--t", "1e12", "--split", "meansquare"),
         ("eval", "--sigma", "0.5", "--t", "1e12", "--split", "x=1e9"),
         ("meansquare", "--T", "1e12"),
-        ("meansquare", "--T", "1e9", "--method", "oracle")],
+        ("meansquare", "--T", "1e9", "--method", "oracle"),
+        ("meansquare", "--T", "20", "--step", "1e-9"),
+        ("meansquare", "--T", "1e7", "--method", "oracle", "--lambda",
+         "1/64"),
+        # 1.6e7 grid points pass; 64 x 400,010 terms per point do not
+        ("meansquare", "--T", "4e5", "--step", "0.05", "--method", "oracle",
+         "--lambda", "1/64")],
         ids=["eval-oracle", "eval-fe", "eval-meansquare-split",
-             "eval-given-split", "meansquare-afe", "meansquare-oracle"])
+             "eval-given-split", "meansquare-afe", "meansquare-oracle",
+             "meansquare-grid", "meansquare-grid-q64",
+             "meansquare-oracle-components"])
     def test_beyond_max_terms_exits_2(self, capsys, argv):
         tracemalloc.start()
         try:
@@ -454,6 +465,32 @@ class TestNonFiniteValue:
         # the first line warns that alpha is irrational
         assert err.splitlines()[-1].startswith("error: lerch split sum")
         assert "beyond double range" in err
+
+
+    @pytest.mark.parametrize("alpha, method", [
+        ("1e-320", "afe"), ("1e-320", "partialSum"), ("5e-324", "oracle")])
+    def test_mean_square_exits_2(self, capsys, alpha, method):
+        # at 1e-320 the integrand's n = 0 term is finite but its square is
+        # not; at 5e-324 the oracle's shift alpha/2 rounds to 0.  Both used
+        # to print nan integrals and exit 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "meansquare", "--T", "20", "--alpha",
+                                 alpha, "--lambda", "1/2", "--method", method,
+                                 "--no-meta")
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == (
+            f"error: {method} mean square at (alpha, lam) = "
+            f"({float(alpha)}, 0.5) is beyond double range")
+
+    def test_zero_shift_oracle_exits_2_without_a_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "eval", "--method", "oracle",
+                                 "--sigma", "0.5", "--t", "20", "--alpha",
+                                 "5e-324", "--lambda", "1/2")
+        assert code == 2 and out == ""
+        assert "zetaH((0.5+20j), 0) is beyond double range" in err
 
 
 class TestBadFlags:

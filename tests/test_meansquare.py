@@ -12,8 +12,8 @@ from lerchzeta import (ConfigError, DomainError, EulerMaclaurinConfig,
                        get_cfit, hurwitz_euler_maclaurin, lerch_via_hurwitz,
                        mean_square_ladder)
 from lerchzeta.afe import choose_split
-from lerchzeta.meansquare import (_BLOCK, T0, _dirichlet, _oracle_integrand,
-                                  _split_sum_integrand)
+from lerchzeta.meansquare import (_BLOCK, _CHUNK, T0, _dirichlet,
+                                  _oracle_integrand, _split_sum_integrand)
 from lerchzeta.params import default_em_config
 
 TWO_PI = 2.0 * math.pi
@@ -69,6 +69,24 @@ class TestMeanSquareIntegral:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 0.5 * 2 ** 20
+
+    def test_oracle_memory_grows_only_by_the_term_arrays(self):
+        # the kernel's working set is one tile of terms at any T; only the
+        # integrand's f and w (24 bytes a term over the q = 2 components)
+        # grow with the cutoff.  Measured: 0.56 MiB of growth, 0.08 MiB of
+        # it f and w and the rest a second tile that overlaps the first.  A
+        # cache of 64 rotations a term would add 3.4 MiB.
+        peaks, terms = [], []
+        for T in (250.0, 2000.0):
+            tracemalloc.start()
+            try:
+                mean_square_ladder(T, Fraction(1, 2), Fraction(1, 2),
+                                   method="oracle")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            terms.append(2 * default_em_config(T).cutoff)
+        assert peaks[1] - peaks[0] < 24 * (terms[1] - terms[0]) + 0.75 * 2 ** 20
 
     def test_step_cap(self):
         with pytest.raises(ConfigError):
@@ -151,6 +169,28 @@ class TestGridKernel:
         t = t_start + h * (lo + n - 1)
         want = (self.W * np.exp(-1j * t * f)).sum()
         assert full[-1] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
+
+    def test_full_chunk_of_oracle_terms_at_t_2000(self):
+        # a span of one full chunk and a block past it, so the longest
+        # chains of products (the last point of the chunk) and the restart
+        # at the next chunk are both checked; 2,000 oracle-like terms
+        mpmath = pytest.importorskip("mpmath")
+        t_start, h, lo = 1959.0, 0.01, _CHUNK     # t from 1999.96 to 2042
+        n = _CHUNK + _BLOCK + 1
+        f = np.log(np.arange(2000) + 0.25)
+        w = np.exp(-0.5 * f) * np.exp(2j * math.pi * np.arange(2000) / 3)
+        got = _dirichlet(w, f, t_start, h, lo, lo + n)
+        for i in [*range(0, n, 97), _CHUNK - 1, _CHUNK, n - 1]:
+            t = t_start + h * (lo + i)
+            want = (w * np.exp(-1j * t * f)).sum()
+            assert got[i] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
+        i = _CHUNK - 1
+        with mpmath.workdps(30):
+            t = mpmath.mpf(t_start) + mpmath.mpf(h) * (lo + i)
+            want = complex(mpmath.fsum(
+                mpmath.mpc(wn) * mpmath.expj(-t * mpmath.mpf(fn))
+                for wn, fn in zip(w.tolist(), f.tolist())))
+        assert got[i] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
 
     def test_one_point_grid(self):
         t = 1234.5
