@@ -129,7 +129,7 @@ def choose_split(t: float, mode: str = "balanced") -> AfeSplit:
     if mode == "balanced":
         x = math.sqrt(abs(t) / TWO_PI)
         return AfeSplit(x, x)
-    if mode in ("meanSquare", "meansquare"):
+    if mode == "meanSquare":
         y = math.sqrt(math.log(abs(t)))
         x = abs(t) / (TWO_PI * y)
         if x < 1.0:

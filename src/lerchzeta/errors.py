@@ -10,4 +10,4 @@ class PoleError(DomainError):
 
 
 class ConfigError(ValueError):
-    """A numerical configuration violates its stability preconditions."""
+    """A setting is invalid or a request exceeds a work bound (MAX_TERMS)."""

@@ -88,8 +88,8 @@ from .errors import ConfigError, DomainError
 from .afe import choose_split, kind_for, split_kind
 from .gammafns import TWO_PI, gamma_phase_product
 from .oracles import _decompose, _em_tail
-from .params import (MAX_TERMS, EulerMaclaurinConfig, as_unit_fraction,
-                     check_height, check_unit, default_em_config)
+from .params import (MAX_TERMS, as_unit_fraction, check_height, check_unit,
+                     em_cutoff)
 
 __all__ = ["T0", "METHODS", "MeanSquareRecord", "ExponentFit",
            "mean_square_ladder", "fit_residual_exponent"]
@@ -233,18 +233,14 @@ def _split_sum_integrand(alpha: float, lam: float, t_max: float,
     return values
 
 
-def _oracle_integrand(alpha: float, lam: Fraction, cfg: EulerMaclaurinConfig):
+def _oracle_integrand(alpha: float, lam: Fraction, cutoff: int):
     """values(t_start, h, lo, hi) of the Euler-Maclaurin integrand at
     s = 1/2 + i t_j: the direct sums and continuation of
     hurwitz_euler_maclaurin on every component of the rational-lam
-    decomposition, with one truncation cfg for every point."""
+    decomposition, with one direct-sum length, cutoff, for every point."""
     q, parts = _decompose(alpha, lam)
-    if q * cfg.cutoff > MAX_TERMS:
-        raise ConfigError(f"the oracle integrand would sum q x cutoff = "
-                          f"{q} x {cfg.cutoff} terms per point, above "
-                          f"{MAX_TERMS} (MAX_TERMS)")
     shifts, phases = zip(*parts)
-    logs = np.log(np.arange(cfg.cutoff, dtype=float)
+    logs = np.log(np.arange(cutoff, dtype=float)
                   + np.array(shifts)[:, None])
     f = logs.ravel()
     w = (np.array(phases)[:, None] * np.exp(-0.5 * logs)).ravel()
@@ -253,7 +249,7 @@ def _oracle_integrand(alpha: float, lam: Fraction, cfg: EulerMaclaurinConfig):
         s = 0.5 + 1j * (t_start + h * np.arange(lo, hi))
         total = _dirichlet(w, f, t_start, h, lo, hi)
         for shift, phase in parts:
-            total += phase * sum(_em_tail(s, cfg.cutoff + shift))
+            total += phase * sum(_em_tail(s, cutoff + shift))
         return total * np.exp(-s * math.log(q)) if q > 1 else total
 
     return values
@@ -314,6 +310,7 @@ def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
         raise DomainError(f"T must be >= {max(T0, 20.0)}, got {T}")
     # the stub's oracle route makes rational lam a requirement for every method
     lam_fraction = as_unit_fraction(lam, "lam")
+    q = lam_fraction.denominator
     a_float = check_unit(float(alpha), "alpha")
     lam_float = float(lam_fraction)
 
@@ -337,16 +334,16 @@ def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
     # raises below, so numpy's warnings would only repeat the error
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if method == "oracle":
-            values = _oracle_integrand(a_float, lam_fraction,
-                                       default_em_config(T))
+            values = _oracle_integrand(a_float, lam_fraction, em_cutoff(T, q))
         else:
             values = _split_sum_integrand(a_float, lam_float, T,
                                           method == "partialSum")
         results = _simpson(values, T0, h, idxs, smooth=(method == "oracle"))
-        # the [1, t0] stub on its own grid, cutoff 50, own halving estimate
+        # the [1, t0] stub on its own grid, cutoff em_cutoff(t0) = 50, own
+        # halving estimate
         n_stub = 8 * max(1, math.ceil((T0 - 1.0) / (4.0 * step)))
         stub_values = _oracle_integrand(a_float, lam_fraction,
-                                        EulerMaclaurinConfig(cutoff=50))
+                                        em_cutoff(T0, q))
         ((stub, stub_est),) = _simpson(stub_values, 1.0, (T0 - 1.0) / n_stub,
                                        [n_stub], smooth=True)
 

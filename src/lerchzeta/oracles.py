@@ -38,10 +38,10 @@ mean-square grid integrand uses both.  The tests check them against mpmath.
 A component whose value is not finite (a term beyond double range, as for
 a < 1 at sigma = 800 or for any a at sigma = -800) raises OverflowError.
 
-The default cutoff is the least the stability check accepts,
-N = ceil(|t|) + 10 (at least 50; params.default_em_config), and the
-15 corrections then end far below rounding: at |t| ~ 1e3 the last one is
-~5e-26.  So the estimate is in practice the rounding floor, ~1e-12 there:
+The cutoff is a function of the height, N = max(ceil(|t|) + 10, 50)
+(params.em_cutoff, which refuses q N > MAX_TERMS for the q components of a
+value); the 15 corrections then end far below rounding: at |t| ~ 1e3 the
+last one is ~5e-26.  So the estimate is in practice the rounding floor, ~1e-12 there:
 the phase error of t log(n + a), decorrelated across n, plus that of the
 n = 0 term a^(-s) alone, which dominates at a small shift a.  The estimate
 must bound what a refined computation would actually change.  It does not
@@ -63,9 +63,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .params import (POLE_TOL, EulerMaclaurinConfig, EvalResult, LerchParams,
-                     as_unit_fraction, check_height, check_s, check_unit,
-                     default_em_config)
+from .params import (POLE_TOL, EvalResult, LerchParams, as_unit_fraction,
+                     check_height, check_s, check_unit, em_cutoff)
 
 __all__ = ["lerch_direct", "hurwitz_euler_maclaurin", "lerch_via_hurwitz",
            "lerch_reference_table"]
@@ -172,14 +171,13 @@ def _decompose(alpha: float, lam) -> tuple[int, list[tuple[float, complex]]]:
 
 
 def _hurwitz_table(t: float, sigmas: Sequence[float], shifts: Iterable[float],
-                   cfg: EulerMaclaurinConfig
-                   ) -> dict[tuple[float, float], EvalResult]:
+                   N: int) -> dict[tuple[float, float], EvalResult]:
     """The Euler-Maclaurin core: zetaH(sigma + it, a) for every sigma and
-    every shift a at one height t, keyed by (sigma, a).  Each shift's direct
-    sums come from one _direct_sums pass shared by all sigmas; the
-    continuation terms are per (sigma, a).  Arguments are already checked
-    (see hurwitz_euler_maclaurin for the formula and the error estimate)."""
-    N = cfg.cutoff
+    every shift a at one height t, keyed by (sigma, a), with the direct sums
+    over n < N.  Each shift's direct sums come from one _direct_sums pass
+    shared by all sigmas; the continuation terms are per (sigma, a).
+    Arguments are already checked (see hurwitz_euler_maclaurin for the
+    formula and the error estimate)."""
     table = {}
     for alpha in shifts:
         # a term beyond double range makes its value non-finite, which
@@ -220,11 +218,11 @@ def _hurwitz_table(t: float, sigmas: Sequence[float], shifts: Iterable[float],
     return table
 
 
-def hurwitz_euler_maclaurin(s: complex, alpha: float,
-                            cfg: EulerMaclaurinConfig | None = None) -> EvalResult:
+def hurwitz_euler_maclaurin(s: complex, alpha: float) -> EvalResult:
     """Euler-Maclaurin value of the Hurwitz zeta-function, any s != 1.
 
-    With N = cfg.cutoff and K = 15 (_BERNOULLI_TERMS):
+    With N = em_cutoff(t) = max(ceil(|t|) + 10, 50) and K = 15
+    (_BERNOULLI_TERMS):
 
         sum_{n<N} (n+a)^(-s)  +  (N+a)^(1-s)/(s-1)  +  (N+a)^(-s)/2
         + sum_{k<=K} B_{2k}/(2k)! (s)_{2k-1} (N+a)^(-s-2k+1)
@@ -237,36 +235,36 @@ def hurwitz_euler_maclaurin(s: complex, alpha: float,
     alpha = check_unit(float(alpha), "alpha")
     if abs(s - 1.0) <= POLE_TOL:
         raise PoleError("Hurwitz zeta has its pole at s = 1")
-    if cfg is None:
-        cfg = default_em_config(s.imag)
-    cfg.check_height(s.imag)
-    return _hurwitz_table(s.imag, (s.real,), (alpha,), cfg)[s.real, alpha]
+    return _hurwitz_table(s.imag, (s.real,), (alpha,),
+                          em_cutoff(s.imag))[s.real, alpha]
 
 
 def lerch_reference_table(t: float, sigmas: Iterable[float],
-                          pairs: Iterable[tuple],
-                          cfg: EulerMaclaurinConfig | None = None
-                          ) -> dict[tuple, EvalResult]:
+                          pairs: Iterable[tuple]) -> dict[tuple, EvalResult]:
     """Lerch zeta at one height t for every sigma and every rational pair
     (alpha, lam), keyed by (sigma, alpha, lam) with sigma a float and alpha,
     lam as given.
 
     Each entry is the EvalResult lerch_via_hurwitz(complex(sigma, t), alpha,
-    lam, cfg) returns, bit for bit: the pairs' Hurwitz components are pooled
-    by their shift (r + alpha)/q, so a shift that several pairs share is
+    lam) returns, bit for bit: the pairs' Hurwitz components are pooled by
+    their shift (r + alpha)/q, so a shift that several pairs share is
     evaluated once, and its logarithms and phases once for all sigmas.
+    Each component sums em_cutoff(t, q) terms.
     """
     t = check_height(t)
     points = [check_s(complex(sigma, t)) for sigma in dict.fromkeys(sigmas)]
     plans = [(alpha, lam, *_decompose(alpha, lam)) for alpha, lam in pairs]
     if any(abs(s - 1.0) <= POLE_TOL for s in points):
         raise PoleError("Hurwitz zeta has its pole at s = 1")
-    if cfg is None:
-        cfg = default_em_config(t)
-    cfg.check_height(t)
+    N = em_cutoff(t, max((q for _, _, q, _ in plans), default=1))
 
     shifts = dict.fromkeys(a for *_, parts in plans for a, _ in parts)
-    comps = _hurwitz_table(t, [s.real for s in points], shifts, cfg)
+    try:
+        comps = _hurwitz_table(t, [s.real for s in points], shifts, N)
+    except OverflowError as exc:  # name the pairs: a shift can round to 0
+        asked = ", ".join(f"({alpha!r}, {lam})" for alpha, lam, *_ in plans)
+        raise OverflowError(f"{exc}, a component of zl at (alpha, lam) = "
+                            f"{asked}") from None
     table = {}
     for s in points:
         for alpha, lam, q, parts in plans:
@@ -288,8 +286,7 @@ def lerch_reference_table(t: float, sigmas: Iterable[float],
     return table
 
 
-def lerch_via_hurwitz(s: complex, alpha: float, lam,
-                      cfg: EulerMaclaurinConfig | None = None) -> EvalResult:
+def lerch_via_hurwitz(s: complex, alpha: float, lam) -> EvalResult:
     """Lerch zeta for rational lam = p/q via the residue-class regrouping.
 
     Exact algebra maps the problem to q Hurwitz evaluations, so this shares
@@ -298,6 +295,6 @@ def lerch_via_hurwitz(s: complex, alpha: float, lam,
     one-point case of lerch_reference_table.
     """
     s = check_s(s)
-    (result,) = lerch_reference_table(s.imag, (s.real,), ((alpha, lam),),
-                                      cfg).values()
+    (result,) = lerch_reference_table(s.imag, (s.real,),
+                                      ((alpha, lam),)).values()
     return result

@@ -6,7 +6,8 @@ t = s.imag); both zeta-function parameters live in (0, 1].  Rational
 parameters are ``fractions.Fraction`` values, which is what the
 Hurwitz-decomposition oracle needs.  check_s, check_height and check_unit
 are the input checks every module applies where s, t, T, alpha or lam
-enters, and MAX_TERMS bounds the length of every sum a route forms.
+enters, em_cutoff is the one Euler-Maclaurin truncation rule, and
+MAX_TERMS bounds the length of every sum a route forms.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from numbers import Real
 
 from .errors import ConfigError, DomainError
 
-__all__ = ["LerchParams", "EulerMaclaurinConfig", "EvalResult",
-           "as_unit_fraction", "check_height", "check_s", "check_unit",
-           "default_em_config", "MAX_HEIGHT", "MAX_TERMS", "POLE_TOL"]
+__all__ = ["LerchParams", "EvalResult", "as_unit_fraction", "check_height",
+           "check_s", "check_unit", "em_cutoff", "MAX_HEIGHT", "MAX_TERMS",
+           "POLE_TOL"]
 
 MAX_DENOMINATOR = 64
 
@@ -31,11 +32,11 @@ MAX_HEIGHT = 1e15
 
 # The most terms any one sum may take: a split length x or y, or an
 # Euler-Maclaurin cutoff.  The balanced split at MAX_HEIGHT has
-# x = y = 1.26e7, so it fits; the oracle's cutoff ceil(|t|) + 10 stops near
-# |t| = 2e7 and the meanSquare split's x near t = 5.6e8.  It also bounds
-# the points of a mean-square grid (T near 2e5 at the default step) and
-# the terms of the oracle integrand at one point, q times the cutoff.
-# Above it a sum or grid would take minutes or allocate gigabytes.
+# x = y = 1.26e7, so it fits; the meanSquare split's x stops near
+# t = 5.6e8, and the q x cutoff terms of one oracle value (em_cutoff) near
+# |t| = 2e7 at q = 1 and 3.1e5 at q = 64.  It also bounds the points of a
+# mean-square grid (T near 2e5 at the default step).  Above it a sum or
+# grid would take minutes or allocate gigabytes.
 MAX_TERMS = 20_000_000
 
 # |z - nearest pole| below this counts as "at the pole".
@@ -107,45 +108,19 @@ class LerchParams:
         return LerchParams(self.alpha, lam)
 
 
-@dataclass(frozen=True)
-class EulerMaclaurinConfig:
-    """Truncation of the Euler-Maclaurin evaluator.
-
-    ``cutoff`` is the direct-sum length N0 (the number of B_{2k} corrections
-    is fixed, see oracles).  The stability region requires
-    cutoff >= _stable_cutoff(t) = ceil(|t|) + 10 at height t, checked at
-    call time.
-    """
-
-    cutoff: int
-
-    def __post_init__(self):
-        if not 1 <= self.cutoff <= MAX_TERMS:
-            raise ConfigError(f"cutoff must lie in 1..{MAX_TERMS} (MAX_TERMS), "
-                              f"got {self.cutoff}")
-
-    def check_height(self, t: float) -> None:
-        need = _stable_cutoff(t)
-        if self.cutoff < need:
-            raise ConfigError(
-                f"cutoff {self.cutoff} below stability threshold {need} "
-                f"for |t| = {abs(t):.6g}")
-
-
-def _stable_cutoff(t: float) -> int:
-    """The least cutoff the Euler-Maclaurin evaluator accepts at height t,
-    ceil(|t|) + 10.  There |s|/(2 pi (N + a)) <= 1/(2 pi) for sigma in the
-    strip, so each of the B_{2k} corrections is at most about (2 pi)^-2
-    times the one before it."""
-    return math.ceil(abs(t)) + 10
-
-
-def default_em_config(t: float) -> EulerMaclaurinConfig:
-    """Default truncation at height t: the least stable cutoff, and at least
-    50, so max(ceil(|t|) + 10, 50).  The 15 corrections then end more than
-    ten orders of magnitude below the rounding floor, and every extra term
-    would only add rounding."""
-    return EulerMaclaurinConfig(cutoff=max(_stable_cutoff(t), 50))
+def em_cutoff(t: float, q: int = 1) -> int:
+    """The Euler-Maclaurin direct-sum length N = max(ceil(|t|) + 10, 50) at
+    height t, for each of the q Hurwitz components of one value.  From
+    ceil(|t|) + 10 on, |s|/(2 pi (N + a)) <= 1/(2 pi) in the strip, so each
+    B_{2k} correction is at most about (2 pi)^-2 times the one before; from
+    50 on the 15 of them end ten orders below the rounding floor, so a longer
+    sum would only add rounding.  Refused when q N exceeds MAX_TERMS."""
+    cutoff = max(math.ceil(abs(t)) + 10, 50)
+    if q * cutoff > MAX_TERMS:
+        raise ConfigError(f"the Euler-Maclaurin oracle would sum q x cutoff "
+                          f"= {q} x {cutoff} terms per value at |t| = "
+                          f"{abs(t):.6g}, above {MAX_TERMS} (MAX_TERMS)")
+    return cutoff
 
 
 @dataclass(frozen=True)

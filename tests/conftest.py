@@ -2,12 +2,15 @@
 the T = 2000 mean-square ladders) are computed once per session and reused by
 the unit tests and the acceptance suite."""
 
+import cmath
+import math
 import time
 from fractions import Fraction
 
 import pytest
 
 from lerchzeta import afe, meansquare
+from lerchzeta.oracles import _decompose, _hurwitz_table
 
 MS_PAIRS = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(1, 2)),
             (Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(1)))
@@ -27,6 +30,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _REPORT_LINES:
             terminalreporter.line(line)
+
+
+def hurwitz_at_cutoff(s: complex, alpha: float, cutoff: int):
+    """hurwitz_euler_maclaurin(s, alpha) with its direct sum taken over
+    n < cutoff instead of params.em_cutoff(s.imag): the refined value the
+    step-halving checks compare against."""
+    return _hurwitz_table(s.imag, (s.real,), (alpha,), cutoff)[s.real, alpha]
+
+
+def lerch_at_cutoff(s: complex, alpha: float, lam, cutoff: int) -> complex:
+    """The value of lerch_via_hurwitz(s, alpha, lam), its q Hurwitz
+    components taken at the given cutoff."""
+    q, parts = _decompose(alpha, lam)
+    comps = _hurwitz_table(s.imag, (s.real,), [a for a, _ in parts], cutoff)
+    return cmath.exp(-s * math.log(q)) * sum(phase * comps[s.real, a].value
+                                             for a, phase in parts)
 
 
 @pytest.fixture(scope="session")

@@ -19,13 +19,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import MS_CHECKPOINTS, report
+from conftest import MS_CHECKPOINTS, hurwitz_at_cutoff, report
 from lerchzeta import (AfeSplit, LerchParams, afe_eval, afe_lerch, chi,
                        choose_split, error_envelope, fe_residual_scan,
                        fit_residual_exponent, hurwitz_euler_maclaurin,
                        lerch_direct, lerch_via_hurwitz)
 from lerchzeta.funceq import default_fe_grid
-from lerchzeta.params import EulerMaclaurinConfig
 
 TWO_PI = 2.0 * math.pi
 
@@ -220,9 +219,8 @@ def test_criterion_7_oracle_self_consistency():
         s = complex(rng.uniform(0.0, 1.0), rng.uniform(7.0, 500.0))
         alpha = float(rng.uniform(0.05, 1.0))
         base = hurwitz_euler_maclaurin(s, alpha)
-        doubled = hurwitz_euler_maclaurin(
-            s, alpha, EulerMaclaurinConfig(
-                cutoff=2 * max(2 * math.ceil(abs(s.imag)), 50)))
+        doubled = hurwitz_at_cutoff(
+            s, alpha, 2 * max(2 * math.ceil(abs(s.imag)), 50))
         assert abs(base.value - doubled.value) <= base.error_estimate
 
     # decomposition vs direct series at sigma = 2, all q <= 8

@@ -49,6 +49,11 @@ class TestChooseSplit:
         with pytest.raises(DomainError):
             choose_split(7.0, "meanSquare")  # x would drop below 1
 
+    def test_one_spelling_per_mode(self):
+        # the CLI maps its --split meansquare; the function takes one name
+        with pytest.raises(DomainError, match="unknown split mode"):
+            choose_split(100.0, "meansquare")
+
     def test_heights_up_to_max_height(self):
         assert choose_split(-MAX_HEIGHT) == choose_split(MAX_HEIGHT)
         for t in (math.nextafter(MAX_HEIGHT, math.inf), math.inf, math.nan):

@@ -395,15 +395,23 @@ class TestHeightBound:
 
 class TestTermBound:
     """A sum longer than params.MAX_TERMS, a mean-square grid with more
-    points, or an oracle integrand with more terms over all q components
-    exits 2 before anything is allocated.  Before the bound, the oracle at
-    t = 1e9 did not return and the meanSquare split at t = 1e12 asked numpy
-    for 226 GiB; before the grid and component bounds, step 1e-9 (2e10
-    points) and T = 1e7 at q = 64 (6.4e8 logs, 5.1 GB) ran past 20 s."""
+    points, or an oracle value or integrand with more terms over all q
+    components exits 2 before anything is allocated.  Before the bound, the
+    oracle at t = 1e9 did not return and the meanSquare split at t = 1e12
+    asked numpy for 226 GiB; before the grid and component bounds, step 1e-9
+    (2e10 points) and T = 1e7 at q = 64 (6.4e8 logs, 5.1 GB) ran past 20 s,
+    and the point oracle at t = 1e6, q = 64 took 4-5 s to return an
+    unreliable value."""
 
     @pytest.mark.parametrize("argv", [
         ("eval", "--sigma", "0.5", "--t", "1e9", "--method", "oracle"),
         ("eval", "--sigma", "0.5", "--t", "1e9", "--method", "fe"),
+        # 64 x 1,000,010 terms: the one cutoff passes, its q copies do not
+        ("eval", "--sigma", "0.5", "--t", "1e6", "--method", "oracle",
+         "--lambda", "1/64"),
+        # the dual zl(1 - s, 1/2, 63/64) has q = 64
+        ("eval", "--sigma", "0.5", "--t", "1e6", "--method", "fe",
+         "--alpha", "1/64", "--lambda", "1/2"),
         ("eval", "--sigma", "0.5", "--t", "1e12", "--split", "meansquare"),
         ("eval", "--sigma", "0.5", "--t", "1e12", "--split", "x=1e9"),
         ("meansquare", "--T", "1e12"),
@@ -414,7 +422,8 @@ class TestTermBound:
         # 1.6e7 grid points pass; 64 x 400,010 terms per point do not
         ("meansquare", "--T", "4e5", "--step", "0.05", "--method", "oracle",
          "--lambda", "1/64")],
-        ids=["eval-oracle", "eval-fe", "eval-meansquare-split",
+        ids=["eval-oracle", "eval-fe", "eval-oracle-components",
+             "eval-fe-components", "eval-meansquare-split",
              "eval-given-split", "meansquare-afe", "meansquare-oracle",
              "meansquare-grid", "meansquare-grid-q64",
              "meansquare-oracle-components"])
@@ -490,7 +499,9 @@ class TestNonFiniteValue:
                                  "--sigma", "0.5", "--t", "20", "--alpha",
                                  "5e-324", "--lambda", "1/2")
         assert code == 2 and out == ""
+        # the shift alpha/2 rounds to 0; the message names alpha too
         assert "zetaH((0.5+20j), 0) is beyond double range" in err
+        assert "5e-324" in err
 
 
 class TestBadFlags:

@@ -7,14 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lerchzeta import (ConfigError, DomainError, EulerMaclaurinConfig,
-                       afe_eval, error_envelope, fit_residual_exponent,
-                       get_cfit, hurwitz_euler_maclaurin, lerch_via_hurwitz,
-                       mean_square_ladder)
+from conftest import lerch_at_cutoff
+from lerchzeta import (ConfigError, DomainError, afe_eval, error_envelope,
+                       fit_residual_exponent, get_cfit, hurwitz_euler_maclaurin,
+                       lerch_via_hurwitz, mean_square_ladder)
 from lerchzeta.afe import choose_split
 from lerchzeta.meansquare import (_BLOCK, _CHUNK, T0, _dirichlet,
                                   _oracle_integrand, _split_sum_integrand)
-from lerchzeta.params import default_em_config
+from lerchzeta.params import em_cutoff
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,7 +85,7 @@ class TestMeanSquareIntegral:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            terms.append(2 * default_em_config(T).cutoff)
+            terms.append(2 * em_cutoff(T))
         assert peaks[1] - peaks[0] < 24 * (terms[1] - terms[0]) + 0.75 * 2 ** 20
 
     def test_step_cap(self):
@@ -116,8 +116,8 @@ class TestMeanSquareIntegral:
         h = (T - T0) / nf
         ts = T0 + h * np.arange(nf + 1)
         v_afe = _split_sum_integrand(0.5, 0.5, T, partial=False)(T0, h, 0, nf + 1)
-        cfg = EulerMaclaurinConfig(cutoff=2 * math.ceil(T))
-        v_orc = _oracle_integrand(0.5, Fraction(1, 2), cfg)(T0, h, 0, nf + 1)
+        v_orc = _oracle_integrand(0.5, Fraction(1, 2), 2 * math.ceil(T))(
+            T0, h, 0, nf + 1)
         c = get_cfit("lerch")
         ia = io_ = budget = 0.0
         w = np.ones(nf + 1)
@@ -241,11 +241,10 @@ class TestGridKernel:
                                                         alpha, lam):
         h = 0.01
         n = _BLOCK + 3
-        cfg = EulerMaclaurinConfig(cutoff=cutoff)
-        got = _oracle_integrand(alpha, lam, cfg)(t_start, h, 0, n)
+        got = _oracle_integrand(alpha, lam, cutoff)(t_start, h, 0, n)
         for j in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, n - 1):
-            want = lerch_via_hurwitz(complex(0.5, t_start + h * j), alpha, lam,
-                                     cfg).value
+            want = lerch_at_cutoff(complex(0.5, t_start + h * j), alpha, lam,
+                                   cutoff)
             assert got[j] == pytest.approx(want, abs=1e-11 * (1 + abs(want)))
 
 
@@ -256,8 +255,7 @@ class TestCriticalLineValue:
         # the oracle integrand at (alpha, lam) = (1, 1), with the cutoff
         # mean_square_ladder uses, is zeta(1/2 + i t)
         t = 57.0
-        (v,) = _oracle_integrand(1.0, Fraction(1), default_em_config(t))(
-            t, 0.0, 0, 1)
+        (v,) = _oracle_integrand(1.0, Fraction(1), em_cutoff(t))(t, 0.0, 0, 1)
         want = hurwitz_euler_maclaurin(complex(0.5, t), 1.0).value
         assert v == pytest.approx(want, abs=1e-11 * (1 + abs(want)))
 

@@ -10,12 +10,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lerchzeta import (ConfigError, DomainError, EulerMaclaurinConfig,
-                       LerchParams, PoleError, hurwitz_euler_maclaurin,
-                       lerch_direct, lerch_via_hurwitz)
+from conftest import hurwitz_at_cutoff
+from lerchzeta import (ConfigError, DomainError, LerchParams, PoleError,
+                       hurwitz_euler_maclaurin, lerch_direct, lerch_via_hurwitz)
 from lerchzeta.meansquare import _BLOCK, _oracle_integrand
 from lerchzeta.oracles import lerch_reference_table
-from lerchzeta.params import default_em_config
+from lerchzeta.params import em_cutoff
 
 PI2_OVER_6 = math.pi ** 2 / 6.0
 
@@ -97,23 +97,19 @@ class TestHurwitzEulerMaclaurin:
                                           1.0 / sys.float_info.max)
         assert cmath.isfinite(res.value) and not res.reliable
 
-    def test_cutoff_stability_precondition(self):
-        with pytest.raises(ConfigError):
-            hurwitz_euler_maclaurin(complex(0.5, 300.0), 0.5,
-                                    EulerMaclaurinConfig(cutoff=100))
-
     @pytest.mark.parametrize("t", [0.0, 1.0, -7.5, 39.2, 40.0, 40.5, 333.3,
                                    -2000.0, 1e4 + 0.5])
     def test_default_cutoff_is_the_least_stable_one(self, t):
-        # from |t| = 40 on, the default is the least cutoff the stability
-        # check accepts; below it, the floor 50
-        cutoff = default_em_config(t).cutoff
-        EulerMaclaurinConfig(cutoff).check_height(t)
-        if abs(t) < 40.0:
-            assert cutoff == 50
-        else:
-            with pytest.raises(ConfigError):
-                EulerMaclaurinConfig(cutoff - 1).check_height(t)
+        # ceil(|t|) + 10, the least cutoff at which the corrections shrink
+        # term by term, and at least 50; the value sums it
+        assert em_cutoff(t) == max(math.ceil(abs(t)) + 10, 50)
+        assert hurwitz_euler_maclaurin(complex(0.5, t), 0.5).main_terms \
+            == em_cutoff(t)
+
+    def test_cutoff_beyond_max_terms_is_refused(self):
+        for q in (1, 64):
+            with pytest.raises(ConfigError, match="MAX_TERMS"):
+                em_cutoff(3e7 / q, q)
 
     def test_alpha_range(self):
         with pytest.raises(DomainError):
@@ -127,9 +123,8 @@ class TestHurwitzEulerMaclaurin:
             s = complex(rng.uniform(0, 1), rng.uniform(7, 500))
             alpha = rng.uniform(0.05, 1.0)
             base = hurwitz_euler_maclaurin(s, alpha)
-            cfg = EulerMaclaurinConfig(
-                cutoff=2 * max(2 * math.ceil(abs(s.imag)), 50))
-            refined = hurwitz_euler_maclaurin(s, alpha, cfg)
+            refined = hurwitz_at_cutoff(
+                s, alpha, 2 * max(2 * math.ceil(abs(s.imag)), 50))
             assert abs(base.value - refined.value) <= base.error_estimate
 
 
@@ -202,13 +197,6 @@ class TestReferenceTable:
                 assert table[sigma, alpha, lam] \
                     == lerch_via_hurwitz(complex(sigma, t), alpha, lam)
 
-    def test_equals_point_by_point_with_explicit_config(self):
-        cfg = EulerMaclaurinConfig(cutoff=300)
-        table = lerch_reference_table(120.0, (0.5, 2.0), self.PAIRS, cfg)
-        for (sigma, alpha, lam), got in table.items():
-            assert got == lerch_via_hurwitz(complex(sigma, 120.0), alpha, lam,
-                                            cfg)
-
     def test_pole(self):
         with pytest.raises(PoleError):
             lerch_reference_table(0.0, (0.5, 1.0), [(0.5, Fraction(1, 2))])
@@ -222,9 +210,6 @@ class TestReferenceTable:
             lerch_reference_table(-2e15, (0.5,), [(0.5, Fraction(1, 2))])
         with pytest.raises(DomainError):
             lerch_reference_table(50.0, (0.5,), [(0.5, 0.123456789)])
-        with pytest.raises(ConfigError):
-            lerch_reference_table(300.0, (0.5,), [(0.5, Fraction(1, 2))],
-                                  EulerMaclaurinConfig(cutoff=100))
 
 
 class TestContinuationAgainstMpmath:
@@ -266,14 +251,15 @@ class TestContinuationAgainstMpmath:
                 assert abs(res.value - self.zeta(s, alpha)) \
                     <= res.error_estimate
 
-    @pytest.mark.parametrize("t_start,h,cfg", [
-        (1.0, 9.0 / (_BLOCK + 2), EulerMaclaurinConfig(cutoff=50)),
-        (270.0, 0.01, default_em_config(270.0)),
-        (990.0, 0.01, default_em_config(990.0))], ids=["stub", "270", "990"])
-    def test_grid_integrand(self, t_start, h, cfg):
+    @pytest.mark.parametrize("t_start,h,cutoff", [
+        (1.0, 9.0 / (_BLOCK + 2), 50),
+        (270.0, 0.01, em_cutoff(270.0)),
+        (990.0, 0.01, em_cutoff(990.0))], ids=["stub", "270", "990"])
+    def test_grid_integrand(self, t_start, h, cutoff):
         n = _BLOCK + 3
         for alpha in self.ALPHAS:
-            got = _oracle_integrand(alpha, Fraction(1), cfg)(t_start, h, 0, n)
+            got = _oracle_integrand(alpha, Fraction(1), cutoff)(t_start, h, 0,
+                                                                n)
             for j in (0, _BLOCK - 1, _BLOCK, n - 1):
                 want = self.zeta(complex(0.5, t_start + h * j), alpha)
                 assert abs(got[j] - want) <= 1e-11 * (1 + abs(want))
