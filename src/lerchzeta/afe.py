@@ -80,7 +80,7 @@ __all__ = ["AfeSplit", "ErrorEnvelope", "CalibrationPoint", "SplitKind",
 DEFAULT_CFIT = {
     "lerch": 2.2309988976347808,
     "hurwitz": 0.4947244636198066,
-    "riemann": 1.2749107644931899,
+    "riemann": 1.2749107644931901,
 }
 
 _SPLIT_RTOL = 1e-12

@@ -4,13 +4,15 @@ Computes I(T) = integral_1^T |zl(1/2 + it, a, lam)|^2 dt and compares it with
 the main term T log(T/2 pi).  The integrand can come from three routes:
 
 * afe        -- the split-sum evaluator with the meanSquare split
-                x = t/(2 pi sqrt(log t)), y = sqrt(log t); cost per point
-                O(t / sqrt(log t)).  This is the performance payoff of the
-                split representation and the default.
+                x = t/(2 pi sqrt(log t)), y = sqrt(log t); O(t / sqrt(log t))
+                terms per point, plus two scalar Gamma factors, which
+                dominate its cost: at T = 2000 it is slower than the oracle
+                route (times below).  The default.
 * oracle     -- the Euler-Maclaurin decomposition route (rational lam);
-                slower, cost O(t) per point, free of split-truncation bias.
+                q (T + 10) terms per point, free of split-truncation bias.
                 It is the point oracle's regrouping and continuation
-                (oracles._decompose, oracles._em_tail) on the whole grid.
+                (oracles._decompose, oracles._em_tail) on the whole grid:
+                one continuation call per chunk covers all q components.
 * partialSum -- the bare truncation sum
                 Sigma(a, lam) = sum_{0<=n<=x} e^(2 pi i n lam)(n+a)^(-1/2-it)
                 with the same x.  Its dropped remainder is O(1) for a < 1 and
@@ -20,10 +22,10 @@ The afe integrand is biased at the order of the second main term c T: at
 T = 2000 its residual/T sits above the oracle's by 0.34 for
 (alpha, lam) = (1/2, 1/2) and by 0.99 for (1/4, 3/4).  The meanSquare split
 has y = sqrt(log t) ~ 2.8 there, so the envelope term y^(-1/2) ~ 0.6 is not
-small.  Measured T = 2000 ladder times, whole `meansquare` command
-(2-core shared Xeon, Python 3.11.7, numpy 2.4.6): afe 1.6-1.8 s at both
-(1/2, 1/2) and (1/4, 3/4); oracle 0.8 s at (1/2, 1/2) and 1.1-1.3 s at
-(1/4, 3/4).
+small.  Measured T = 2000 ladder times, whole `meansquare` command, three
+runs each (2-core shared Xeon, Python 3.11.7, numpy 2.4.6): afe 1.4-2.0 s
+at both (1/2, 1/2) and (1/4, 3/4); oracle 0.6-0.8 s at (1/2, 1/2) and
+1.0-1.2 s at (1/4, 3/4).
 
 The meanSquare split needs x >= 1, which forces t >= t0 = 10; the stub
 [1, t0] is always integrated with the oracle route (contribution is O(10)
@@ -239,17 +241,16 @@ def _oracle_integrand(alpha: float, lam: Fraction, cutoff: int):
     hurwitz_euler_maclaurin on every component of the rational-lam
     decomposition, with one direct-sum length, cutoff, for every point."""
     q, parts = _decompose(alpha, lam)
-    shifts, phases = zip(*parts)
-    logs = np.log(np.arange(cutoff, dtype=float)
-                  + np.array(shifts)[:, None])
+    shifts, phases = (np.array(v) for v in zip(*parts))
+    logs = np.log(np.arange(cutoff, dtype=float) + shifts[:, None])
     f = logs.ravel()
-    w = (np.array(phases)[:, None] * np.exp(-0.5 * logs)).ravel()
+    w = (phases[:, None] * np.exp(-0.5 * logs)).ravel()
+    x = cutoff + shifts[:, None]  # a column: the tails are (component, point)
 
     def values(t_start: float, h: float, lo: int, hi: int) -> np.ndarray:
         s = 0.5 + 1j * (t_start + h * np.arange(lo, hi))
-        total = _dirichlet(w, f, t_start, h, lo, hi)
-        for shift, phase in parts:
-            total += phase * sum(_em_tail(s, cutoff + shift))
+        tails, _ = _em_tail(s, x)
+        total = _dirichlet(w, f, t_start, h, lo, hi) + phases @ tails
         return total * np.exp(-s * math.log(q)) if q > 1 else total
 
     return values

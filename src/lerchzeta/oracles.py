@@ -32,11 +32,18 @@ sigma.  Each (sigma, a) sum is still one contiguous array built by the same
 expression, so it is bit-identical to a single-point evaluation; the
 one-point calls are the table's one-sigma case.
 
-The continuation is one generator, ``_em_tail`` (cmath for a complex s,
-numpy for an array), and the regrouping one function, ``_decompose``; the
-mean-square grid integrand uses both.  The tests check them against mpmath.
-A component whose value is not finite (a term beyond double range, as for
-a < 1 at sigma = 800 or for any a at sigma = -800) raises OverflowError.
+The continuation is one numpy function, ``_em_tail``, and the regrouping
+one function, ``_decompose``; the mean-square grid integrand uses both.
+After Johansson 2015 ("Rigorous high-precision computation of the Hurwitz
+zeta function and its derivatives"), the tail is one power of N + a times a
+bracket: (N + a)^(-s) is the one exp per element, and the bracket comes
+from a forward recurrence in the rising factorials of s and the powers of
+N + a.  It runs over arrays of s and N + a broadcast against each other:
+a table takes every (sigma, shift) in one call, the grid integrand every
+(component, point) of a chunk.  The tests check both against mpmath.  A
+component whose value is not finite (a term beyond double range, as for
+a < 1 at sigma = 800 or for any a at sigma = -800) raises OverflowError, and
+so does a direct series beyond double range.
 
 The cutoff is a function of the height, N = max(ceil(|t|) + 10, 50)
 (params.em_cutoff, which refuses q N > MAX_TERMS for the q components of a
@@ -62,9 +69,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PoleError
-from .params import (POLE_TOL, EvalResult, LerchParams, as_unit_fraction,
-                     check_height, check_s, check_unit, em_cutoff)
+from .errors import ConfigError, DomainError, PoleError
+from .params import (MAX_TERMS, POLE_TOL, EvalResult, LerchParams,
+                     as_unit_fraction, check_height, check_s, check_unit,
+                     em_cutoff)
 
 __all__ = ["lerch_direct", "hurwitz_euler_maclaurin", "lerch_via_hurwitz",
            "lerch_reference_table"]
@@ -119,19 +127,29 @@ def lerch_direct(s: complex, params: LerchParams, terms: int) -> EvalResult:
     0 < lam < 1 the series still converges, and the partial-summation bound
     (1/sin(pi lam)) (1 + |s|/sigma) (terms+alpha)^(-sigma) is reported, but
     the result is flagged unreliable: convergence is slow and this regime is
-    not used as an oracle.
+    not used as an oracle.  More than MAX_TERMS terms are refused, and a
+    value beyond double range raises OverflowError.
     """
     s = check_s(s)
     if terms < 1:
         raise DomainError(f"terms must be positive, got {terms}")
+    if terms > MAX_TERMS:
+        raise ConfigError(f"the direct series would sum {terms} terms, above "
+                          f"{MAX_TERMS} (MAX_TERMS)")
     sigma = s.real
     if sigma <= 1.0 and params.lam == 1.0:
         raise DomainError(
             "direct Hurwitz series needs sigma > 1 (no tail bound otherwise)")
     if sigma <= 0.0:
         raise DomainError(f"direct series diverges for sigma = {sigma}")
-    ((value, _),) = _direct_sums((sigma,), s.imag, params.alpha, params.lam,
-                                 terms)
+    # a term beyond double range makes the value non-finite, which raises
+    # below, so numpy's warnings would only repeat the error
+    with np.errstate(over="ignore", invalid="ignore"):
+        ((value, _),) = _direct_sums((sigma,), s.imag, params.alpha,
+                                     params.lam, terms)
+    if not cmath.isfinite(value):
+        raise OverflowError(f"zl({s}, {params.alpha!r}, {params.lam!r}) is "
+                            f"beyond double range")
     if sigma > 1.0:
         tail = terms ** (1.0 - sigma) / (sigma - 1.0)
         return EvalResult(value, tail, terms, 0, True)
@@ -140,22 +158,32 @@ def lerch_direct(s: complex, params: LerchParams, terms: int) -> EvalResult:
     return EvalResult(value, tail, terms, 0, False)
 
 
-def _em_tail(s, na: float):
+def _em_tail(s: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Euler-Maclaurin continuation past the direct sum over n < N, with
-    na = N + a: yields (N+a)^(1-s)/(s-1), (N+a)^(-s)/2, then
-    B_2k/(2k)! (s)_{2k-1} (N+a)^(-s-2k+1) for k = 1..K, at a complex s
-    (cmath) or elementwise over an array of them (numpy)."""
-    exp = cmath.exp if isinstance(s, complex) else np.exp
-    log_na = math.log(na)
-    yield exp((1.0 - s) * log_na) / (s - 1.0)
-    yield 0.5 * exp(-s * log_na)
+    x = N + a, elementwise over s and x broadcast against each other:
+
+        x^(-s) [x/(s-1) + 1/2 + sum_{k<=K} B_2k/(2k)! (s)_{2k-1} x^(1-2k)],
+
+    and the magnitude of its last correction.  x^(-s) is the one exp per
+    element; the rising factorials (s)_{2k-1} and the powers x^(1-2k) are a
+    forward recurrence on s and on x alone, so only their products and the
+    running bracket take the broadcast shape.  Every element goes through
+    the same operations whatever the shapes, so a table of tails equals its
+    one-element calls bit for bit."""
+    power = np.exp(-s * np.log(x))
+    bracket = x / (s - 1.0) + 0.5
     rising = s
-    pow_na = exp((-s - 1.0) * log_na)
+    x_pow = 1.0 / x
+    x2 = x * x
     for k in range(1, _BERNOULLI_TERMS + 1):
         if k > 1:
             rising = rising * ((s + (2 * k - 3)) * (s + (2 * k - 2)))
-            pow_na = pow_na / (na * na)
-        yield _B2K_OVER_FACT[k] * rising * pow_na
+            x_pow = x_pow / x2
+        # made complex before it meets rising: numpy's cast of a broadcast
+        # real operand costs more than the product, and changes no bit
+        term = (_B2K_OVER_FACT[k] * x_pow).astype(complex) * rising
+        bracket += term
+    return power * bracket, np.abs(power * term)
 
 
 def _decompose(alpha: float, lam) -> tuple[int, list[tuple[float, complex]]]:
@@ -175,43 +203,42 @@ def _hurwitz_table(t: float, sigmas: Sequence[float], shifts: Iterable[float],
     """The Euler-Maclaurin core: zetaH(sigma + it, a) for every sigma and
     every shift a at one height t, keyed by (sigma, a), with the direct sums
     over n < N.  Each shift's direct sums come from one _direct_sums pass
-    shared by all sigmas; the continuation terms are per (sigma, a).
+    shared by all sigmas, and the continuations of every (sigma, a) from
+    one _em_tail call.
     Arguments are already checked (see hurwitz_euler_maclaurin for the
     formula and the error estimate)."""
+    shifts = list(shifts)
+    points = np.array([complex(sigma, t) for sigma in sigmas], complex)
+    # a term beyond double range makes its value non-finite, which raises
+    # below, so numpy's warnings would only repeat the error
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sums = [_direct_sums(sigmas, t, alpha, 0.0, N) for alpha in shifts]
+        tails, lasts = (v.tolist() for v in _em_tail(
+            points[:, None], N + np.array(shifts, dtype=float)))
     table = {}
-    for alpha in shifts:
-        # a term beyond double range makes its value non-finite, which
-        # raises below, so numpy's warnings would only repeat the error
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            sums = _direct_sums(sigmas, t, alpha, 0.0, N)
-        for sigma, (value, abs_sum) in zip(sigmas, sums):
-            try:
-                cont, half, *terms = _em_tail(complex(sigma, t), N + alpha)
-            except OverflowError:  # cmath: a term beyond double range,
-                cont, half, terms = math.inf, 0.0, ()  # reported below
-            value += cont + half
-            abs_sum += abs(cont) + abs(half)
-            for term in terms:
-                value += term
-                last = abs(term)
-                abs_sum += last
+    for j, alpha in enumerate(shifts):
+        for i, (sigma, (value, abs_sum)) in enumerate(zip(sigmas, sums[j])):
+            tail = tails[i][j]
+            value += tail
             if not cmath.isfinite(value):
                 raise OverflowError(
                     f"zetaH({complex(sigma, t)}, {alpha:.17g}) is beyond "
                     f"double range")
 
             # Rounding floor: pairwise-summation noise plus the phase error of
-            # computing t*log(n+a) for each term, decorrelated across n, plus
-            # that of the n = 0 term a^(-s) on its own: at a small shift it
-            # outweighs all the others together.
+            # computing t*log(n+a) for each term, the tail counted as one
+            # more, decorrelated across n, plus that of the n = 0 term a^(-s)
+            # on its own: at a small shift it outweighs all the others
+            # together.
             try:
                 lead = alpha ** -sigma
             except OverflowError:  # within an ulp of the double range, where
                 lead = math.inf    # the direct sum rounded its n = 0 term down
-            floor = _EPS * (abs_sum * (8.0 + math.log2(N + 1)
-                                       + abs(t) * math.log(N + 2.0) / math.sqrt(N))
+            floor = _EPS * ((abs_sum + abs(tail))
+                            * (8.0 + math.log2(N + 1)
+                               + abs(t) * math.log(N + 2.0) / math.sqrt(N))
                             + abs(t * math.log(alpha)) * lead)
-            estimate = max(last, floor)
+            estimate = max(lasts[i][j], floor)
             reliable = bool(estimate <= 1e-10 * abs(value))
             table[sigma, alpha] = EvalResult(value, estimate, N,
                                              _BERNOULLI_TERMS, reliable)
@@ -224,8 +251,8 @@ def hurwitz_euler_maclaurin(s: complex, alpha: float) -> EvalResult:
     With N = em_cutoff(t) = max(ceil(|t|) + 10, 50) and K = 15
     (_BERNOULLI_TERMS):
 
-        sum_{n<N} (n+a)^(-s)  +  (N+a)^(1-s)/(s-1)  +  (N+a)^(-s)/2
-        + sum_{k<=K} B_{2k}/(2k)! (s)_{2k-1} (N+a)^(-s-2k+1)
+        sum_{n<N} (n+a)^(-s)  +  (N+a)^(-s) [(N+a)/(s-1) + 1/2
+            + sum_{k<=K} B_{2k}/(2k)! (s)_{2k-1} (N+a)^(1-2k)]
 
     where (s)_{2k-1} is the rising factorial.  The error estimate is the
     magnitude of the last correction term plus a rounding-noise floor; the

@@ -4,23 +4,30 @@ decomposition."""
 import cmath
 import math
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import hurwitz_at_cutoff
 from lerchzeta import (ConfigError, DomainError, LerchParams, PoleError,
                        hurwitz_euler_maclaurin, lerch_direct, lerch_via_hurwitz)
 from lerchzeta.meansquare import _BLOCK, _oracle_integrand
 from lerchzeta.oracles import lerch_reference_table
-from lerchzeta.params import em_cutoff
+from lerchzeta.params import MAX_TERMS, POLE_TOL, em_cutoff
 
 PI2_OVER_6 = math.pi ** 2 / 6.0
 
 # the literature value of the first zero ordinate, used as a landmark only
 FIRST_ZERO_T = 14.134725
+
+# a rational in (0, 1] with denominator at most 8
+_RATIONAL = st.integers(1, 8).flatmap(
+    lambda q: st.integers(1, q).map(lambda p: Fraction(p, q)))
 
 
 class TestLerchDirect:
@@ -43,6 +50,30 @@ class TestLerchDirect:
     def test_hurwitz_in_strip_rejected(self):
         with pytest.raises(DomainError):
             lerch_direct(complex(0.8, 5.0), LerchParams(1.0, 1.0), 100)
+
+    def test_value_beyond_double_range_raises(self):
+        # the n = 0 term (1e-5)^-800 overflows; it used to come back as
+        # inf - inf j, marked reliable, after a numpy overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in (0.5, 1.0):
+                with pytest.raises(OverflowError,
+                                   match=r"zl\(.* is beyond double range"):
+                    lerch_direct(complex(800.0, 1.0), LerchParams(1e-5, lam),
+                                 100)
+
+    @pytest.mark.parametrize("terms", [MAX_TERMS + 1, 10 ** 9])
+    def test_terms_beyond_max_terms_refused(self, terms):
+        # refused before anything is allocated: 3e7 terms used to run for
+        # seconds, and 1e9 for more than a minute
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="MAX_TERMS"):
+                lerch_direct(2.0, LerchParams(1.0, 1.0), terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_strip_with_oscillation_unreliable(self):
         res = lerch_direct(complex(0.8, 5.0), LerchParams(1.0, 0.5), 20000)
@@ -76,9 +107,9 @@ class TestHurwitzEulerMaclaurin:
     def test_value_beyond_double_range_raises(self):
         # at sigma = 800 the n = 0 term (1/4)^-800 overflows; the sum used to
         # come back as nan (through the phases of lerch_via_hurwitz) and be
-        # called reliable.  At sigma = -800 the continuation term
-        # (N + a)^(1-s)/(s-1) overflows in cmath.  The error is the only
-        # report, and it names the point: numpy warns of nothing.
+        # called reliable.  At sigma = -800 the continuation's power
+        # (N + a)^(-s) overflows.  The error is the only report, and it
+        # names the point: numpy warns of nothing.
         beyond = r"zetaH\(.* is beyond double range"
         for s in (complex(800.0, 1.0), complex(-800.0, 1.0)):
             with warnings.catch_warnings():
@@ -197,6 +228,23 @@ class TestReferenceTable:
                 assert table[sigma, alpha, lam] \
                     == lerch_via_hurwitz(complex(sigma, t), alpha, lam)
 
+    @settings(max_examples=100, deadline=None)
+    @given(t=st.floats(-2e3, 2e3),
+           sigmas=st.lists(st.floats(-3.0, 3.0).map(lambda v: v + 0.0),
+                           min_size=1, max_size=6),
+           pairs=st.lists(st.tuples(_RATIONAL, _RATIONAL), min_size=1,
+                          max_size=4))
+    def test_equals_one_point_calls(self, t, sigmas, pairs):
+        # the continuation runs over every (sigma, shift) of the table at
+        # once; each entry must still be its one-point call, bit for bit
+        assume(all(abs(complex(sigma, t) - 1.0) > POLE_TOL
+                   for sigma in sigmas))
+        table = lerch_reference_table(t, sigmas, pairs)
+        for sigma in sigmas:
+            for alpha, lam in pairs:
+                assert table[sigma, alpha, lam] \
+                    == lerch_via_hurwitz(complex(sigma, t), alpha, lam)
+
     def test_pole(self):
         with pytest.raises(PoleError):
             lerch_reference_table(0.0, (0.5, 1.0), [(0.5, Fraction(1, 2))])
@@ -251,15 +299,35 @@ class TestContinuationAgainstMpmath:
                 assert abs(res.value - self.zeta(s, alpha)) \
                     <= res.error_estimate
 
-    @pytest.mark.parametrize("t_start,h,cutoff", [
-        (1.0, 9.0 / (_BLOCK + 2), 50),
-        (270.0, 0.01, em_cutoff(270.0)),
-        (990.0, 0.01, em_cutoff(990.0))], ids=["stub", "270", "990"])
-    def test_grid_integrand(self, t_start, h, cutoff):
+    @staticmethod
+    def lerch(s: complex, alpha: float, lam: Fraction) -> complex:
+        """zl(s, alpha, p/q) by the regrouping
+        q^(-s) sum_r e(r p/q) zeta(s, (r + alpha)/q), at 30 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        p, q = lam.numerator, lam.denominator
+        with mpmath.workdps(30):
+            s = mpmath.mpc(s.real, s.imag)
+            return complex(mpmath.power(q, -s) * mpmath.fsum(
+                mpmath.expjpi(mpmath.mpf(2 * r * p) / q)
+                * mpmath.zeta(s, (r + mpmath.mpf(alpha)) / q)
+                for r in range(q)))
+
+    @pytest.mark.parametrize("t_start,h,cutoff,lam", [
+        (1.0, 9.0 / (_BLOCK + 2), 50, Fraction(1)),
+        (270.0, 0.01, em_cutoff(270.0), Fraction(1)),
+        (990.0, 0.01, em_cutoff(990.0), Fraction(1)),
+        (270.0, 0.01, em_cutoff(270.0), Fraction(1, 2)),
+        (990.0, 0.01, em_cutoff(990.0), Fraction(1, 2)),
+        (270.0, 0.01, em_cutoff(270.0), Fraction(2, 3)),
+        (990.0, 0.01, em_cutoff(990.0), Fraction(2, 3))],
+        ids=["stub", "270", "990", "270-half", "990-half", "270-two-thirds",
+             "990-two-thirds"])
+    def test_grid_integrand(self, t_start, h, cutoff, lam):
+        # for q > 1 the q components' continuations are one array, summed
+        # with their phases over the component axis
         n = _BLOCK + 3
         for alpha in self.ALPHAS:
-            got = _oracle_integrand(alpha, Fraction(1), cutoff)(t_start, h, 0,
-                                                                n)
+            got = _oracle_integrand(alpha, lam, cutoff)(t_start, h, 0, n)
             for j in (0, _BLOCK - 1, _BLOCK, n - 1):
-                want = self.zeta(complex(0.5, t_start + h * j), alpha)
+                want = self.lerch(complex(0.5, t_start + h * j), alpha, lam)
                 assert abs(got[j] - want) <= 1e-11 * (1 + abs(want))
