@@ -446,7 +446,9 @@ CALIBRATED_T = (40.0, 1100.0)
 def _skewed_shapes(t: float, skews: Iterable[float]
                    ) -> list[tuple[str, AfeSplit]]:
     """The meanSquare split, then "skewF" (x = xb/F, y = xb F, xb the
-    balanced length) for each skew F that keeps both lengths >= 1."""
+    balanced length) for each skew F that keeps both lengths >= 1.  afescan
+    (cli._scan_splits) names its shapes the other way round: its "skew2" is
+    x = 2 xb, y = xb/2, which is "skew0.5" here."""
     xb = math.sqrt(t / TWO_PI)
     shapes = [("meanSquare", choose_split(t, "meanSquare"))]
     for f in skews:

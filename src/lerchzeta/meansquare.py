@@ -237,9 +237,10 @@ def _split_sum_integrand(alpha: float, lam: float, t_max: float,
 
 def _oracle_integrand(alpha: float, lam: Fraction, cutoff: int):
     """values(t_start, h, lo, hi) of the Euler-Maclaurin integrand at
-    s = 1/2 + i t_j: the direct sums and continuation of
-    hurwitz_euler_maclaurin on every component of the rational-lam
-    decomposition, with one direct-sum length, cutoff, for every point."""
+    s = 1/2 + i t_j: the direct sums and continuation of the oracle core
+    (oracles._hurwitz_table, under lerch_via_hurwitz) on every component of
+    the rational-lam decomposition, with one direct-sum length, cutoff, for
+    every point."""
     q, parts = _decompose(alpha, lam)
     shifts, phases = (np.array(v) for v in zip(*parts))
     logs = np.log(np.arange(cutoff, dtype=float) + shifts[:, None])

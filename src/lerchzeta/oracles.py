@@ -5,10 +5,6 @@ evaluators and the functional-equation checks:
 
 * ``lerch_direct``      -- the defining series, summed term by term.  Only a
                            ground truth where it converges absolutely.
-* ``hurwitz_euler_maclaurin`` -- Euler-Maclaurin continuation of the Hurwitz
-                           series, valid for all s != 1, with a computable
-                           a-posteriori error estimate.  At alpha = 1 it is
-                           the Riemann zeta-function.
 * ``lerch_via_hurwitz`` -- for rational lam = p/q, regrouping the Lerch series
                            over residue classes mod q turns it into q Hurwitz
                            values:
@@ -16,30 +12,36 @@ evaluators and the functional-equation checks:
                                            zetaH(s, (r+a)/q).
                            This is exact algebra, so the Hurwitz continuation
                            carries over to the full strip.
+* ``hurwitz_euler_maclaurin`` -- its q = 1 case (lam = 1): the
+                           Euler-Maclaurin continuation of the Hurwitz
+                           series, valid for all s != 1, with a computable
+                           a-posteriori error estimate.  At alpha = 1 it is
+                           the Riemann zeta-function.
 * ``lerch_reference_table`` -- ``lerch_via_hurwitz`` for many sigmas and
                            (alpha, lam) pairs at one height t, equal to it
                            bit for bit and much cheaper than point by point.
+                           The one place that builds EvalResults.
 
 All of them run on one Euler-Maclaurin core, ``_hurwitz_table``, which
-evaluates a set of Hurwitz components at one height for several sigmas.  A
-component's cost is its direct sum over n < N, and the table shares it
-(after Odlyzko & Schonhage 1988, "Fast algorithms for multiple evaluations of
-the Riemann zeta function"): the decomposition of every pair is pooled by
-shift a = (r + alpha)/q, so a shift several pairs share is summed once, and
+evaluates Hurwitz components at one height for several sigmas into
+(sigma, shift) arrays of values and error estimates.  A component's cost is
+its direct sum over n < N, and the table shares it (after Odlyzko &
+Schonhage 1988, "Fast algorithms for multiple evaluations of the Riemann
+zeta function"): the decomposition of every pair is pooled by shift
+a = (r + alpha)/q, so a shift several pairs share is summed once, and
 log(n + a) and the phase e^(-i t log(n + a)) are computed once per shift and
 reused for every sigma, leaving only the magnitudes (n + a)^(-sigma) per
-sigma.  Each (sigma, a) sum is still one contiguous array built by the same
-expression, so it is bit-identical to a single-point evaluation; the
-one-point calls are the table's one-sigma case.
+sigma.  Each (sigma, a) sum is still one contiguous row built by the same
+expression, so it is bit-identical to a single-point evaluation.
 
 The continuation is one numpy function, ``_em_tail``, and the regrouping
-one function, ``_decompose``; the mean-square grid integrand uses both.
-After Johansson 2015 ("Rigorous high-precision computation of the Hurwitz
-zeta function and its derivatives"), the tail is one power of N + a times a
-bracket: (N + a)^(-s) is the one exp per element, and the bracket comes
-from a forward recurrence in the rising factorials of s and the powers of
-N + a.  It runs over arrays of s and N + a broadcast against each other:
-a table takes every (sigma, shift) in one call, the grid integrand every
+``_decompose``; the mean-square grid integrand uses both.  After Johansson
+2015 ("Rigorous high-precision computation of the Hurwitz zeta function and
+its derivatives"), the tail is one power of N + a times a bracket:
+(N + a)^(-s) is the one exp per element, and the bracket comes from a
+forward recurrence in the rising factorials of s and the powers of N + a.
+It runs over arrays of s and N + a broadcast against each other: a table
+takes every (sigma, shift) in one call, the grid integrand every
 (component, point) of a chunk.  The tests check both against mpmath.  A
 component whose value is not finite (a term beyond double range, as for
 a < 1 at sigma = 800 or for any a at sigma = -800) raises OverflowError, and
@@ -48,14 +50,14 @@ so does a direct series beyond double range.
 The cutoff is a function of the height, N = max(ceil(|t|) + 10, 50)
 (params.em_cutoff, which refuses q N > MAX_TERMS for the q components of a
 value); the 15 corrections then end far below rounding: at |t| ~ 1e3 the
-last one is ~5e-26.  So the estimate is in practice the rounding floor, ~1e-12 there:
-the phase error of t log(n + a), decorrelated across n, plus that of the
-n = 0 term a^(-s) alone, which dominates at a small shift a.  The estimate
-must bound what a refined computation would actually change.  It does not
-cover the rounding of alpha (and of the shifts (r + alpha)/q) to doubles: at
-s = 1 + 1000i the alpha-derivative is about 1e4, and the value at the double
-nearest 1/3 differs from mpmath.zeta(s, 1/3) (exact third, 30 digits) by
-0.39 times the estimate, against 0.27 times for
+last one is ~5e-26.  So the estimate is in practice the rounding floor,
+~1e-12 there: the phase error of t log(n + a), decorrelated across n, plus
+that of the n = 0 term a^(-s) alone, which dominates at a small shift a.
+The estimate must bound what a refined computation would actually change.
+It does not cover the rounding of alpha (and of the shifts (r + alpha)/q)
+to doubles: at s = 1 + 1000i the alpha-derivative is about 1e4, and the
+value at the double nearest 1/3 differs from mpmath.zeta(s, 1/3) (exact
+third, 30 digits) by 0.39 times the estimate, against 0.27 times for
 mpmath.zeta(s, float(1/3)).
 """
 
@@ -65,6 +67,7 @@ import cmath
 import math
 from fractions import Fraction
 from math import comb, factorial
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -96,27 +99,30 @@ _BERNOULLI_TERMS = 15  # K, the number of B_{2k} corrections
 _B2K_OVER_FACT = _bernoulli_over_factorial(_BERNOULLI_TERMS)
 
 
-def _direct_sums(sigmas: Sequence[float], t: float, alpha: float, lam: float,
-                 terms: int) -> list[tuple[complex, float]]:
-    """Partial sums of e^(2 pi i n lam)/(n+alpha)^(sigma+it) over n < terms,
-    one per sigma, each with the sum of its term magnitudes (for the
-    rounding floor).  log(n+alpha) and the phase are computed once and shared
-    by every sigma; only the magnitudes (n+alpha)^(-sigma) are per sigma, and
-    each sigma's terms are summed as one contiguous array, so its sum does
-    not depend on the other sigmas.  Chunked to bound memory for very long
-    sums."""
-    totals = [0.0 + 0.0j] * len(sigmas)
-    abs_totals = [0.0] * len(sigmas)
+def _direct_sums(sigmas: Sequence[float], t: float, shifts: Sequence[float],
+                 lam: float, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Partial sums of e^(2 pi i n lam)/(n+a)^(sigma+it) over n < terms for
+    every sigma and shift a, as (sigma, shift) arrays, with the sums of the
+    term magnitudes (for the rounding floor).  log(n+a) and the phase are
+    computed once per shift and shared by every sigma; each sigma's terms
+    are one contiguous row, summed along it, so its sum does not depend on
+    the other sigmas.  Chunked to bound memory for very long sums: a pass
+    over one shift takes as many sigmas as fit in one chunk of terms."""
+    exponents = -np.asarray(sigmas, dtype=float)[:, None]
+    sums = np.zeros((len(exponents), len(shifts)), complex)
+    abs_sums = np.zeros(sums.shape)
     chunk = 1 << 20
     for start in range(0, terms, chunk):
         n = np.arange(start, min(start + chunk, terms), dtype=float)
-        logs = np.log(n + alpha)
-        phase = np.exp(1j * (2.0 * math.pi * lam * n - t * logs))
-        for i, sigma in enumerate(sigmas):
-            mags = np.exp(-sigma * logs)
-            totals[i] += complex((mags * phase).sum())
-            abs_totals[i] += float(mags.sum())
-    return list(zip(totals, abs_totals))
+        rows = chunk // len(n)
+        for j, alpha in enumerate(shifts):
+            logs = np.log(n + alpha)
+            phase = np.exp(1j * (2.0 * math.pi * lam * n - t * logs))
+            for i in range(0, len(exponents), rows):
+                mags = np.exp(exponents[i:i + rows] * logs)
+                sums[i:i + rows, j] += (mags * phase).sum(axis=1)
+                abs_sums[i:i + rows, j] += mags.sum(axis=1)
+    return sums, abs_sums
 
 
 def lerch_direct(s: complex, params: LerchParams, terms: int) -> EvalResult:
@@ -127,10 +133,13 @@ def lerch_direct(s: complex, params: LerchParams, terms: int) -> EvalResult:
     0 < lam < 1 the series still converges, and the partial-summation bound
     (1/sin(pi lam)) (1 + |s|/sigma) (terms+alpha)^(-sigma) is reported, but
     the result is flagged unreliable: convergence is slow and this regime is
-    not used as an oracle.  More than MAX_TERMS terms are refused, and a
-    value beyond double range raises OverflowError.
+    not used as an oracle.  A terms that is not an integer, or above
+    MAX_TERMS, is refused, and a value beyond double range raises
+    OverflowError.
     """
     s = check_s(s)
+    if not isinstance(terms, Integral):
+        raise DomainError(f"terms must be an integer, got {terms!r}")
     if terms < 1:
         raise DomainError(f"terms must be positive, got {terms}")
     if terms > MAX_TERMS:
@@ -145,8 +154,8 @@ def lerch_direct(s: complex, params: LerchParams, terms: int) -> EvalResult:
     # a term beyond double range makes the value non-finite, which raises
     # below, so numpy's warnings would only repeat the error
     with np.errstate(over="ignore", invalid="ignore"):
-        ((value, _),) = _direct_sums((sigma,), s.imag, params.alpha,
-                                     params.lam, terms)
+        value = complex(_direct_sums((sigma,), s.imag, (params.alpha,),
+                                     params.lam, terms)[0][0, 0])
     if not cmath.isfinite(value):
         raise OverflowError(f"zl({s}, {params.alpha!r}, {params.lam!r}) is "
                             f"beyond double range")
@@ -198,72 +207,52 @@ def _decompose(alpha: float, lam) -> tuple[int, list[tuple[float, complex]]]:
                for r in range(q)]
 
 
-def _hurwitz_table(t: float, sigmas: Sequence[float], shifts: Iterable[float],
-                   N: int) -> dict[tuple[float, float], EvalResult]:
-    """The Euler-Maclaurin core: zetaH(sigma + it, a) for every sigma and
-    every shift a at one height t, keyed by (sigma, a), with the direct sums
-    over n < N.  Each shift's direct sums come from one _direct_sums pass
-    shared by all sigmas, and the continuations of every (sigma, a) from
-    one _em_tail call.
-    Arguments are already checked (see hurwitz_euler_maclaurin for the
-    formula and the error estimate)."""
-    shifts = list(shifts)
-    points = np.array([complex(sigma, t) for sigma in sigmas], complex)
-    # a term beyond double range makes its value non-finite, which raises
-    # below, so numpy's warnings would only repeat the error
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sums = [_direct_sums(sigmas, t, alpha, 0.0, N) for alpha in shifts]
-        tails, lasts = (v.tolist() for v in _em_tail(
-            points[:, None], N + np.array(shifts, dtype=float)))
-    table = {}
-    for j, alpha in enumerate(shifts):
-        for i, (sigma, (value, abs_sum)) in enumerate(zip(sigmas, sums[j])):
-            tail = tails[i][j]
-            value += tail
-            if not cmath.isfinite(value):
-                raise OverflowError(
-                    f"zetaH({complex(sigma, t)}, {alpha:.17g}) is beyond "
-                    f"double range")
-
-            # Rounding floor: pairwise-summation noise plus the phase error of
-            # computing t*log(n+a) for each term, the tail counted as one
-            # more, decorrelated across n, plus that of the n = 0 term a^(-s)
-            # on its own: at a small shift it outweighs all the others
-            # together.
-            try:
-                lead = alpha ** -sigma
-            except OverflowError:  # within an ulp of the double range, where
-                lead = math.inf    # the direct sum rounded its n = 0 term down
-            floor = _EPS * ((abs_sum + abs(tail))
-                            * (8.0 + math.log2(N + 1)
-                               + abs(t) * math.log(N + 2.0) / math.sqrt(N))
-                            + abs(t * math.log(alpha)) * lead)
-            estimate = max(lasts[i][j], floor)
-            reliable = bool(estimate <= 1e-10 * abs(value))
-            table[sigma, alpha] = EvalResult(value, estimate, N,
-                                             _BERNOULLI_TERMS, reliable)
-    return table
-
-
-def hurwitz_euler_maclaurin(s: complex, alpha: float) -> EvalResult:
-    """Euler-Maclaurin value of the Hurwitz zeta-function, any s != 1.
-
-    With N = em_cutoff(t) = max(ceil(|t|) + 10, 50) and K = 15
-    (_BERNOULLI_TERMS):
+def _hurwitz_table(t: float, sigmas: Sequence[float], shifts: Sequence[float],
+                   N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Euler-Maclaurin core: zetaH(sigma + it, a) and its error estimate
+    for every sigma and every shift a at one height t, as (sigma, shift)
+    arrays, with the direct sums over n < N:
 
         sum_{n<N} (n+a)^(-s)  +  (N+a)^(-s) [(N+a)/(s-1) + 1/2
             + sum_{k<=K} B_{2k}/(2k)! (s)_{2k-1} (N+a)^(1-2k)]
 
-    where (s)_{2k-1} is the rising factorial.  The error estimate is the
-    magnitude of the last correction term plus a rounding-noise floor; the
-    result is flagged unreliable when the estimate exceeds 1e-10 |value|.
-    """
-    s = check_s(s)
-    alpha = check_unit(float(alpha), "alpha")
-    if abs(s - 1.0) <= POLE_TOL:
-        raise PoleError("Hurwitz zeta has its pole at s = 1")
-    return _hurwitz_table(s.imag, (s.real,), (alpha,),
-                          em_cutoff(s.imag))[s.real, alpha]
+    with K = 15 (_BERNOULLI_TERMS) and (s)_{2k-1} the rising factorial.  The
+    direct sums come from one _direct_sums pass and the continuations from
+    one _em_tail call.  The estimate is the magnitude of the last correction
+    or the rounding floor, whichever is larger.  Arguments are already
+    checked."""
+    points = np.array([complex(sigma, t) for sigma in sigmas], complex)
+    a = np.array(shifts, dtype=float)
+    # a term beyond double range makes its value non-finite, which raises
+    # below, so numpy's warnings would only repeat the error
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sums, abs_sums = _direct_sums(sigmas, t, shifts, 0.0, N)
+        tails, lasts = _em_tail(points[:, None], N + a)
+        values = sums + tails
+        if not np.isfinite(values).all():
+            j, i = np.argwhere(~np.isfinite(values.T))[0]
+            raise OverflowError(f"zetaH({complex(points[i])}, "
+                                f"{shifts[j]:.17g}) is beyond double range")
+        # Rounding floor: pairwise-summation noise plus the phase error of
+        # computing t*log(n+a) for each term, the tail counted as one more,
+        # decorrelated across n, plus that of the n = 0 term a^(-s) on its
+        # own: at a small shift it outweighs all the others together.  Where
+        # a^(-sigma) is beyond double range (within an ulp of it, the direct
+        # sum rounded its n = 0 term down) the floor is infinite, or NaN at
+        # t = 0, where fmax takes the last correction instead.
+        floor = _EPS * ((abs_sums + np.hypot(tails.real, tails.imag))
+                        * (8.0 + math.log2(N + 1)
+                           + abs(t) * math.log(N + 2.0) / math.sqrt(N))
+                        + np.abs(t * np.log(a)) * a ** -points.real[:, None])
+    return values, np.fmax(lasts, floor)
+
+
+def hurwitz_euler_maclaurin(s: complex, alpha: float) -> EvalResult:
+    """Euler-Maclaurin value of the Hurwitz zeta-function, any s != 1, with
+    em_cutoff(t) direct terms (see _hurwitz_table): the q = 1 case of
+    lerch_via_hurwitz.  Flagged unreliable when the estimate exceeds
+    1e-10 |value|.  At alpha = 1 it is the Riemann zeta-function."""
+    return lerch_via_hurwitz(s, alpha, 1)
 
 
 def lerch_reference_table(t: float, sigmas: Iterable[float],
@@ -276,7 +265,9 @@ def lerch_reference_table(t: float, sigmas: Iterable[float],
     lam) returns, bit for bit: the pairs' Hurwitz components are pooled by
     their shift (r + alpha)/q, so a shift that several pairs share is
     evaluated once, and its logarithms and phases once for all sigmas.
-    Each component sums em_cutoff(t, q) terms.
+    Each component sums N = em_cutoff(t, q) terms, so an entry reports
+    q N main terms and q K dual terms (K corrections per component); it is
+    reliable when every component's estimate is at most 1e-10 |component|.
     """
     t = check_height(t)
     points = [check_s(complex(sigma, t)) for sigma in dict.fromkeys(sigmas)]
@@ -285,31 +276,30 @@ def lerch_reference_table(t: float, sigmas: Iterable[float],
         raise PoleError("Hurwitz zeta has its pole at s = 1")
     N = em_cutoff(t, max((q for _, _, q, _ in plans), default=1))
 
-    shifts = dict.fromkeys(a for *_, parts in plans for a, _ in parts)
+    column = {a: j for j, a in enumerate(
+        dict.fromkeys(a for *_, parts in plans for a, _ in parts))}
     try:
-        comps = _hurwitz_table(t, [s.real for s in points], shifts, N)
+        values, estimates = _hurwitz_table(t, [s.real for s in points],
+                                           list(column), N)
     except OverflowError as exc:  # name the pairs: a shift can round to 0
         asked = ", ".join(f"({alpha!r}, {lam})" for alpha, lam, *_ in plans)
         raise OverflowError(f"{exc}, a component of zl at (alpha, lam) = "
                             f"{asked}") from None
     table = {}
-    for s in points:
+    for s, comps, errs in zip(points, values.tolist(), estimates.tolist()):
         for alpha, lam, q, parts in plans:
             scale = cmath.exp(-s * math.log(q))
             value = 0.0 + 0.0j
             estimate = 0.0
-            main_terms = dual_terms = 0
             reliable = True
             for a, phase in parts:
-                comp = comps[s.real, a]
-                value += phase * comp.value
-                estimate += comp.error_estimate
-                main_terms += comp.main_terms
-                dual_terms += comp.dual_terms
-                reliable = reliable and comp.reliable
+                comp, err = comps[column[a]], errs[column[a]]
+                value += phase * comp
+                estimate += err
+                reliable = reliable and err <= 1e-10 * abs(comp)
             table[s.real, alpha, lam] = EvalResult(
-                value * scale, estimate * abs(scale), main_terms, dual_terms,
-                reliable)
+                value * scale, estimate * abs(scale), q * N,
+                q * _BERNOULLI_TERMS, reliable)
     return table
 
 
@@ -317,9 +307,9 @@ def lerch_via_hurwitz(s: complex, alpha: float, lam) -> EvalResult:
     """Lerch zeta for rational lam = p/q via the residue-class regrouping.
 
     Exact algebra maps the problem to q Hurwitz evaluations, so this shares
-    the Euler-Maclaurin continuation and error accounting.  q = 1 IS the
-    Hurwitz value (identical arithmetic).  Requires q <= 64 and s != 1.  The
-    one-point case of lerch_reference_table.
+    the Euler-Maclaurin continuation and error accounting; q = 1 is
+    hurwitz_euler_maclaurin.  Requires q <= 64 and s != 1.  The one-point
+    case of lerch_reference_table.
     """
     s = check_s(s)
     (result,) = lerch_reference_table(s.imag, (s.real,),

@@ -32,20 +32,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.line(line)
 
 
-def hurwitz_at_cutoff(s: complex, alpha: float, cutoff: int):
-    """hurwitz_euler_maclaurin(s, alpha) with its direct sum taken over
-    n < cutoff instead of params.em_cutoff(s.imag): the refined value the
-    step-halving checks compare against."""
-    return _hurwitz_table(s.imag, (s.real,), (alpha,), cutoff)[s.real, alpha]
+def hurwitz_at_cutoff(s: complex, alpha: float, cutoff: int) -> complex:
+    """The value of hurwitz_euler_maclaurin(s, alpha) with its direct sum
+    taken over n < cutoff instead of params.em_cutoff(s.imag): the refined
+    value the step-halving checks compare against."""
+    values, _ = _hurwitz_table(s.imag, (s.real,), (alpha,), cutoff)
+    return complex(values[0, 0])
 
 
 def lerch_at_cutoff(s: complex, alpha: float, lam, cutoff: int) -> complex:
     """The value of lerch_via_hurwitz(s, alpha, lam), its q Hurwitz
     components taken at the given cutoff."""
     q, parts = _decompose(alpha, lam)
-    comps = _hurwitz_table(s.imag, (s.real,), [a for a, _ in parts], cutoff)
-    return cmath.exp(-s * math.log(q)) * sum(phase * comps[s.real, a].value
-                                             for a, phase in parts)
+    values, _ = _hurwitz_table(s.imag, (s.real,), [a for a, _ in parts],
+                               cutoff)
+    return cmath.exp(-s * math.log(q)) * sum(
+        phase * value for (_, phase), value in zip(parts, values[0].tolist()))
 
 
 @pytest.fixture(scope="session")

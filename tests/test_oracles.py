@@ -75,6 +75,17 @@ class TestLerchDirect:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("terms", [1e5, 10.5, Fraction(7, 2), "100"])
+    def test_terms_not_an_integer_refused(self, terms):
+        # refused before anything is allocated: a float used to end in a
+        # TypeError from range() inside the direct sums
+        with pytest.raises(DomainError, match="terms"):
+            lerch_direct(2.0, LerchParams(1.0, 1.0), terms)
+
+    def test_numpy_integer_terms_accepted(self):
+        assert lerch_direct(2.0, LerchParams(0.5, 0.25), np.int64(100)) \
+            == lerch_direct(2.0, LerchParams(0.5, 0.25), 100)
+
     def test_strip_with_oscillation_unreliable(self):
         res = lerch_direct(complex(0.8, 5.0), LerchParams(1.0, 0.5), 20000)
         assert not res.reliable
@@ -156,17 +167,19 @@ class TestHurwitzEulerMaclaurin:
             base = hurwitz_euler_maclaurin(s, alpha)
             refined = hurwitz_at_cutoff(
                 s, alpha, 2 * max(2 * math.ceil(abs(s.imag)), 50))
-            assert abs(base.value - refined.value) <= base.error_estimate
+            assert abs(base.value - refined) <= base.error_estimate
 
 
 class TestLerchViaHurwitz:
     def test_q_one_is_hurwitz_bit_for_bit(self):
         # at alpha = 1 the Hurwitz value is the Riemann zeta-function
-        for s, alpha in ((complex(0.4, 33.0), 0.7), (complex(0.5, 57.0), 1.0)):
-            a = lerch_via_hurwitz(s, alpha, Fraction(1))
-            b = hurwitz_euler_maclaurin(s, alpha)
-            assert a.value == b.value \
-                and a.error_estimate == b.error_estimate
+        for s, alpha in ((complex(0.4, 33.0), 0.7),
+                         (complex(0.5, 57.0), 1.0),
+                         (complex(0.5, -120.5), 0.3),
+                         (complex(2.0, 9.0), 1.0)):
+            # EvalResult equality compares every field exactly
+            assert lerch_via_hurwitz(s, alpha, Fraction(1)) \
+                == hurwitz_euler_maclaurin(s, alpha)
 
     def test_half_lambda_regrouping_identity(self):
         # zl(s, a, 1/2) = 2^-s (zetaH(s, a/2) - zetaH(s, (1+a)/2)), exact algebra
@@ -244,6 +257,22 @@ class TestReferenceTable:
             for alpha, lam in pairs:
                 assert table[sigma, alpha, lam] \
                     == lerch_via_hurwitz(complex(sigma, t), alpha, lam)
+
+    def test_equals_one_point_calls_past_one_chunk(self):
+        # at t = 1.05e6 each component sums 1,050,010 terms, past one 2^20
+        # chunk of the direct sums; the two pairs share the shift 1/2
+        t = 1.05e6
+        pairs = [(0.5, Fraction(1)), (1.0, Fraction(1, 2))]
+        table = lerch_reference_table(t, (0.25, 0.75), pairs)
+        assert len(table) == 4
+        for (sigma, alpha, lam), result in table.items():
+            assert result.main_terms > 1 << 20
+            assert result == lerch_via_hurwitz(complex(sigma, t), alpha, lam)
+
+    def test_no_sigmas_or_no_pairs_give_an_empty_table(self):
+        pairs = [(0.5, Fraction(1, 2)), (1.0, Fraction(1))]
+        assert lerch_reference_table(50.0, [], pairs) == {}
+        assert lerch_reference_table(50.0, (0.5,), []) == {}
 
     def test_pole(self):
         with pytest.raises(PoleError):
