@@ -24,7 +24,7 @@ Both zeta families satisfy reflection identities connecting s with 1 - s:
   alpha-slot 1 - lam = 0 read as the full period 1, so the one function
   fe_rhs evaluates both.  Its phases are written here, not read from afe's
   kind record, so the check shares no equation with the split sums it
-  checks; from afe it takes only the kind lookup and the parameter pairs.
+  checks; from afe it takes only the kind lookups and the parameter pairs.
 
 Everything is validated numerically: both sides come from independent
 routes (decomposition oracle vs Gamma-factor assembly), so a residual at the
@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .afe import split_kind
+from .afe import check_pair, split_kind
 from .gammafns import chi
 from .gammafns import gamma_phase_product as _gpp
 from .oracles import hurwitz_euler_maclaurin, lerch_via_hurwitz
@@ -70,7 +70,9 @@ def fe_rhs(s: complex, alpha, lam) -> EvalResult:
     f1 = _gpp(s, -0.5, 0.5 - 2.0 * a * l)
     f2 = _gpp(s, 0.5, -0.5 + 2.0 * a * b)
     value = f1 * d1.value + f2 * d2.value
+    # each Gamma factor is good to 1e-12 relative, gammafns' target
     est = (abs(f1) * d1.error_estimate + abs(f2) * d2.error_estimate
+           + 1e-12 * (abs(f1 * d1.value) + abs(f2 * d2.value))
            + 64.0 * 2.22e-16 * abs(value))
     return EvalResult(value, est,
                       d1.main_terms + d2.main_terms,
@@ -98,9 +100,11 @@ def fe_residual_scan(kind: str, grid: Sequence[ScanPoint]) -> list[ScanRecord]:
 
     kind selects the identity: "lerch" and "hurwitz" check fe_rhs at each
     point's (alpha, lam); "riemann" checks zeta(s) = chi(s) zeta(1-s) with
-    both zeta values from the oracle.
-    """
+    both zeta values from the oracle.  Pairs the kind does not take are
+    refused first (check_pair)."""
     split_kind(kind)
+    for pt in grid:
+        check_pair(kind, pt.alpha, pt.lam)
     records = []
     for pt in grid:
         if kind == "riemann":

@@ -13,9 +13,10 @@ plain complex values: a modulus beyond double range raises OverflowError, a
 tiny one underflows silently to 0.
 
 gamma_phase_product keeps log Gamma(1-s) (2 pi)^(s-1) of the last s it saw
-(a one-entry memo behind the input and pole checks), so the second dual
-factor at a point reuses the first one's log Gamma(1-s) and adds only its
-own phase; the result is bit-identical to a cold evaluation.
+(a one-entry memo behind the input and pole checks), so the second of the
+two dual factors that the split sums and the mean-square grid take at one s
+reuses the first one's and adds only its own phase; the result is
+bit-identical to a cold evaluation.
 
 Accuracy: the Lanczos approximation below (g = 7, 9 coefficients) was
 measured against a 30-digit reference on a grid covering |z| <= 1e3 off the

@@ -17,7 +17,7 @@ from lerchzeta import afe
 from lerchzeta.afe import (CALIBRATED_T, DEFAULT_CFIT, CalibrationPoint,
                            default_calibration_grid, envelope_fit,
                            envelope_scan, kind_for, read_calibration,
-                           reload_calibration, split_kind, write_calibration)
+                           split_kind, write_calibration)
 from lerchzeta.params import MAX_HEIGHT
 
 TWO_PI = 2.0 * math.pi
@@ -183,10 +183,9 @@ class TestHeightMemo:
         list(envelope_scan("lerch", grid))
         memo = afe._memo
         assert memo.height == 75.0
-        assert memo.phases and memo.terms and memo.factors
+        assert memo.phases and memo.terms
         assert all(abs(key[0]) == 75.0 for key in memo.phases)
         assert all(abs(key[0].imag) == 75.0 for key in memo.terms)
-        assert all(key[0].imag == 75.0 for key in memo.factors)
 
     def test_long_sums_are_not_kept(self, monkeypatch):
         # a balanced split at t = 1e11 has 126,156 terms a sum; keeping its
@@ -515,10 +514,19 @@ class TestCalibrationFile:
         path = tmp_path / "cal.txt"
         write_calibration(str(path), {"lerch": 9.5})
         monkeypatch.setenv("LERCH_AFE_CALIBRATION", str(path))
-        reload_calibration()
-        try:
-            assert get_cfit("lerch") == 9.5
-            assert get_cfit("hurwitz") > 0.0  # falls back to packaged default
-        finally:
-            monkeypatch.delenv("LERCH_AFE_CALIBRATION")
-            reload_calibration()
+        assert get_cfit("lerch") == 9.5
+        assert get_cfit("hurwitz") > 0.0  # falls back to packaged default
+
+    def test_every_call_reads_the_environment_and_the_file(self, tmp_path,
+                                                          monkeypatch):
+        path = tmp_path / "cal.txt"
+        write_calibration(str(path), {"lerch": 9.5})
+        monkeypatch.setenv("LERCH_AFE_CALIBRATION", str(path))
+        assert get_cfit("lerch") == 9.5
+        monkeypatch.delenv("LERCH_AFE_CALIBRATION")
+        assert get_cfit("lerch") == DEFAULT_CFIT["lerch"]
+        monkeypatch.setenv("LERCH_AFE_CALIBRATION", str(path))
+        write_calibration(str(path), {"lerch": 3.25, "riemann": 1.5})
+        assert get_cfit("lerch") == 3.25
+        assert get_cfit("riemann") == 1.5
+        assert get_cfit("hurwitz") == DEFAULT_CFIT["hurwitz"]

@@ -11,6 +11,7 @@ SPLIT = choose_split(100.0)
 
 KIND_TAKERS = {
     "split_kind": afe.split_kind,
+    "check_pair": lambda k: afe.check_pair(k, 0.5, 0.5),
     "error_envelope": lambda k: afe.error_envelope(k, S, SPLIT),
     "afe_eval": lambda k: afe.afe_eval(k, S, 0.5, 0.5, SPLIT),
     "envelope_scan": lambda k: list(afe.envelope_scan(k, [])),

@@ -14,7 +14,6 @@ import pytest
 import lerchzeta
 from lerchzeta import (AfeSplit, afe_eval, choose_split, error_envelope,
                        fe_residual_scan, lerch_via_hurwitz, mean_square_ladder)
-from lerchzeta.afe import reload_calibration
 from lerchzeta.cli import main
 from lerchzeta.funceq import ScanPoint
 
@@ -88,13 +87,8 @@ class TestEval:
         path = tmp_path / "cal.txt"
         path.write_text(f"lerch = {constant}\n")
         monkeypatch.setenv("LERCH_AFE_CALIBRATION", str(path))
-        reload_calibration()
-        try:
-            code, _, err = run(capsys, "eval", "--sigma", "0.5", "--t", "100",
-                               "--alpha", "1/2", "--lambda", "1/2", "--strict")
-        finally:
-            monkeypatch.delenv("LERCH_AFE_CALIBRATION")
-            reload_calibration()
+        code, _, err = run(capsys, "eval", "--sigma", "0.5", "--t", "100",
+                           "--alpha", "1/2", "--lambda", "1/2", "--strict")
         assert code == 2
         assert "error:" in err and "calibration" in err
 
@@ -105,13 +99,8 @@ class TestEval:
         if content is not None:
             path.write_bytes(content)
         monkeypatch.setenv("LERCH_AFE_CALIBRATION", str(path))
-        reload_calibration()
-        try:
-            code, _, err = run(capsys, "eval", "--sigma", "0.5", "--t", "100",
-                               "--alpha", "1/2", "--lambda", "1/2")
-        finally:
-            monkeypatch.delenv("LERCH_AFE_CALIBRATION")
-            reload_calibration()
+        code, _, err = run(capsys, "eval", "--sigma", "0.5", "--t", "100",
+                           "--alpha", "1/2", "--lambda", "1/2")
         assert code == 2
         assert "error:" in err and str(path) in err
         assert "Traceback" not in err

@@ -3,11 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lerchzeta import (DomainError, LerchParams, chi, fe_residual_scan, fe_rhs,
                        hurwitz_euler_maclaurin, lerch_direct,
                        lerch_via_hurwitz)
+from lerchzeta import funceq
 from lerchzeta.funceq import ScanPoint, default_fe_grid
+from lerchzeta.params import POLE_TOL
 
 
 def rel(a, b):
@@ -83,6 +87,32 @@ class TestFeRhs:
                 assert rel(lhs, fe_rhs(s, a, l).value) <= 1e-8
 
 
+# a rational in (0, 1] with denominator at most 8
+_RATIONAL = st.integers(1, 8).flatmap(
+    lambda q: st.builds(Fraction, st.integers(1, q), st.just(q)))
+
+
+class TestFeRhsEstimate:
+    """|LHS - fe_rhs| stays within the two error estimates added together,
+    the right-hand one counting the Gamma factors' own relative error."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=_RATIONAL, lam=_RATIONAL, sigma=st.floats(-1.0, 2.0),
+           t=st.floats(-300.0, 300.0))
+    @example(alpha=Fraction(1, 4), lam=Fraction(1), sigma=0.4575662105593836,
+             t=-31.08849446660406)
+    @example(alpha=Fraction(1), lam=Fraction(1), sigma=0.5442299199301806,
+             t=18.633025090969852)
+    def test_difference_within_the_estimates(self, alpha, lam, sigma, t):
+        s = complex(sigma, t)
+        # the poles: the oracle's at s = 1 and 1 - s = 1, Gamma(1 - s)'s at 2
+        assume(min(abs(s - k) for k in (0, 1, 2)) > POLE_TOL)
+        lhs = lerch_via_hurwitz(s, float(alpha), lam)
+        rhs = fe_rhs(s, alpha, lam)
+        assert abs(lhs.value - rhs.value) <= (lhs.error_estimate
+                                              + rhs.error_estimate)
+
+
 class TestResidualScan:
     def test_empty_grid(self):
         assert fe_residual_scan("lerch", []) == []
@@ -95,6 +125,23 @@ class TestResidualScan:
         assert records[0].residual >= records[1].residual >= records[2].residual
 
     def test_default_grids_meet_tolerance(self):
-        for kind in ("lerch", "hurwitz"):
+        for kind in ("lerch", "hurwitz", "riemann"):
             records = fe_residual_scan(kind, default_fe_grid(kind))
             assert max(r.residual for r in records) <= 1e-7
+
+    @pytest.mark.parametrize("kind, alpha, lam, taker", [
+        ("riemann", Fraction(1, 2), Fraction(1, 2), "lerch"),
+        ("hurwitz", Fraction(1, 2), Fraction(1, 3), "lerch"),
+        ("lerch", Fraction(1, 3), Fraction(1), "hurwitz")])
+    def test_refuses_a_pair_the_kind_does_not_take(self, kind, alpha, lam,
+                                                   taker, monkeypatch):
+        def no_oracle(*args):
+            raise AssertionError("oracle called before the pair check")
+        monkeypatch.setattr(funceq, "lerch_via_hurwitz", no_oracle)
+        monkeypatch.setattr(funceq, "hurwitz_euler_maclaurin", no_oracle)
+        grid = default_fe_grid(kind) + [ScanPoint(complex(0.5, 20.0), alpha,
+                                                  lam)]
+        with pytest.raises(DomainError, match=(
+                f"no {kind!r} split sum at \\(alpha, lam\\) = "
+                f"\\({alpha}, {lam}\\); the {taker!r} kind takes it")):
+            fe_residual_scan(kind, grid)
