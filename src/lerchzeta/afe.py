@@ -78,7 +78,7 @@ __all__ = ["AfeSplit", "ErrorEnvelope", "CalibrationPoint", "SplitKind",
 DEFAULT_CFIT = {
     "lerch": 2.2309988976347808,
     "hurwitz": 0.4947244636198066,
-    "riemann": 1.2749107644931901,
+    "riemann": 1.2749107644931914,
 }
 
 _SPLIT_RTOL = 1e-12

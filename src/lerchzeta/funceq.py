@@ -37,9 +37,9 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .afe import check_pair, split_kind
-from .gammafns import chi
+from .gammafns import chi, factor_error_bound
 from .gammafns import gamma_phase_product as _gpp
-from .oracles import hurwitz_euler_maclaurin, lerch_via_hurwitz
+from .oracles import lerch_reference_table, lerch_via_hurwitz
 from .params import EvalResult, as_unit_fraction, check_s
 
 __all__ = ["fe_rhs", "fe_residual_scan", "default_fe_grid", "ScanPoint",
@@ -54,6 +54,37 @@ def _complement(f: Fraction) -> Fraction:
     return Fraction(1) if c == 0 else c
 
 
+def _duals(alpha, lam) -> tuple[tuple, tuple]:
+    """The two terms of the right-hand side at rational (alpha, lam): for
+    each, the (alpha-slot, lambda-slot) pair of its dual value at 1 - s and
+    the phase (a, b) of its Gamma factor (see the module docstring)."""
+    alpha = as_unit_fraction(alpha, "alpha")
+    lam = as_unit_fraction(lam, "lam")
+    a, l = float(alpha), float(lam)
+    b = 1.0 - l if lam < 1 else 1.0  # the second dual's alpha-slot
+    return (((l, _complement(alpha)), (-0.5, 0.5 - 2.0 * a * l)),
+            ((b, alpha), (0.5, -0.5 + 2.0 * a * b)))
+
+
+def _assemble(s: complex, terms) -> EvalResult:
+    """The right-hand side at s from its two (phase, dual value) terms: the
+    sum of gamma_phase_product(s, *phase) times each dual, with an estimate
+    that adds the duals' own, the factors' relative error at this height
+    (gammafns.factor_error_bound) and the rounding of the sum."""
+    (p1, d1), (p2, d2) = terms
+    f1 = _gpp(s, *p1)
+    f2 = _gpp(s, *p2)
+    value = f1 * d1.value + f2 * d2.value
+    est = (abs(f1) * d1.error_estimate + abs(f2) * d2.error_estimate
+           + factor_error_bound(s.imag) * (abs(f1 * d1.value)
+                                           + abs(f2 * d2.value))
+           + 64.0 * 2.22e-16 * abs(value))
+    return EvalResult(value, est,
+                      d1.main_terms + d2.main_terms,
+                      d1.dual_terms + d2.dual_terms,
+                      d1.reliable and d2.reliable)
+
+
 def fe_rhs(s: complex, alpha, lam) -> EvalResult:
     """Right-hand side of the reflection identity at rational (alpha, lam):
     the Lerch form for 0 < lam < 1, the Hurwitz periodic-sum form for
@@ -61,23 +92,24 @@ def fe_rhs(s: complex, alpha, lam) -> EvalResult:
     oracle calls at 1 - s, so the result is fully independent of the
     left-hand side."""
     s = check_s(s)
-    alpha = as_unit_fraction(alpha, "alpha")
-    lam = as_unit_fraction(lam, "lam")
-    a, l = float(alpha), float(lam)
-    b = 1.0 - l if lam < 1 else 1.0  # the second dual's alpha-slot
-    d1 = lerch_via_hurwitz(1.0 - s, l, _complement(alpha))
-    d2 = lerch_via_hurwitz(1.0 - s, b, alpha)
-    f1 = _gpp(s, -0.5, 0.5 - 2.0 * a * l)
-    f2 = _gpp(s, 0.5, -0.5 + 2.0 * a * b)
-    value = f1 * d1.value + f2 * d2.value
-    # each Gamma factor is good to 1e-12 relative, gammafns' target
-    est = (abs(f1) * d1.error_estimate + abs(f2) * d2.error_estimate
-           + 1e-12 * (abs(f1 * d1.value) + abs(f2 * d2.value))
-           + 64.0 * 2.22e-16 * abs(value))
-    return EvalResult(value, est,
-                      d1.main_terms + d2.main_terms,
-                      d1.dual_terms + d2.dual_terms,
-                      d1.reliable and d2.reliable)
+    return _assemble(s, [(phase, lerch_via_hurwitz(1.0 - s, *pair))
+                         for pair, phase in _duals(alpha, lam)])
+
+
+def _oracle_values(requests) -> list[EvalResult]:
+    """lerch_via_hurwitz(s, alpha, lam) for every (s, alpha, lam) of
+    requests, bit for bit, from one lerch_reference_table per height: the
+    requests at one height share its direct sums and continuation call."""
+    heights = {}
+    for s, alpha, lam in requests:
+        # keyed by the bits of t, so that t = 0.0 and -0.0 stay apart
+        sigmas, pairs = heights.setdefault(s.imag.hex(), ({}, {}))
+        sigmas[s.real] = None
+        pairs[alpha, lam] = None
+    tables = {h: lerch_reference_table(float.fromhex(h), sigmas, pairs)
+              for h, (sigmas, pairs) in heights.items()}
+    return [tables[s.imag.hex()][s.real, alpha, lam]
+            for s, alpha, lam in requests]
 
 
 class ScanPoint(NamedTuple):
@@ -101,23 +133,30 @@ def fe_residual_scan(kind: str, grid: Sequence[ScanPoint]) -> list[ScanRecord]:
     kind selects the identity: "lerch" and "hurwitz" check fe_rhs at each
     point's (alpha, lam); "riemann" checks zeta(s) = chi(s) zeta(1-s) with
     both zeta values from the oracle.  Pairs the kind does not take are
-    refused first (check_pair)."""
+    refused first (check_pair).  The oracle values come from one
+    lerch_reference_table per height t and one per height of 1 - s, equal
+    bit for bit to one lerch_via_hurwitz call per value."""
     split_kind(kind)
     for pt in grid:
         check_pair(kind, pt.alpha, pt.lam)
+    if kind == "riemann":
+        lhs = _oracle_values([(pt.s, 1.0, 1) for pt in grid])
+        duals = _oracle_values([(1.0 - pt.s, 1.0, 1) for pt in grid])
+        rhs = [(chi(pt.s) * z1.value, z1.reliable)
+               for pt, z1 in zip(grid, duals)]
+    else:
+        lhs = _oracle_values([(pt.s, float(pt.alpha), pt.lam) for pt in grid])
+        plans = [_duals(pt.alpha, pt.lam) for pt in grid]
+        duals = iter(_oracle_values([(1.0 - pt.s, *pair) for pt, plan
+                                     in zip(grid, plans) for pair, _ in plan]))
+        rhs = [(r.value, r.reliable) for r in (
+            _assemble(pt.s, [(phase, next(duals)) for _, phase in plan])
+            for pt, plan in zip(grid, plans))]
     records = []
-    for pt in grid:
-        if kind == "riemann":
-            lhs = hurwitz_euler_maclaurin(pt.s, 1.0)
-            z1 = hurwitz_euler_maclaurin(1.0 - pt.s, 1.0)
-            rhs_value = chi(pt.s) * z1.value
-            reliable = lhs.reliable and z1.reliable
-        else:
-            lhs = lerch_via_hurwitz(pt.s, float(pt.alpha), pt.lam)
-            rhs = fe_rhs(pt.s, pt.alpha, pt.lam)
-            rhs_value, reliable = rhs.value, lhs.reliable and rhs.reliable
-        residual = abs(lhs.value - rhs_value) / (abs(lhs.value) + _ABS_FLOOR)
-        records.append(ScanRecord(pt.s, pt.alpha, pt.lam, residual, reliable))
+    for pt, left, (rhs_value, rhs_reliable) in zip(grid, lhs, rhs):
+        residual = abs(left.value - rhs_value) / (abs(left.value) + _ABS_FLOOR)
+        records.append(ScanRecord(pt.s, pt.alpha, pt.lam, residual,
+                                  left.reliable and rhs_reliable))
     records.sort(key=lambda r: r.residual, reverse=True)
     return records
 

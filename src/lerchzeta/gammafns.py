@@ -18,10 +18,15 @@ two dual factors that the split sums and the mean-square grid take at one s
 reuses the first one's and adds only its own phase; the result is
 bit-identical to a cold evaluation.
 
-Accuracy: the Lanczos approximation below (g = 7, 9 coefficients) was
-measured against a 30-digit reference on a grid covering |z| <= 1e3 off the
-poles; the worst relative error of exp(log_gamma) was 7e-13.  The quoted
-target for this module is 1e-12.
+Accuracy: the Lanczos approximation below is g = 7 with 9 coefficients.
+gamma_phase_product was measured against 40-digit mpmath at 1,500 random
+points per band of |t|, with sigma in [-1, 2] and the phase that cancels the
+decay of Gamma(1-s).  Its worst relative error was 4.9e-13 for |t| <= 300,
+1.0e-12 for |t| in [300, 500] and 2.2e-12 in [500, 1000]; above that it
+grows like |t|, at most 2.6e-15 to 5.3e-15 times |t| per band up to
+|t| = 1e5, as the rounding of a phase of size |t| log |t| in doubles would.
+factor_error_bound(t) = max(1e-12, 6e-15 |t|) is the bound this module
+states, and what fe_rhs charges for each factor.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from functools import lru_cache
 from .errors import PoleError
 from .params import POLE_TOL, check_s
 
-__all__ = ["log_gamma", "gamma", "chi", "gamma_phase_product"]
+__all__ = ["log_gamma", "gamma", "chi", "gamma_phase_product",
+           "factor_error_bound"]
 
 TWO_PI = 2.0 * math.pi
 LOG_TWO_PI = math.log(TWO_PI)
@@ -177,6 +183,12 @@ def gamma_phase_product(s: complex, phase_coeff_of_s: float,
         raise PoleError(f"Gamma(1-s) pole at s = {s!r}")
     return _exp(_gamma_power(s)
                 + 1j * math.pi * (phase_coeff_of_s * s + phase_const))
+
+
+def factor_error_bound(t: float) -> float:
+    """The relative error of gamma_phase_product at height t that this
+    module states (module docstring): max(1e-12, 6e-15 |t|)."""
+    return max(1e-12, 6e-15 * abs(t))
 
 
 @lru_cache(maxsize=1)

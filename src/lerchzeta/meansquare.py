@@ -12,7 +12,8 @@ the main term T log(T/2 pi).  The integrand can come from three routes:
                 q (T + 10) terms per point, free of split-truncation bias.
                 It is the point oracle's regrouping and continuation
                 (oracles._decompose, oracles._em_tail) on the whole grid:
-                one continuation call per chunk covers all q components.
+                one continuation call per restart chunk covers all q
+                components.
 * partialSum -- the bare truncation sum
                 Sigma(a, lam) = sum_{0<=n<=x} e^(2 pi i n lam)(n+a)^(-1/2-it)
                 with the same x.  Its dropped remainder is O(1) for a < 1 and
@@ -23,9 +24,9 @@ T = 2000 its residual/T sits above the oracle's by 0.34 for
 (alpha, lam) = (1/2, 1/2) and by 0.99 for (1/4, 3/4).  The meanSquare split
 has y = sqrt(log t) ~ 2.8 there, so the envelope term y^(-1/2) ~ 0.6 is not
 small.  Measured T = 2000 ladder times, whole `meansquare` command, three
-runs each (2-core shared Xeon, Python 3.11.7, numpy 2.4.6): afe 1.4-2.0 s
-at both (1/2, 1/2) and (1/4, 3/4); oracle 0.6-0.8 s at (1/2, 1/2) and
-1.0-1.2 s at (1/4, 3/4).
+runs each (2-core shared Xeon, Python 3.11.7, numpy 2.4.6): afe 1.8-2.5 s
+at (1/2, 1/2) and 1.5-1.6 s at (1/4, 3/4); oracle 0.46-0.51 s at
+(1/2, 1/2) and 0.64-0.78 s at (1/4, 3/4).
 
 The meanSquare split needs x >= 1, which forces t >= t0 = 10; the stub
 [1, t0] is always integrated with the oracle route (contribution is O(10)
@@ -44,37 +45,46 @@ and the Euler-Maclaurin direct sums -- is a Dirichlet polynomial
 sum_n w_n e^(-i t f_n) on the uniform grid t_j = t_start + j h (the dual sums
 have f_n = -log(n + shift)), and one kernel evaluates them all, after
 Odlyzko & Schonhage (1988), "Fast algorithms for multiple evaluations of the
-Riemann zeta function".  The grid is cut into chunks of _CHUNK points and
-those into blocks of _BLOCK.  A block's anchor e^(-i t f_n) at its first
-point reaches the other points through the rotations e^(-i k h f_n),
-k < _BLOCK, applied to all the anchors of a chunk as one (_BLOCK x terms)
-by (terms x blocks) matrix product.  Rotations and anchors are products,
-not exps.  Per tile of terms the kernel takes three exps a term:
-e^(-i h f_n), e^(-i _BLOCK h f_n) and the direct e^(-i t_lo f_n) at the
-chunk's first point t_lo.  The k-th rotation is the k-th power of the
-first; the b-th anchor is the direct exp times the b-th power of the
-second; both are built by doubling.  Anchors restart from a direct exp at
-the first point asked for and at every chunk after it, so no chain of
-products runs past one chunk.  A power z^k carries k times the rounding of
+Riemann zeta function".  The grid is cut into restart chunks of _RESTART
+points and those into blocks of _BLOCK.  A block's anchor e^(-i t f_n) at
+its first point reaches the other points through the rotations
+e^(-i k h f_n), k < _BLOCK, applied to all the anchors of a restart chunk
+as one (_BLOCK x terms) by (terms x blocks) matrix product.  Rotations and
+anchors are products, not exps.  Per tile of terms the kernel takes two
+exps a term for each call, e^(-i h f_n) and e^(-i _BLOCK h f_n), and one
+for each restart chunk, the direct e^(-i t_lo f_n) at the chunk's first
+point t_lo.  The k-th rotation is the k-th power of the first; the b-th
+anchor is the direct exp times the b-th power of the second; both are
+built by doubling, once per tile and call, and the restart chunks of the
+call share them.  Anchors restart from a direct exp at the first point
+asked for and at every restart chunk after it, so no chain of products
+runs past one restart chunk.  A power z^k carries k times the rounding of
 z plus k - 1 product roundings, so a term carries at most 2 (_BLOCK - 1) =
 126 roundings beyond the direct exp's, about 6e-14 relative, against the
 phase rounding |t f_n| 2^-53 ~ 1.7e-12 of that exp at t = n = 2000.  A
 2,000-term sum at t ~ 2000 is off from 30-digit mpmath by at most 1.8e-12
-at seven points of a chunk, against 2.4e-12 with one exp per rotation and
-anchor.  The quadrature asks for one chunk at a time from fixed grid
-indices, so every bit of the result is fixed by the grid alone.  Terms are
-taken _TILE at a time, which bounds the working set whatever T and q are,
-and nothing is cached across chunks.  The split-sum sums end at a
+at seven points of a restart chunk, against 2.4e-12 with one exp per
+rotation and anchor.  The quadrature asks for _SPAN = 4 _RESTART points a
+call, from fixed grid indices, and a restart chunk sums each tile only up
+to its own largest term count, so a call over several restart chunks gives
+the bits one call per restart chunk gives, and every bit of the result is
+fixed by the grid alone.  The split-sum integrands serve a call one restart
+chunk at a time: their sums are shorter than a tile, so a wider call would
+share no rotations, and their per-point Gamma factors and term counts stay
+one restart chunk long.  Terms are taken _TILE at a time, which bounds
+the working set whatever T and q are.  Nothing is cached across calls: a
+cache of every tile's rotations and advances for a whole ladder would take
+2 KB a term, 131 MB at T = 16,000 and q = 4.  The split-sum sums end at a
 per-point term count (floor(x(t)) + 1, and floor(y(t)) for the duals): a
 block sums up to the largest count among its points and subtracts the
 surplus terms at the points below it.  The split sums' shifts, frequencies,
 first dual index and Gamma phases are the term row of afe's kind record,
 which afe_eval sums too.  The two Gamma factors of the afe dual sums stay
 scalar gamma_phase_product calls, two per grid point, made one point after
-the other so that the second reuses the first one's log Gamma(1-s).  Each chunk
-of integrand values is folded into running fine and coarse Simpson sums and
-the records are taken as the checkpoints pass, so no array proportional to
-the grid is allocated.
+the other so that the second reuses the first one's log Gamma(1-s).  The
+integrand values of a call are folded into running fine and coarse Simpson
+sums one restart chunk at a time, and the records are taken as the
+checkpoints pass, so no array proportional to the grid is allocated.
 """
 
 from __future__ import annotations
@@ -102,12 +112,14 @@ T0 = 10.0
 
 METHODS = ("afe", "oracle", "partialSum")
 
-# Grid points per block (one anchor each), terms per tile, and grid points
-# per chunk (one direct exp a term each; a multiple of _BLOCK and of 4, the
-# Simpson period).
+# Grid points per block (one anchor each), terms per tile, grid points per
+# restart chunk (one direct exp a term each; a multiple of _BLOCK and of 4,
+# the Simpson period), and grid points per integrand call, over which a
+# tile's rotations are shared.
 _BLOCK = 64
 _TILE = 512
-_CHUNK = 64 * _BLOCK
+_RESTART = 64 * _BLOCK
+_SPAN = 4 * _RESTART
 
 
 @dataclass(frozen=True)
@@ -161,11 +173,13 @@ def _dirichlet(w: np.ndarray, f: np.ndarray, t_start: float, h: float,
 
     Point k of block b (grid index lo + b _BLOCK + k) sits at [k, b]; points
     past hi that fill the last block are computed and dropped.  Per tile of
-    terms: three exps a term, e^(-i h f), e^(-i _BLOCK h f) and e^(-i t f)
-    at the first point t of each chunk; the rotations e^(-i k h f),
-    k < _BLOCK, and the block anchors are their products.  Anchors restart
-    at lo and every _CHUNK points after it, so rounding builds up over fewer
-    than 2 _BLOCK products (module docstring).
+    terms: e^(-i h f) and e^(-i _BLOCK h f), whose powers are the rotations
+    e^(-i k h f), k < _BLOCK, and the anchor advances, built once per call;
+    then for each restart chunk, at lo and every _RESTART points after it,
+    the direct e^(-i t f) at its first point t and that chunk's anchors, so
+    rounding builds up over fewer than 2 _BLOCK products (module
+    docstring).  A restart chunk sums a tile only up to its own largest
+    count, so its bits do not depend on the rest of the call.
     """
     nb = -(-(hi - lo) // _BLOCK)
     c = np.full(nb * _BLOCK, len(w) if counts is None else counts[-1])
@@ -173,24 +187,31 @@ def _dirichlet(w: np.ndarray, f: np.ndarray, t_start: float, h: float,
         c[:hi - lo] = counts
     c = c.reshape(nb, _BLOCK).T
     top = c.max(axis=0)
-    per_chunk = _CHUNK // _BLOCK
+    per_chunk = _RESTART // _BLOCK
+    chunks = [(b0, min(b0 + per_chunk, nb), int(top[b0:b0 + per_chunk].max()))
+              for b0 in range(0, nb, per_chunk)]
     out = np.zeros((_BLOCK, nb), dtype=complex)
+    anc = np.empty((min(nb, per_chunk), _TILE), dtype=complex)
     for n0 in range(0, int(top.max()), _TILE):
-        n = np.arange(n0, min(n0 + _TILE, int(top.max())))
-        rot = _powers(np.exp(-1j * (h * f[n])), _BLOCK)
-        advance = _powers(np.exp(-1j * ((_BLOCK * h) * f[n])),
-                          min(nb, per_chunk))
-        anc = np.empty((nb, len(n)), dtype=complex)
-        for b0 in range(0, nb, per_chunk):
+        n1 = min(n0 + _TILE, int(top.max()))
+        fn, wn = f[n0:n1], w[n0:n1]
+        rot = _powers(np.exp(-1j * (h * fn)), _BLOCK)
+        advance = _powers(np.exp(-1j * ((_BLOCK * h) * fn)), len(anc))
+        for b0, b1, chunk_top in chunks:
+            if n0 >= chunk_top:
+                continue
+            m1 = min(n1, chunk_top) - n0
+            a = anc[:b1 - b0, :m1]
             t_lo = t_start + h * (lo + b0 * _BLOCK)
-            nc = min(nb - b0, per_chunk)
-            np.multiply(w[n] * np.exp(-1j * (t_lo * f[n])), advance[:nc],
-                        out=anc[b0:b0 + nc])
-        anc[n >= top[:, None]] = 0.0
-        out += rot @ anc.T
-        for m in range(max(n0, int(c.min())), n[-1] + 1):
-            k, b = np.nonzero((c <= m) & (m < top))
-            out[k, b] -= rot[k, m - n0] * anc[b, m - n0]
+            np.multiply(wn[:m1] * np.exp(-1j * (t_lo * fn[:m1])),
+                        advance[:b1 - b0, :m1], out=a)
+            cb, tb = c[:, b0:b1], top[b0:b1]
+            if counts is not None:  # with every term summed, none is masked
+                a[np.arange(n0, n0 + m1) >= tb[:, None]] = 0.0
+            out[:, b0:b1] += rot[:, :m1] @ a.T
+            for m in range(max(n0, int(cb.min())), n0 + m1):
+                k, b = np.nonzero((cb <= m) & (m < tb))
+                out[k, b0 + b] -= rot[k, m - n0] * a[b, m - n0]
     return out.T.ravel()[:hi - lo]
 
 
@@ -213,7 +234,8 @@ def _split_sum_integrand(alpha: float, lam: float, t_max: float,
         dw = np.exp(2j * math.pi * d_freq * m) * np.exp(0.5 * df)
         dual_sums.append((dw, df, phase))
 
-    def values(t_start: float, h: float, lo: int, hi: int) -> np.ndarray:
+    def restart_chunk(t_start: float, h: float, lo: int,
+                      hi: int) -> np.ndarray:
         t = t_start + h * np.arange(lo, hi)
         y = np.sqrt(np.log(t))
         main_counts = np.floor(t / (TWO_PI * y)).astype(np.int64) + 1
@@ -231,6 +253,15 @@ def _split_sum_integrand(alpha: float, lam: float, t_max: float,
             total = total + gk * _dirichlet(dw, df, t_start, h, lo, hi,
                                             dual_counts)
         return total
+
+    def values(t_start: float, h: float, lo: int, hi: int) -> np.ndarray:
+        # one restart chunk at a time: these sums are shorter than a tile,
+        # so a wider call would share no rotations; the Gamma factors and
+        # term counts stay one restart chunk long, and no product meets
+        # numpy's temporary elision (see _oracle_integrand)
+        return np.concatenate([restart_chunk(t_start, h, c0,
+                                             min(c0 + _RESTART, hi))
+                               for c0 in range(lo, hi, _RESTART)])
 
     return values
 
@@ -250,9 +281,19 @@ def _oracle_integrand(alpha: float, lam: Fraction, cutoff: int):
 
     def values(t_start: float, h: float, lo: int, hi: int) -> np.ndarray:
         s = 0.5 + 1j * (t_start + h * np.arange(lo, hi))
-        tails, _ = _em_tail(s, x)
-        total = _dirichlet(w, f, t_start, h, lo, hi) + phases @ tails
-        return total * np.exp(-s * math.log(q)) if q > 1 else total
+        total = _dirichlet(w, f, t_start, h, lo, hi)
+        # one restart chunk at a time: the continuation's (q, _RESTART)
+        # arrays stay in cache, where (q, _SPAN) ones ran slower, and no
+        # product meets numpy's temporary elision (arrays of 256 KiB and
+        # up), which computes a * tmp as tmp * a, while a complex product
+        # is not bitwise commutative
+        for i in range(0, hi - lo, _RESTART):
+            si = s[i:i + _RESTART]
+            tails, _ = _em_tail(si, x)
+            total[i:i + _RESTART] += phases @ tails
+            if q > 1:
+                total[i:i + _RESTART] *= np.exp(-si * math.log(q))
+        return total
 
     return values
 
@@ -271,24 +312,28 @@ def _simpson(values, t_start: float, h: float, idxs: Sequence[int],
     selects the Richardson divisor: /15 for fourth-order integrands, x2
     guard for the jump-limited split-sum routes (see module docstring).
     """
-    i = np.arange(_CHUNK)
+    i = np.arange(_RESTART)
     weights = np.array([np.where(i % 2, 4.0, 2.0),
                         np.where(i % 2, 0.0, np.where(i % 4, 4.0, 2.0))])
     below = np.zeros(2)  # weighted (fine, coarse) sums over indices < lo
     out = []
-    for lo in range(0, idxs[-1] + 1, _CHUNK):
-        hi = min(lo + _CHUNK, idxs[-1] + 1)
-        v = np.abs(values(t_start, h, lo, hi)) ** 2
-        if lo == 0:
-            below -= v[0]  # the end point has weight 1, not 2
-        for k in idxs:
-            if lo <= k < hi:
-                fine, coarse = (below + weights[:, :k - lo] @ v[:k - lo]
-                                + v[k - lo]) * (h / 3.0, 2.0 * h / 3.0)
-                diff = abs(fine - coarse)
-                out.append((float(fine),
-                            float(diff / 15.0 if smooth else 2.0 * diff)))
-        below += weights[:, :hi - lo] @ v
+    end = idxs[-1] + 1
+    for span_lo in range(0, end, _SPAN):
+        span = np.abs(values(t_start, h, span_lo,
+                             min(span_lo + _SPAN, end))) ** 2
+        for lo in range(span_lo, min(span_lo + _SPAN, end), _RESTART):
+            hi = min(lo + _RESTART, end)
+            v = span[lo - span_lo:hi - span_lo]
+            if lo == 0:
+                below -= v[0]  # the end point has weight 1, not 2
+            for k in idxs:
+                if lo <= k < hi:
+                    fine, coarse = (below + weights[:, :k - lo] @ v[:k - lo]
+                                    + v[k - lo]) * (h / 3.0, 2.0 * h / 3.0)
+                    diff = abs(fine - coarse)
+                    out.append((float(fine),
+                                float(diff / 15.0 if smooth else 2.0 * diff)))
+            below += weights[:, :hi - lo] @ v
     return out
 
 

@@ -113,8 +113,9 @@ def em_cutoff(t: float, q: int = 1) -> int:
     height t, for each of the q Hurwitz components of one value.  From
     ceil(|t|) + 10 on, |s|/(2 pi (N + a)) <= 1/(2 pi) in the strip, so each
     B_{2k} correction is at most about (2 pi)^-2 times the one before; from
-    50 on the 15 of them end ten orders below the rounding floor, so a longer
-    sum would only add rounding.  Refused when q N exceeds MAX_TERMS."""
+    50 on the 8th of them (oracles._BERNOULLI_TERMS) is at most 0.055 times
+    the rounding floor, so a longer sum would only add rounding.  Refused
+    when q N exceeds MAX_TERMS."""
     cutoff = max(math.ceil(abs(t)) + 10, 50)
     if q * cutoff > MAX_TERMS:
         raise ConfigError(f"the Euler-Maclaurin oracle would sum q x cutoff "

@@ -138,7 +138,7 @@ class TestResidualScan:
         def no_oracle(*args):
             raise AssertionError("oracle called before the pair check")
         monkeypatch.setattr(funceq, "lerch_via_hurwitz", no_oracle)
-        monkeypatch.setattr(funceq, "hurwitz_euler_maclaurin", no_oracle)
+        monkeypatch.setattr(funceq, "lerch_reference_table", no_oracle)
         grid = default_fe_grid(kind) + [ScanPoint(complex(0.5, 20.0), alpha,
                                                   lam)]
         with pytest.raises(DomainError, match=(

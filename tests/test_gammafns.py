@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lerchzeta import (PoleError, chi, gamma, gamma_phase_product, gammafns,
                        hurwitz_euler_maclaurin, log_gamma)
 from lerchzeta.errors import DomainError
+from lerchzeta.gammafns import factor_error_bound
 from lerchzeta.params import MAX_HEIGHT
 
 TWO_PI = 2.0 * math.pi
@@ -212,6 +213,24 @@ class TestGammaPhaseProduct:
         for s in (2.0, complex(1.0, 1e-170), complex(3.0, -1e-15)):
             with pytest.raises(PoleError):
                 gamma_phase_product(s, 0.5, 0.0)
+
+    @pytest.mark.parametrize("t", [500.0, -500.0, 1e3, -1e3, 5e3, -5e3, 1e4,
+                                   -1e4])
+    def test_within_the_stated_bound_against_mpmath(self, t):
+        # the phases fe_rhs takes, signed so that the phase cancels the
+        # decay of Gamma(1-s) (the other sign underflows to 0)
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(int(abs(t)))
+        for _ in range(12):
+            s = complex(rng.uniform(-1.0, 2.0), t + rng.uniform(-1.0, 1.0))
+            coeff = -0.5 if t > 0 else 0.5
+            const = rng.uniform(-1.0, 1.0)
+            with mpmath.workdps(40):
+                z = mpmath.mpc(s.real, s.imag)
+                ref = complex(mpmath.gamma(1 - z) * (2 * mpmath.pi) ** (z - 1)
+                              * mpmath.expjpi(coeff * z + const))
+            v = gamma_phase_product(s, coeff, const)
+            assert abs(v - ref) <= factor_error_bound(s.imag) * abs(ref)
 
 
 def _bits(call):

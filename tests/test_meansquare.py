@@ -12,7 +12,7 @@ from lerchzeta import (ConfigError, DomainError, afe_eval, error_envelope,
                        fit_residual_exponent, get_cfit, hurwitz_euler_maclaurin,
                        lerch_via_hurwitz, mean_square_ladder)
 from lerchzeta.afe import choose_split
-from lerchzeta.meansquare import (_BLOCK, _CHUNK, T0, _dirichlet,
+from lerchzeta.meansquare import (_BLOCK, _RESTART, _SPAN, T0, _dirichlet,
                                   _oracle_integrand, _split_sum_integrand)
 from lerchzeta.params import em_cutoff
 
@@ -171,26 +171,47 @@ class TestGridKernel:
         assert full[-1] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
 
     def test_full_chunk_of_oracle_terms_at_t_2000(self):
-        # a span of one full chunk and a block past it, so the longest
-        # chains of products (the last point of the chunk) and the restart
-        # at the next chunk are both checked; 2,000 oracle-like terms
+        # a span of one full restart chunk and a block past it, so the
+        # longest chains of products (the last point of the chunk) and the
+        # restart at the next chunk are both checked; 2,000 oracle-like terms
         mpmath = pytest.importorskip("mpmath")
-        t_start, h, lo = 1959.0, 0.01, _CHUNK     # t from 1999.96 to 2042
-        n = _CHUNK + _BLOCK + 1
+        t_start, h, lo = 1959.0, 0.01, _RESTART   # t from 1999.96 to 2042
+        n = _RESTART + _BLOCK + 1
         f = np.log(np.arange(2000) + 0.25)
         w = np.exp(-0.5 * f) * np.exp(2j * math.pi * np.arange(2000) / 3)
         got = _dirichlet(w, f, t_start, h, lo, lo + n)
-        for i in [*range(0, n, 97), _CHUNK - 1, _CHUNK, n - 1]:
+        for i in [*range(0, n, 97), _RESTART - 1, _RESTART, n - 1]:
             t = t_start + h * (lo + i)
             want = (w * np.exp(-1j * t * f)).sum()
             assert got[i] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
-        i = _CHUNK - 1
+        i = _RESTART - 1
         with mpmath.workdps(30):
             t = mpmath.mpf(t_start) + mpmath.mpf(h) * (lo + i)
             want = complex(mpmath.fsum(
                 mpmath.mpc(wn) * mpmath.expj(-t * mpmath.mpf(fn))
                 for wn, fn in zip(w.tolist(), f.tolist())))
         assert got[i] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
+
+    @pytest.mark.parametrize("with_counts", [False, True],
+                             ids=["every-term", "counts"])
+    def test_span_equals_one_call_per_restart_chunk(self, with_counts):
+        # a call over two and a half restart chunks shares each tile's
+        # rotations across them, and must give every bit that one call per
+        # restart chunk gives; the counts step across a tile boundary and
+        # differ between the chunks, so the chunks stop at different tiles
+        assert _SPAN >= 2 * _RESTART
+        lo, n = 3 * _RESTART, 2 * _RESTART + _RESTART // 2 + 5
+        f = np.log(np.arange(1300) + 0.5)
+        w = np.exp(-0.5 * f) * np.exp(2j * math.pi * np.arange(1300) / 4)
+        j = np.arange(n)
+        counts = (200 + j // 10) if with_counts else None
+        got = _dirichlet(w, f, 731.0, 0.005, lo, lo + n, counts)
+        want = np.concatenate([
+            _dirichlet(w, f, 731.0, 0.005, lo + c0, lo + min(c0 + _RESTART, n),
+                       None if counts is None
+                       else counts[c0:c0 + _RESTART])
+            for c0 in range(0, n, _RESTART)])
+        assert got.tobytes() == want.tobytes()
 
     def test_one_point_grid(self):
         t = 1234.5

@@ -17,7 +17,7 @@ from conftest import hurwitz_at_cutoff
 from lerchzeta import (ConfigError, DomainError, LerchParams, PoleError,
                        hurwitz_euler_maclaurin, lerch_direct, lerch_via_hurwitz)
 from lerchzeta.meansquare import _BLOCK, _oracle_integrand
-from lerchzeta.oracles import lerch_reference_table
+from lerchzeta.oracles import _em_tail, _hurwitz_table, lerch_reference_table
 from lerchzeta.params import MAX_TERMS, POLE_TOL, em_cutoff
 
 PI2_OVER_6 = math.pi ** 2 / 6.0
@@ -287,6 +287,34 @@ class TestReferenceTable:
             lerch_reference_table(-2e15, (0.5,), [(0.5, Fraction(1, 2))])
         with pytest.raises(DomainError):
             lerch_reference_table(50.0, (0.5,), [(0.5, 0.123456789)])
+
+
+class TestCorrectionCount:
+    """K = _BERNOULLI_TERMS corrections are enough: at em_cutoff(t) the K-th
+    is below the rounding floor of _hurwitz_table, so the estimate, the
+    larger of the two, is the floor.  The margin is smallest for t in
+    [40, 300], where the cutoff is at or near its 50-term minimum: the K-th
+    correction reached 0.055 of the floor at t = 87, sigma = 0."""
+
+    SIGMAS = (0.0, 0.5, 1.0)
+    SHIFTS = (1 / 64, 0.25, 1.0)
+
+    def below_floor(self, t: float) -> bool:
+        N = em_cutoff(t)
+        _, estimates = _hurwitz_table(t, self.SIGMAS, self.SHIFTS, N)
+        s = np.array([complex(sigma, t) for sigma in self.SIGMAS])[:, None]
+        _, lasts = _em_tail(s, N + np.array(self.SHIFTS))
+        # the estimate is max(last, floor): it exceeds the last correction
+        # only where the floor does
+        return bool((lasts < estimates).all())
+
+    @pytest.mark.parametrize("t", [1.0, 10.0, 40.0, 87.0, 333.3, 500.0,
+                                   1100.0, 2000.0, 2e4])
+    def test_last_correction_below_the_floor(self, t):
+        assert self.below_floor(t)
+
+    def test_last_correction_below_the_floor_from_t_40_to_60(self):
+        assert all(self.below_floor(t) for t in np.linspace(40.0, 60.0, 161))
 
 
 class TestContinuationAgainstMpmath:
