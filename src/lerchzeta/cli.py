@@ -10,26 +10,32 @@ Subcommands:
 
 Every CSV has a JSON mirror via --format json.  Output is byte-deterministic
 for identical flags except for the leading timestamp comment, which --no-meta
-suppresses.  Exit codes: 0 success, 2 bad flags or domain errors, 3 when
---strict is set and any emitted point is flagged unreliable (or a scan point
-fails its bound).
+suppresses.  Rows are written as they are computed, so no table is held
+whole: afescan's memory does not grow with the number of heights.  An --out
+file is written under a temporary name beside it and moved into place only
+when the command succeeds; a failed command leaves no file, and a file
+already at the path untouched.  Exit codes: 0 success, 2 bad flags or
+domain errors, 3 when --strict is set and any emitted point is flagged
+unreliable (or a scan point fails its bound).
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import math
 import os
 import sys
 import time
 from fractions import Fraction
+from itertools import chain, islice
+from typing import Iterable, Iterator, TextIO
 
 from . import afe, funceq, meansquare
 from .errors import ConfigError, DomainError
 from .oracles import lerch_via_hurwitz
-from .params import MAX_DENOMINATOR, check_height, check_unit
+from .params import MAX_DENOMINATOR, check_height, check_unit, em_cutoff
 
 __all__ = ["main"]
 
@@ -75,43 +81,71 @@ def _meta_line(args) -> str | None:
 
 
 def _check_out(path: str) -> None:
-    """Refuse an --out path that cannot be written, before any work is done."""
+    """Refuse an --out path that cannot be written, before any work is done.
+    The file is made in its directory and moved onto the path
+    (_destination), so the directory must be writable, and so must a file
+    already at the path."""
     if path == "-":
         return
     folder = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(folder):
         raise ConfigError(f"cannot write {path}: no directory {folder}")
-    if os.path.isdir(path) or not os.access(
-            path if os.path.exists(path) else folder, os.W_OK):
+    targets = (folder, path) if os.path.exists(path) else (folder,)
+    if os.path.isdir(path) or not all(os.access(p, os.W_OK) for p in targets):
         raise ConfigError(f"cannot write {path}: permission denied")
 
 
-def _emit(args, rows: list[dict]) -> None:
-    """Write rows as CSV or as their JSON mirror.  The CSV columns are the
-    row keys except ``reliable``; a column whose first value is a float is
-    written with %.17g, any other with str."""
+@contextlib.contextmanager
+def _destination(path: str) -> Iterator[TextIO]:
+    """stdout for "-".  Otherwise a new temporary file beside path, moved
+    onto path with os.replace when the block ends, and deleted when it
+    raises: a failed command leaves no file at path and no temporary."""
+    if path == "-":
+        yield sys.stdout
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="ascii")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _emit(args, rows: Iterable[dict]) -> None:
+    """Write rows as CSV or as their JSON mirror, each row as it arrives, so
+    no table is held whole.  The CSV columns are the first row's keys except
+    ``reliable``; a column whose first value is a float is written with
+    %.17g, any other with str.  The JSON is, byte for byte,
+    json.dumps({"records": rows[, "meta": meta]}, indent=2) plus a newline.
+    Nothing is written before the first row exists."""
     meta = _meta_line(args)
-    if args.format == "json":
-        doc = {"records": rows}
+    rows = iter(rows)
+    head = list(islice(rows, 1))
+    with _destination(args.out) as out:
+        if args.format == "json":
+            out.write('{\n  "records": [')
+            sep = "\n    "
+            for row in chain(head, rows):
+                # a record of the whole document sits 4 spaces further in
+                out.write(sep + json.dumps(row, indent=2)
+                          .replace("\n", "\n    "))
+                sep = ",\n    "
+            out.write("\n  ]" if head else "]")
+            if meta:
+                out.write(f',\n  "meta": {json.dumps(meta)}')
+            out.write("\n}\n")
+            return
         if meta:
-            doc["meta"] = meta
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        if meta:
-            buf.write(f"# {meta}\n")
-        cols = [c for c in rows[0] if c != "reliable"]
-        buf.write(",".join(cols) + "\n")
-        line = ",".join(f"%({c}).17g" if isinstance(rows[0][c], float)
+            out.write(f"# {meta}\n")
+        cols = [c for c in head[0] if c != "reliable"]
+        out.write(",".join(cols) + "\n")
+        line = ",".join(f"%({c}).17g" if isinstance(head[0][c], float)
                         else f"%({c})s" for c in cols) + "\n"
-        for row in rows:
-            buf.write(line % row)
-        text = buf.getvalue()
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        for row in chain(head, rows):
+            out.write(line % row)
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +239,39 @@ def _cmd_afescan(args) -> int:
     kinds = afe.KINDS if args.kind == "all" else (args.kind,)
     heights = args.t or list(_SCAN_T)
     cfits = {kind: afe.get_cfit(kind) for kind in kinds}
-    # pt.sigma and pt.t, not pt.s.real and pt.s.imag: the rows then share
-    # the grid's float objects instead of holding two new ones each
-    rows = [{"kind": kind, "sigma": pt.sigma, "t": pt.t, "split": pt.shape,
-             "x": pt.split.x, "y": pt.split.y, "alpha_num": pt.alpha.numerator,
-             "alpha_den": pt.alpha.denominator, "lambda_num": pt.lam.numerator,
-             "lambda_den": pt.lam.denominator,
-             "abs_err": err, "envelope": env, "ratio": err / env}
-            for kind in kinds
+    # A bad height exits 2 before the first byte is written: its split
+    # lengths, and the oracle's cutoff at the largest lam denominator.
+    q = max(lam.denominator for kind in kinds
+            for _, lam in afe.split_kind(kind).pairs)
+    for t in heights:
+        _scan_splits(t)
+        em_cutoff(t, q)
+    summary = {}
+
+    def rows():
+        for kind in kinds:
+            count, worst, above = 0, 0.0, 0
             for pt, err, env in afe.envelope_scan(
-                kind, afe.scan_grid(kind, heights, _scan_splits))]
-    _emit(args, rows)
+                    kind, afe.scan_grid(kind, heights, _scan_splits)):
+                ratio = err / env
+                count += 1
+                worst = max(worst, ratio)
+                above += ratio > cfits[kind]
+                yield {"kind": kind, "sigma": pt.sigma, "t": pt.t,
+                       "split": pt.shape, "x": pt.split.x, "y": pt.split.y,
+                       "alpha_num": pt.alpha.numerator,
+                       "alpha_den": pt.alpha.denominator,
+                       "lambda_num": pt.lam.numerator,
+                       "lambda_den": pt.lam.denominator,
+                       "abs_err": err, "envelope": env, "ratio": ratio}
+            summary[kind] = count, worst, above
+
+    _emit(args, rows())
     failed = 0
-    for kind, cfit in cfits.items():
-        kr = [r for r in rows if r["kind"] == kind]
-        worst = max(r["ratio"] for r in kr)
-        failed += sum(1 for r in kr if r["ratio"] > cfit)
-        print(f"afescan[{kind}]: {len(kr)} points, max ratio = {worst:.4f}, "
-              f"C_fit = {cfit:.4f}", file=sys.stderr)
+    for kind, (count, worst, above) in summary.items():
+        failed += above
+        print(f"afescan[{kind}]: {count} points, max ratio = {worst:.4f}, "
+              f"C_fit = {cfits[kind]:.4f}", file=sys.stderr)
     if args.strict and failed:
         return 3
     return 0

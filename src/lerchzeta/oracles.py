@@ -182,8 +182,12 @@ def _em_tail(s: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     element; the rising factorials (s)_{2k-1} and the powers x^(1-2k) are a
     forward recurrence on s and on x alone, so only their products and the
     running bracket take the broadcast shape.  Every element goes through
-    the same operations whatever the shapes, so a table of tails equals its
-    one-element calls bit for bit."""
+    the same operations, so a table of tails equals its one-element calls
+    bit for bit, but only while no temporary reaches numpy's 256 KiB
+    elision size (16,384 complex values): from there numpy may compute
+    ``a * tmp`` as ``tmp * a``, and a complex product is not bitwise
+    commutative.  The callers stay below it: the mean-square grid passes
+    4,096-point restart chunks, and the tables one s per sigma."""
     power = np.exp(-s * np.log(x))
     bracket = x / (s - 1.0) + 0.5
     rising = s

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -282,6 +283,24 @@ class TestAfescan:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("heights", [("80", "5"), ("80", "3e7"),
+                                         ("80", "120", "5")],
+                             ids=["split", "terms", "split-third"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_bad_later_height_exits_2_before_any_row(self, capsys, tmp_path,
+                                                     heights, to_file):
+        # t = 5 has split lengths below 1; t = 3e7 an oracle cutoff above
+        # MAX_TERMS.  The rows of t = 80 come first, yet none is written.
+        # envelope_scan reads one height ahead, so without the checks a bad
+        # split at the second height still raises before any row; at the
+        # third it raises after the first height's rows.
+        argv = [a for t in heights for a in ("--t", t)]
+        out = ("--out", str(tmp_path / "a.csv")) if to_file else ()
+        code, stdout, err = run(capsys, "afescan", *argv, *out)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert os.listdir(tmp_path) == []
+
 
 class TestCalibrate:
     def test_writes_file(self, capsys, tmp_path):
@@ -360,6 +379,124 @@ class TestCsv:
             assert line.split(",") == [
                 "%.17g" % v if isinstance(v, float) else str(v)
                 for v in (rec[c] for c in cols)]
+
+
+def _buffered(rows, meta, fmt):
+    """A table as the writer once built it, whole, from a list of rows."""
+    if fmt == "json":
+        doc = {"records": rows}
+        if meta:
+            doc["meta"] = meta
+        return json.dumps(doc, indent=2) + "\n"
+    cols = [c for c in rows[0] if c != "reliable"]
+    line = ",".join(f"%({c}).17g" if isinstance(rows[0][c], float)
+                    else f"%({c})s" for c in cols) + "\n"
+    return ((f"# {meta}\n" if meta else "") + ",".join(cols) + "\n"
+            + "".join(line % row for row in rows))
+
+
+def _scan_failing_after(rows, exc):
+    """afe.envelope_scan, raising exc after its first ``rows`` rows."""
+    real = lerchzeta.afe.envelope_scan
+
+    def scan(kind, grid):
+        yield from islice(real(kind, grid), rows)
+        raise exc
+    return scan
+
+
+class TestStreamingWriter:
+    """_emit writes each row as it arrives; the bytes are those of the whole
+    table built at once, and an --out file appears only on success."""
+
+    @pytest.mark.parametrize("argv", [
+        ("afescan", "--kind", "all", "--t", "80"),
+        ("fecheck",),
+        ("meansquare", "--T", "40", "--alpha", "1/3", "--lambda", "1/2",
+         "--step", "0.05")], ids=["afescan", "fecheck", "meansquare"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("meta", [False, True], ids=["no-meta", "meta"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_equals_buffered_reference(self, capsys, tmp_path, monkeypatch,
+                                       argv, fmt, meta, to_file):
+        stamp = "2000-01-02T03:04:05+0000"
+        monkeypatch.setattr(lerchzeta.cli.time, "strftime", lambda _: stamp)
+        real_emit = lerchzeta.cli._emit
+        seen = []
+
+        def spy(args, rows):
+            def tee():
+                for row in rows:
+                    seen.append(row)
+                    yield row
+            real_emit(args, tee())
+
+        monkeypatch.setattr(lerchzeta.cli, "_emit", spy)
+        path = tmp_path / "table"
+        flags = (("--format", fmt) + (() if meta else ("--no-meta",))
+                 + (("--out", str(path)) if to_file else ()))
+        code, out, _ = run(capsys, *argv, *flags)
+        assert code == 0
+        text = path.read_text() if to_file else out
+        assert seen
+        assert text == _buffered(seen, f"lerchzeta {argv[0]} {stamp}"
+                                 if meta else None, fmt)
+        assert os.listdir(tmp_path) == (["table"] if to_file else [])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("existing", [None, b"an earlier table\n"],
+                             ids=["new", "existing"])
+    def test_failure_mid_table_leaves_no_file(self, capsys, tmp_path,
+                                              monkeypatch, fmt, existing):
+        scan = _scan_failing_after(25, OverflowError("injected after 25 rows"))
+        monkeypatch.setattr(lerchzeta.afe, "envelope_scan", scan)
+        path = tmp_path / "scan.out"
+        if existing is not None:
+            path.write_bytes(existing)
+        code, out, err = run(capsys, "afescan", "--t", "80", "--t", "120",
+                             "--format", fmt, "--out", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: injected after 25 rows\n"
+        if existing is None:
+            assert os.listdir(tmp_path) == []
+        else:
+            assert os.listdir(tmp_path) == ["scan.out"]
+            assert path.read_bytes() == existing
+
+    def test_interrupt_mid_table_leaves_no_temporary(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(lerchzeta.afe, "envelope_scan",
+                            _scan_failing_after(3, KeyboardInterrupt()))
+        with pytest.raises(KeyboardInterrupt):
+            main(["afescan", "--t", "80", "--out", str(tmp_path / "a.csv")])
+        assert os.listdir(tmp_path) == []
+
+    def test_afescan_memory_does_not_grow_with_heights(self, capsys,
+                                                       tmp_path):
+        """tracemalloc peaks of a riemann afescan over 4 and over 32 heights
+        in [40, 200], both ending at t = 200, so each height's oracle
+        table peaks the same.  With the whole table held as row dicts and
+        CSV text, the 28 more heights (560 rows) cost 455-465 kB; streamed,
+        6-27 kB."""
+        path = str(tmp_path / "scan.csv")
+
+        def peak(n):
+            argv = ["afescan", "--kind", "riemann", "--no-meta", "--out", path]
+            for k in range(n):
+                argv += ["--t", repr(40.0 + 160.0 * k / (n - 1))]
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                result = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return result
+
+        peak(2)  # first-call set-up stays out of the comparison
+        growth = peak(32) - peak(4)
+        capsys.readouterr()
+        assert growth < 128 * 1024
 
 
 class TestHeightBound:
