@@ -11,12 +11,15 @@ Subcommands:
 Every CSV has a JSON mirror via --format json.  Output is byte-deterministic
 for identical flags except for the leading timestamp comment, which --no-meta
 suppresses.  Rows are written as they are computed, so no table is held
-whole: afescan's memory does not grow with the number of heights.  An --out
-file is written under a temporary name beside it and moved into place only
-when the command succeeds; a failed command leaves no file, and a file
-already at the path untouched.  Exit codes: 0 success, 2 bad flags or
-domain errors, 3 when --strict is set and any emitted point is flagged
-unreliable (or a scan point fails its bound).
+whole: afescan's memory does not grow with the number of heights.  A new or
+plain --out file is written under a temporary name beside it and moved into
+place only when the command succeeds; a failed command leaves no file, and a
+file already at the path untouched.  Any other --out target (a symlink, a
+device, a FIFO, a file with other hard links) is written through as rows
+arrive, as stdout is: a failure after the first row leaves part of a table
+there, and only the exit code and the error line on stderr mark it.  Exit
+codes: 0 success, 2 bad flags or domain errors, 3 when --strict is set and
+any emitted point is flagged unreliable (or a scan point fails its bound).
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ import contextlib
 import json
 import math
 import os
+import shutil
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -81,33 +86,55 @@ def _meta_line(args) -> str | None:
 
 
 def _check_out(path: str) -> None:
-    """Refuse an --out path that cannot be written, before any work is done.
-    The file is made in its directory and moved onto the path
-    (_destination), so the directory must be writable, and so must a file
-    already at the path."""
+    """Refuse an --out path that cannot be written, before any work is done."""
     if path == "-":
         return
     folder = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(folder):
         raise ConfigError(f"cannot write {path}: no directory {folder}")
-    targets = (folder, path) if os.path.exists(path) else (folder,)
-    if os.path.isdir(path) or not all(os.access(p, os.W_OK) for p in targets):
+    if os.path.isdir(path) or not os.access(
+            path if os.path.exists(path) else folder, os.W_OK):
         raise ConfigError(f"cannot write {path}: permission denied")
+
+
+def _replaceable(path: str) -> bool:
+    """Whether a finished --out table may be moved onto path: when nothing
+    is there, or a plain file of one link that this process owns, in a
+    writable directory.  Anything else (a symlink, so also /dev/stdout and
+    /dev/fd/N; a device such as /dev/null; a FIFO; a hard-linked or foreign
+    file; a read-only directory) is written through instead, so that a
+    rename never replaces what the path stands for."""
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        return True
+    return (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+            and st.st_uid == os.geteuid()
+            and os.access(os.path.dirname(os.path.abspath(path)), os.W_OK))
 
 
 @contextlib.contextmanager
 def _destination(path: str) -> Iterator[TextIO]:
-    """stdout for "-".  Otherwise a new temporary file beside path, moved
-    onto path with os.replace when the block ends, and deleted when it
-    raises: a failed command leaves no file at path and no temporary."""
+    """stdout for "-".  For a path that is _replaceable, a new temporary
+    file beside it, moved onto it with os.replace (keeping the mode of a
+    file already there) when the block ends, and deleted when it raises: a
+    failed command leaves no file and no temporary, and a file already
+    there untouched.  Any other path is opened and written through, as
+    stdout is, so a failure can leave part of a table in it."""
     if path == "-":
         yield sys.stdout
+        return
+    if not _replaceable(path):
+        with open(path, "w", encoding="ascii") as fh:
+            yield fh
         return
     tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "x", encoding="ascii")
     try:
         with fh:
             yield fh
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

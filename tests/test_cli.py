@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -444,19 +446,34 @@ class TestStreamingWriter:
         assert os.listdir(tmp_path) == (["table"] if to_file else [])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("existing", [None, b"an earlier table\n"],
-                             ids=["new", "existing"])
+    @pytest.mark.parametrize("existing", [None, b"an earlier table\n", "-"],
+                             ids=["new", "existing", "stdout"])
     def test_failure_mid_table_leaves_no_file(self, capsys, tmp_path,
                                               monkeypatch, fmt, existing):
+        """A failed --out run leaves no file, or the earlier one untouched.
+        stdout cannot be taken back: the rows before the failure stay
+        there, and only the exit code and the error line mark the table
+        as cut."""
         scan = _scan_failing_after(25, OverflowError("injected after 25 rows"))
         monkeypatch.setattr(lerchzeta.afe, "envelope_scan", scan)
         path = tmp_path / "scan.out"
-        if existing is not None:
+        if isinstance(existing, bytes):
             path.write_bytes(existing)
         code, out, err = run(capsys, "afescan", "--t", "80", "--t", "120",
-                             "--format", fmt, "--out", str(path))
-        assert code == 2 and out == ""
+                             "--no-meta", "--format", fmt, "--out",
+                             "-" if existing == "-" else str(path))
+        assert code == 2
         assert err == "error: injected after 25 rows\n"
+        if existing == "-":
+            assert os.listdir(tmp_path) == []
+            if fmt == "csv":
+                assert out.startswith("kind,sigma,t,split,")
+                assert out.count("\n") == 1 + 25
+            else:
+                assert out.startswith('{\n  "records": [')
+                assert out.count('"kind"') == 25 and not out.endswith("}\n")
+            return
+        assert out == ""
         if existing is None:
             assert os.listdir(tmp_path) == []
         else:
@@ -497,6 +514,95 @@ class TestStreamingWriter:
         growth = peak(32) - peak(4)
         capsys.readouterr()
         assert growth < 128 * 1024
+
+
+_TABLE = ("afescan", "--kind", "riemann", "--t", "80", "--no-meta")
+
+
+def _table(capsys):
+    code, out, _ = run(capsys, *_TABLE)
+    assert code == 0 and out
+    return out
+
+
+class TestOutTargets:
+    """--out moves a finished table onto a plain file, and writes through
+    any other target instead of replacing what the path stands for."""
+
+    def test_symlink_updates_its_target(self, capsys, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert run(capsys, *_TABLE, "--out", str(link))[0] == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == _table(capsys)
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+
+    def test_dangling_symlink_makes_its_target(self, capsys, tmp_path):
+        link = tmp_path / "link.csv"
+        link.symlink_to(tmp_path / "target.csv")
+        assert run(capsys, *_TABLE, "--out", str(link))[0] == 0
+        assert link.is_symlink()
+        assert (tmp_path / "target.csv").read_text() == _table(capsys)
+
+    def test_fifo_is_written_not_replaced(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(open(fifo, encoding="ascii").read()),
+            daemon=True)
+        reader.start()
+        try:
+            code = run(capsys, *_TABLE, "--out", str(fifo))[0]
+        finally:
+            reader.join(timeout=30)
+        assert code == 0 and not reader.is_alive()
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert got == [_table(capsys)]
+        assert os.listdir(tmp_path) == ["pipe"]
+
+    def test_hard_link_is_written_in_place(self, capsys, tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        first.write_text("old\n")
+        os.link(first, second)
+        assert run(capsys, *_TABLE, "--out", str(first))[0] == 0
+        assert os.path.samefile(first, second)
+        assert second.read_text() == _table(capsys)
+
+    def test_plain_file_keeps_its_mode(self, capsys, tmp_path):
+        path = tmp_path / "scan.csv"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        assert run(capsys, *_TABLE, "--out", str(path))[0] == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_text() == _table(capsys)
+
+    @pytest.mark.skipif(os.geteuid() == 0,
+                        reason="root may write into a read-only directory")
+    def test_writable_file_in_read_only_directory(self, capsys, tmp_path):
+        folder = tmp_path / "ro"
+        folder.mkdir()
+        path = folder / "scan.csv"
+        path.write_text("old\n")
+        folder.chmod(0o555)
+        try:
+            assert run(capsys, *_TABLE, "--out", str(path))[0] == 0
+        finally:
+            folder.chmod(0o755)
+        assert path.read_text() == _table(capsys)
+
+    @pytest.mark.parametrize("path", [os.devnull, "/dev/stdout", "/dev/fd/1"])
+    def test_devices_and_fd_links_are_never_replaced(self, path):
+        # only asks where a table would go; nothing is written
+        assert not lerchzeta.cli._replaceable(path)
+
+    def test_new_and_plain_files_are_replaced(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        assert lerchzeta.cli._replaceable(str(path))
+        path.write_text("old\n")
+        assert lerchzeta.cli._replaceable(str(path))
 
 
 class TestHeightBound:
