@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .gammafns import TWO_PI, chi, gamma_phase_product
-from .oracles import lerch_reference_table
+from .oracles import lerch_reference_table, reference_cutoff
 from .params import MAX_TERMS, EvalResult, LerchParams, check_height, check_s
 
 __all__ = ["AfeSplit", "ErrorEnvelope", "CalibrationPoint", "SplitKind",
@@ -418,14 +418,17 @@ def scan_grid(kind: str, heights: Iterable[float],
               ) -> Iterator[CalibrationPoint]:
     """A scan's points, lazily, in row order: each height t, then sigma in
     {0, 1/4, 1/2, 3/4, 1}, then each named split of shapes(t), then each
-    of the kind's pairs (split_kind(kind).pairs)."""
+    of the kind's pairs (split_kind(kind).pairs).  Every height is checked
+    at the call, by the oracle's rule (oracles.reference_cutoff), then by
+    shapes(t)."""
     pairs = split_kind(kind).pairs
+    plan = []
     for t in heights:
-        splits = shapes(t)
-        for sigma in _CAL_SIGMAS:
-            for name, split in splits:
-                for alpha, lam in pairs:
-                    yield CalibrationPoint(sigma, t, alpha, lam, split, name)
+        reference_cutoff(t, (lam for _, lam in pairs))
+        plan.append((t, shapes(t)))
+    return (CalibrationPoint(sigma, t, alpha, lam, split, name)
+            for t, splits in plan for sigma in _CAL_SIGMAS
+            for name, split in splits for alpha, lam in pairs)
 
 
 # The heights the envelope constants are fitted over; split-sum results

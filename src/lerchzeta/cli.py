@@ -20,6 +20,8 @@ arrive, as stdout is: a failure after the first row leaves part of a table
 there, and only the exit code and the error line on stderr mark it.  Exit
 codes: 0 success, 2 bad flags or domain errors, 3 when --strict is set and
 any emitted point is flagged unreliable (or a scan point fails its bound).
+The CLI keeps no copy of a library rule: the routes refuse a non-rational
+alpha or lambda, and afe.scan_grid checks every afescan height up front.
 """
 
 from __future__ import annotations
@@ -40,35 +42,31 @@ from typing import Iterable, Iterator, TextIO
 from . import afe, funceq, meansquare
 from .errors import ConfigError, DomainError
 from .oracles import lerch_via_hurwitz
-from .params import MAX_DENOMINATOR, check_height, check_unit, em_cutoff
+from .params import as_unit_fraction, check_unit
 
 __all__ = ["main"]
 
 
-def _parse_fraction(text: str, name: str) -> tuple[float, Fraction | None]:
-    """Parse "p/q" or a decimal.  Returns (float value, exact Fraction or
-    None when the value has no denominator <= 64 representation)."""
+def _parse_fraction(text: str, name: str) -> Fraction:
+    """Parse "p/q" or a decimal as an exact Fraction in (0, 1]; a route that
+    needs it rational applies params.as_unit_fraction itself."""
     try:
         frac = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"cannot parse {name}={text!r} as p/q or decimal")
-    check_unit(frac, name)
-    if frac.denominator <= MAX_DENOMINATOR:
-        return float(frac), frac
-    return float(frac), None
+    return check_unit(frac, name)
 
 
 def _parse_split(spec: str, t: float) -> afe.AfeSplit:
     if spec in ("balanced", "meansquare", "meanSquare"):
         return afe.choose_split(t, "balanced" if spec == "balanced" else "meanSquare")
-    parts = dict(p.split("=", 1) for p in spec.split(",") if "=" in p)
-    bad = set(parts) - {"x", "y"}
-    if not parts or bad:
+    pieces = [p.split("=", 1) for p in spec.split(",")]
+    parts = dict(p for p in pieces if len(p) == 2)
+    if len(parts) != len(pieces) or set(parts) - {"x", "y"}:
         raise DomainError(f"bad --split {spec!r}: use balanced, meansquare, "
                           f"or x=...[,y=...]")
     try:
-        x = float(parts["x"]) if "x" in parts else None
-        y = float(parts["y"]) if "y" in parts else None
+        x, y = (float(parts[k]) if k in parts else None for k in "xy")
         if x is None:
             x = abs(t) / (2.0 * math.pi * y)
         elif y is None:
@@ -86,14 +84,17 @@ def _meta_line(args) -> str | None:
 
 
 def _check_out(path: str) -> None:
-    """Refuse an --out path that cannot be written, before any work is done."""
+    """Refuse an --out path that cannot be written, before any work is done:
+    also one that names no file (empty, a directory, or ending in a path
+    separator)."""
     if path == "-":
         return
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise ConfigError(f"cannot write {path!r}: it names no file")
     folder = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(folder):
         raise ConfigError(f"cannot write {path}: no directory {folder}")
-    if os.path.isdir(path) or not os.access(
-            path if os.path.exists(path) else folder, os.W_OK):
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
         raise ConfigError(f"cannot write {path}: permission denied")
 
 
@@ -181,24 +182,23 @@ def _emit(args, rows: Iterable[dict]) -> None:
 
 def _cmd_eval(args) -> int:
     s = complex(args.sigma, args.t)
-    alpha_f, alpha_frac = _parse_fraction(args.alpha, "alpha")
-    lam_f, lam_frac = _parse_fraction(args.lam, "lambda")
+    alpha = _parse_fraction(args.alpha, "alpha")
+    lam = _parse_fraction(args.lam, "lambda")
 
     if args.method == "oracle":
-        if lam_frac is None:
-            raise DomainError("oracle method needs rational lambda (p/q, q <= 64)")
-        res = lerch_via_hurwitz(s, alpha_f, lam_frac)
+        res = lerch_via_hurwitz(s, float(alpha), lam)
     elif args.method == "fe":
-        if alpha_frac is None or lam_frac is None:
-            raise DomainError("fe method needs rational alpha and lambda")
-        res = funceq.fe_rhs(s, alpha_frac, lam_frac)
+        res = funceq.fe_rhs(s, alpha, lam)
     else:
-        if alpha_frac is None or lam_frac is None:
+        try:
+            as_unit_fraction(alpha)
+            as_unit_fraction(lam)
+        except DomainError:
             print("warning: irrational parameter, no oracle cross-check applies",
                   file=sys.stderr)
         split = _parse_split(args.split, args.t)
-        res = afe.afe_eval(afe.kind_for(alpha_f, lam_f), s, alpha_f, lam_f,
-                           split)
+        a, l = float(alpha), float(lam)
+        res = afe.afe_eval(afe.kind_for(a, l), s, a, l, split)
 
     record = {
         "sigma": args.sigma, "t": args.t, "alpha": args.alpha, "lambda": args.lam,
@@ -254,7 +254,7 @@ def _scan_splits(t: float) -> list[tuple[str, afe.AfeSplit]]:
     meanSquare, "skew2" (x = 2 xb, y = xb/2) and "skew05" (x = xb/2,
     y = 2 xb).  afe._skewed_shapes names a shape by y/x instead, so this
     "skew2" is the calibration grid's "skew0.5", and "skew05" its "skew2"."""
-    xb = math.sqrt(abs(check_height(t)) / (2.0 * math.pi))
+    xb = math.sqrt(abs(t) / (2.0 * math.pi))
     return [("balanced", afe.AfeSplit(xb, xb)),
             ("meanSquare", afe.choose_split(t, "meanSquare")),
             ("skew2", afe.AfeSplit(2.0 * xb, 0.5 * xb)),
@@ -266,20 +266,15 @@ def _cmd_afescan(args) -> int:
     kinds = afe.KINDS if args.kind == "all" else (args.kind,)
     heights = args.t or list(_SCAN_T)
     cfits = {kind: afe.get_cfit(kind) for kind in kinds}
-    # A bad height exits 2 before the first byte is written: its split
-    # lengths, and the oracle's cutoff at the largest lam denominator.
-    q = max(lam.denominator for kind in kinds
-            for _, lam in afe.split_kind(kind).pairs)
-    for t in heights:
-        _scan_splits(t)
-        em_cutoff(t, q)
+    # scan_grid checks every height now: a bad one exits 2 before any byte
+    grids = {kind: afe.scan_grid(kind, heights, _scan_splits)
+             for kind in kinds}
     summary = {}
 
     def rows():
         for kind in kinds:
             count, worst, above = 0, 0.0, 0
-            for pt, err, env in afe.envelope_scan(
-                    kind, afe.scan_grid(kind, heights, _scan_splits)):
+            for pt, err, env in afe.envelope_scan(kind, grids[kind]):
                 ratio = err / env
                 count += 1
                 worst = max(worst, ratio)
@@ -327,15 +322,10 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_meansquare(args) -> int:
     _check_out(args.out)
-    alpha_f, alpha_frac = _parse_fraction(args.alpha, "alpha")
-    lam_f, lam_frac = _parse_fraction(args.lam, "lambda")
-    if lam_frac is None:
-        raise DomainError("meansquare needs rational lambda (the [1, t0] stub "
-                          "uses the oracle route)")
-    checkpoints = args.checkpoints or None
     records = meansquare.mean_square_ladder(
-        args.T, alpha_f, lam_frac, step=args.step, method=args.method,
-        checkpoints=checkpoints)
+        args.T, _parse_fraction(args.alpha, "alpha"),
+        _parse_fraction(args.lam, "lambda"), step=args.step,
+        method=args.method, checkpoints=args.checkpoints or None)
     rows = [{"T": r.T, "alpha": r.alpha, "lambda": r.lam,
              "integral": r.integral_value, "main_term": r.main_term,
              "residual": r.residual, "quad_err": r.quadrature_error_estimate,

@@ -99,9 +99,8 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .afe import choose_split, kind_for, split_kind
 from .gammafns import TWO_PI, gamma_phase_product
-from .oracles import _decompose, _em_tail
-from .params import (MAX_TERMS, as_unit_fraction, check_height, check_unit,
-                     em_cutoff)
+from .oracles import _decompose, _em_tail, reference_cutoff
+from .params import MAX_TERMS, as_unit_fraction, check_height, check_unit
 
 __all__ = ["T0", "METHODS", "MeanSquareRecord", "ExponentFit",
            "mean_square_ladder", "fit_residual_exponent"]
@@ -357,7 +356,6 @@ def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
         raise DomainError(f"T must be >= {max(T0, 20.0)}, got {T}")
     # the stub's oracle route makes rational lam a requirement for every method
     lam_fraction = as_unit_fraction(lam, "lam")
-    q = lam_fraction.denominator
     a_float = check_unit(float(alpha), "alpha")
     lam_float = float(lam_fraction)
 
@@ -381,16 +379,16 @@ def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
     # raises below, so numpy's warnings would only repeat the error
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if method == "oracle":
-            values = _oracle_integrand(a_float, lam_fraction, em_cutoff(T, q))
+            values = _oracle_integrand(a_float, lam_fraction,
+                                       reference_cutoff(T, (lam_fraction,)))
         else:
             values = _split_sum_integrand(a_float, lam_float, T,
                                           method == "partialSum")
         results = _simpson(values, T0, h, idxs, smooth=(method == "oracle"))
-        # the [1, t0] stub on its own grid, cutoff em_cutoff(t0) = 50, own
-        # halving estimate
+        # the [1, t0] stub on its own grid (cutoff 50), own halving estimate
         n_stub = 8 * max(1, math.ceil((T0 - 1.0) / (4.0 * step)))
         stub_values = _oracle_integrand(a_float, lam_fraction,
-                                        em_cutoff(T0, q))
+                                        reference_cutoff(T0, (lam_fraction,)))
         ((stub, stub_est),) = _simpson(stub_values, 1.0, (T0 - 1.0) / n_stub,
                                        [n_stub], smooth=True)
 

@@ -49,12 +49,13 @@ so does a direct series beyond double range.
 
 The cutoff is a function of the height, N = max(ceil(|t|) + 10, 50)
 (params.em_cutoff, which refuses q N > MAX_TERMS for the q components of a
-value), and K = 8 corrections (_BERNOULLI_TERMS) then end below rounding:
-over t from 1 to 2e4, sigma in {0, 1/2, 1} and shifts a in {1/64, 1/4, 1},
-the 8th was at most 0.055 times the rounding floor (at t = 87, sigma = 0;
-the ratio is largest for t in [40, 300], where the cutoff is at or near
-its 50-term minimum), and each further correction is at most about
-(2 pi)^-2 times the one before.  So the estimate is in practice the
+value); reference_cutoff takes it at the largest lam denominator, and is
+where every caller gets N.  K = 8 corrections (_BERNOULLI_TERMS) then end
+below rounding: over t from 1 to 2e4, sigma in {0, 1/2, 1} and shifts a in
+{1/64, 1/4, 1}, the 8th was at most 0.055 times the rounding floor (at
+t = 87, sigma = 0; the ratio is largest for t in [40, 300], where the cutoff
+is at or near its 50-term minimum), and each further correction is at most
+about (2 pi)^-2 times the one before.  So the estimate is in practice the
 rounding floor, ~1e-12 at |t| ~ 1e3: the phase error of t log(n + a),
 decorrelated across n, plus that of the n = 0 term a^(-s) alone, which
 dominates at a small shift a.
@@ -83,7 +84,7 @@ from .params import (MAX_TERMS, POLE_TOL, EvalResult, LerchParams,
                      em_cutoff)
 
 __all__ = ["lerch_direct", "hurwitz_euler_maclaurin", "lerch_via_hurwitz",
-           "lerch_reference_table"]
+           "lerch_reference_table", "reference_cutoff"]
 
 _EPS = 2.220446049250313e-16
 
@@ -256,6 +257,13 @@ def _hurwitz_table(t: float, sigmas: Sequence[float], shifts: Sequence[float],
     return values, np.fmax(lasts, floor)
 
 
+def reference_cutoff(t: float, lams: Iterable) -> int:
+    """em_cutoff(t, q), the oracle's direct-sum length at height t for values
+    at the given lams, q their largest denominator.  Refuses a bad t or lam."""
+    return em_cutoff(check_height(t), max(
+        (as_unit_fraction(lam, "lam").denominator for lam in lams), default=1))
+
+
 def hurwitz_euler_maclaurin(s: complex, alpha: float) -> EvalResult:
     """Euler-Maclaurin value of the Hurwitz zeta-function, any s != 1, with
     em_cutoff(t) direct terms (see _hurwitz_table): the q = 1 case of
@@ -274,16 +282,16 @@ def lerch_reference_table(t: float, sigmas: Iterable[float],
     lam) returns, bit for bit: the pairs' Hurwitz components are pooled by
     their shift (r + alpha)/q, so a shift that several pairs share is
     evaluated once, and its logarithms and phases once for all sigmas.
-    Each component sums N = em_cutoff(t, q) terms, so an entry reports
-    q N main terms and q K dual terms (K corrections per component); it is
-    reliable when every component's estimate is at most 1e-10 |component|.
+    Each component sums N = reference_cutoff(t, lams) terms, so an entry
+    reports q N main terms and q K dual terms (K corrections per component);
+    it is reliable when each component's estimate is <= 1e-10 |component|.
     """
     t = check_height(t)
     points = [check_s(complex(sigma, t)) for sigma in dict.fromkeys(sigmas)]
     plans = [(alpha, lam, *_decompose(alpha, lam)) for alpha, lam in pairs]
     if any(abs(s - 1.0) <= POLE_TOL for s in points):
         raise PoleError("Hurwitz zeta has its pole at s = 1")
-    N = em_cutoff(t, max((q for _, _, q, _ in plans), default=1))
+    N = reference_cutoff(t, (lam for _, lam, *_ in plans))
 
     column = {a: j for j, a in enumerate(
         dict.fromkeys(a for *_, parts in plans for a, _ in parts))}

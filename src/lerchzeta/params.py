@@ -6,8 +6,9 @@ t = s.imag); both zeta-function parameters live in (0, 1].  Rational
 parameters are ``fractions.Fraction`` values, which is what the
 Hurwitz-decomposition oracle needs.  check_s, check_height and check_unit
 are the input checks every module applies where s, t, T, alpha or lam
-enters, em_cutoff is the one Euler-Maclaurin truncation rule, and
-MAX_TERMS bounds the length of every sum a route forms.
+enters; as_unit_fraction is the one rational-parameter rule; em_cutoff is
+the one Euler-Maclaurin truncation rule, which oracles.reference_cutoff
+applies at a set of lams; and MAX_TERMS bounds every sum a route forms.
 """
 
 from __future__ import annotations
@@ -70,19 +71,18 @@ def check_unit(value, name: str):
 
 
 def as_unit_fraction(value, name: str = "parameter") -> Fraction:
-    """Coerce to a Fraction in (0, 1] with denominator <= 64.
+    """Coerce to a Fraction in (0, 1] with denominator <= 64, or refuse it.
 
     Accepts Fractions, ints, strings like "1/3" or "0.25", and floats that
     are exactly representable with a small denominator.
     """
     try:
         f = Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} is not rational: {value!r}") from exc
-    check_unit(f, name)
-    if f.denominator > MAX_DENOMINATOR:
-        raise DomainError(
-            f"{name} denominator {f.denominator} exceeds {MAX_DENOMINATOR}")
+    except (TypeError, ValueError, OverflowError):  # inf: no integer ratio
+        f = None
+    if f is None or check_unit(f, name).denominator > MAX_DENOMINATOR:
+        raise DomainError(f"{name} = {value} is not a rational with "
+                          f"denominator <= {MAX_DENOMINATOR}")
     return f
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from lerchzeta import afe, meansquare
+from lerchzeta import ConfigError, afe, meansquare, oracles
 from lerchzeta.oracles import _decompose, _hurwitz_table
 
 MS_PAIRS = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(1, 2)),
@@ -48,6 +48,25 @@ def lerch_at_cutoff(s: complex, alpha: float, lam, cutoff: int) -> complex:
                                cutoff)
     return cmath.exp(-s * math.log(q)) * sum(
         phase * value for (_, phase), value in zip(parts, values[0].tolist()))
+
+
+@pytest.fixture
+def oracle_refuses(monkeypatch):
+    """oracle_refuses(height) makes the truncation rule the oracle applies
+    refuse |t| = height, and leaves it as it is elsewhere: whatever takes
+    its cutoff from the oracle's own rule refuses that height too, and a
+    copy of the rule would not."""
+    rule = oracles.em_cutoff
+
+    def refuse(height):
+        def refusing(t, q=1):
+            if abs(t) == height:
+                raise ConfigError(f"the oracle refuses |t| = {height:g} here")
+            return rule(t, q)
+
+        monkeypatch.setattr(oracles, "em_cutoff", refusing)
+
+    return refuse
 
 
 @pytest.fixture(scope="session")

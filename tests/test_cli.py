@@ -69,6 +69,16 @@ class TestEval:
                            "--alpha", "1/2", "--lambda", "0.123456789",
                            "--method", "oracle")
         assert code == 2
+        # the library's refusal, naming its rule
+        assert "rational" in err and "64" in err
+
+    def test_irrational_alpha_fe_exits_2(self, capsys):
+        code, out, err = run(capsys, "eval", "--sigma", "0.5", "--t", "50",
+                             "--alpha", "0.123456789", "--lambda", "1/2",
+                             "--method", "fe")
+        assert code == 2 and out == ""
+        assert err.startswith("error: alpha") and len(err.splitlines()) == 1
+        assert "rational" in err and "64" in err
 
     def test_custom_split(self, capsys):
         code, out, _ = run(capsys, "eval", "--sigma", "0.5", "--t", "100",
@@ -76,7 +86,8 @@ class TestEval:
                            "--split", "y=2")
         assert code == 0
 
-    @pytest.mark.parametrize("split", ["x=abc", "y=0", "x=0"])
+    @pytest.mark.parametrize("split", ["x=abc", "y=0", "x=0", "x=2,bogus",
+                                       "x=2,x=3"])
     def test_unparsable_split_exits_2(self, capsys, split):
         code, _, err = run(capsys, "eval", "--sigma", "0.5", "--t", "100",
                            "--alpha", "1/2", "--lambda", "1/2",
@@ -299,6 +310,19 @@ class TestAfescan:
         argv = [a for t in heights for a in ("--t", t)]
         out = ("--out", str(tmp_path / "a.csv")) if to_file else ()
         code, stdout, err = run(capsys, "afescan", *argv, *out)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert os.listdir(tmp_path) == []
+
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_height_the_oracle_refuses_exits_2_before_any_row(
+            self, capsys, tmp_path, oracle_refuses, to_file):
+        # afescan checks heights with the oracle's own rule, not a copy
+        oracle_refuses(300.0)
+        out = ("--out", str(tmp_path / "a.csv")) if to_file else ()
+        code, stdout, err = run(capsys, "afescan", "--t", "80", "--t", "300",
+                                *out)
         assert code == 2 and stdout == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert os.listdir(tmp_path) == []
@@ -603,6 +627,26 @@ class TestOutTargets:
         assert lerchzeta.cli._replaceable(str(path))
         path.write_text("old\n")
         assert lerchzeta.cli._replaceable(str(path))
+
+    @pytest.mark.parametrize("path", ["", "nodir/", "."],
+                             ids=["empty", "slash", "directory"])
+    @pytest.mark.parametrize("argv, work", [
+        (("afescan", "--t", "80"), "afe.envelope_scan"),
+        (("fecheck",), "funceq.fe_residual_scan"),
+        (("meansquare", "--T", "500"), "meansquare.mean_square_ladder"),
+        (("calibrate", "--kind", "riemann"), "afe.envelope_fit")],
+        ids=["afescan", "fecheck", "meansquare", "calibrate"])
+    def test_path_naming_no_file_exits_2_before_any_work(
+            self, capsys, tmp_path, monkeypatch, argv, work, path):
+        def no_work(*args, **kwargs):
+            pytest.fail("the command ran although --out names no file")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(f"lerchzeta.{work}", no_work)
+        code, out, err = run(capsys, *argv, "--out", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert os.listdir(tmp_path) == []
 
 
 class TestHeightBound:

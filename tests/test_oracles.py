@@ -14,10 +14,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import hurwitz_at_cutoff
-from lerchzeta import (ConfigError, DomainError, LerchParams, PoleError,
-                       hurwitz_euler_maclaurin, lerch_direct, lerch_via_hurwitz)
-from lerchzeta.meansquare import _BLOCK, _oracle_integrand
-from lerchzeta.oracles import _em_tail, _hurwitz_table, lerch_reference_table
+from lerchzeta import (ConfigError, DomainError, LerchParams, PoleError, afe,
+                       hurwitz_euler_maclaurin, lerch_direct, lerch_via_hurwitz,
+                       mean_square_ladder)
+from lerchzeta.meansquare import _BLOCK, T0, _oracle_integrand
+from lerchzeta.oracles import (_em_tail, _hurwitz_table, lerch_reference_table,
+                               reference_cutoff)
 from lerchzeta.params import MAX_TERMS, POLE_TOL, em_cutoff
 
 PI2_OVER_6 = math.pi ** 2 / 6.0
@@ -153,6 +155,27 @@ class TestHurwitzEulerMaclaurin:
             with pytest.raises(ConfigError, match="MAX_TERMS"):
                 em_cutoff(3e7 / q, q)
 
+    @pytest.mark.parametrize("t", [0.0, 40.0, -333.3, 2000.0])
+    @pytest.mark.parametrize("lams", [(), (1,), (Fraction(1, 2), 0.75),
+                                      ("1/3", Fraction(5, 64), 1)])
+    def test_reference_cutoff_is_em_cutoff_at_largest_denominator(self, t,
+                                                                   lams):
+        q = max((Fraction(lam).denominator for lam in lams), default=1)
+        assert reference_cutoff(t, lams) == em_cutoff(t, q)
+
+    @pytest.mark.parametrize("t, lams, error, match", [
+        (math.nan, (1,), DomainError, "t must be finite"),
+        (2e15, (1,), DomainError, "t must be finite"),
+        (80.0, (Fraction(1, 65),), DomainError, "rational with denominator"),
+        (80.0, (0.1,), DomainError, "rational with denominator"),
+        (80.0, ("abc",), DomainError, "rational with denominator"),
+        (80.0, (math.inf,), DomainError, "rational with denominator"),
+        (80.0, (1.5,), DomainError, r"\(0, 1\]"),
+        (3e7 / 64, (Fraction(1, 64),), ConfigError, "MAX_TERMS")])
+    def test_reference_cutoff_refuses(self, t, lams, error, match):
+        with pytest.raises(error, match=match):
+            reference_cutoff(t, lams)
+
     def test_alpha_range(self):
         with pytest.raises(DomainError):
             hurwitz_euler_maclaurin(2.0, 1.5)
@@ -287,6 +310,36 @@ class TestReferenceTable:
             lerch_reference_table(-2e15, (0.5,), [(0.5, Fraction(1, 2))])
         with pytest.raises(DomainError):
             lerch_reference_table(50.0, (0.5,), [(0.5, 0.123456789)])
+
+
+class TestOneCutoffRule:
+    """Every caller takes the oracle's direct-sum length from
+    reference_cutoff, so a height the oracle's rule refuses is refused by
+    each of them (the CLI's afescan is checked in test_cli)."""
+
+    def test_reference_table(self, oracle_refuses):
+        oracle_refuses(300.0)
+        with pytest.raises(ConfigError, match="refuses"):
+            lerch_reference_table(300.0, (0.5,), [(0.5, Fraction(1, 2))])
+        assert lerch_reference_table(80.0, (0.5,), [(0.5, Fraction(1, 2))])
+
+    def test_scan_grid_refuses_at_the_call(self, oracle_refuses):
+        # before any point is drawn, although t = 80's points come first
+        oracle_refuses(300.0)
+        with pytest.raises(ConfigError, match="refuses"):
+            afe.scan_grid("lerch", [80.0, 300.0],
+                          lambda t: [("balanced", afe.choose_split(t))])
+
+    def test_mean_square_grid(self, oracle_refuses):
+        oracle_refuses(300.0)
+        with pytest.raises(ConfigError, match="refuses"):
+            mean_square_ladder(300.0, 0.5, Fraction(1, 2), method="oracle")
+
+    def test_mean_square_stub(self, oracle_refuses):
+        # the [1, t0] stub's cutoff, on every route
+        oracle_refuses(T0)
+        with pytest.raises(ConfigError, match="refuses"):
+            mean_square_ladder(40.0, 0.5, Fraction(1, 2), method="afe")
 
 
 class TestCorrectionCount:
