@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .gammafns import TWO_PI, chi, gamma_phase_product
-from .oracles import lerch_reference_table, reference_cutoff
+from .oracles import lerch_reference_values, reference_cutoff
 from .params import MAX_TERMS, EvalResult, LerchParams, check_height, check_s
 
 __all__ = ["AfeSplit", "ErrorEnvelope", "CalibrationPoint", "SplitKind",
@@ -385,21 +385,18 @@ def envelope_scan(kind: str, grid: Iterable[CalibrationPoint]
 
     The oracle is the rational-lam decomposition, so every grid point needs a
     rational lam.  Each run of consecutive points at the same height takes
-    its oracle values from one lerch_reference_table; each point makes one
-    afe_eval call with c_fit = 1, whose error estimate is the envelope.
+    its oracle values from one oracles.lerch_reference_values call, so from
+    one table; each point makes one afe_eval call with c_fit = 1, whose
+    error estimate is the envelope.
     """
     split_kind(kind)
-    for t, run in groupby(grid, key=lambda pt: pt.t):
-        run = list(run)
-        table = lerch_reference_table(
-            t, [pt.sigma for pt in run],
-            dict.fromkeys((float(pt.alpha), pt.lam) for pt in run))
-        for pt in run:
-            alpha = float(pt.alpha)
-            res = afe_eval(kind, pt.s, alpha, float(pt.lam), pt.split,
-                           c_fit=1.0)
-            ref = table[pt.sigma, alpha, pt.lam].value
-            yield pt, abs(res.value - ref), res.error_estimate
+    for _, run in groupby(grid, key=lambda pt: pt.t):
+        rows = [(pt, pt.s, float(pt.alpha)) for pt in run]
+        refs = lerch_reference_values([(s, alpha, pt.lam)
+                                       for pt, s, alpha in rows])
+        for (pt, s, alpha), ref in zip(rows, refs):
+            res = afe_eval(kind, s, alpha, float(pt.lam), pt.split, c_fit=1.0)
+            yield pt, abs(res.value - ref.value), res.error_estimate
 
 
 def envelope_fit(kind: str, grid: Iterable[CalibrationPoint]) -> float:
@@ -442,7 +439,7 @@ def _skewed_shapes(t: float, skews: Iterable[float]
     balanced length) for each skew F that keeps both lengths >= 1.  afescan
     (cli._scan_splits) names its shapes the other way round: its "skew2" is
     x = 2 xb, y = xb/2, which is "skew0.5" here."""
-    xb = math.sqrt(t / TWO_PI)
+    xb = choose_split(t).x
     shapes = [("meanSquare", choose_split(t, "meanSquare"))]
     for f in skews:
         x, y = xb / f, xb * f

@@ -250,11 +250,11 @@ _SCAN_T = (80.0, 120.0, 300.0, 700.0)
 
 
 def _scan_splits(t: float) -> list[tuple[str, afe.AfeSplit]]:
-    """afescan's split shapes at t: balanced (x = y = xb = sqrt(|t|/2 pi)),
+    """afescan's split shapes at t: balanced (x = y = xb, afe.choose_split),
     meanSquare, "skew2" (x = 2 xb, y = xb/2) and "skew05" (x = xb/2,
     y = 2 xb).  afe._skewed_shapes names a shape by y/x instead, so this
     "skew2" is the calibration grid's "skew0.5", and "skew05" its "skew2"."""
-    xb = math.sqrt(abs(t) / (2.0 * math.pi))
+    xb = afe.choose_split(t).x
     return [("balanced", afe.AfeSplit(xb, xb)),
             ("meanSquare", afe.choose_split(t, "meanSquare")),
             ("skew2", afe.AfeSplit(2.0 * xb, 0.5 * xb)),

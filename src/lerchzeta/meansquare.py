@@ -7,7 +7,7 @@ the main term T log(T/2 pi).  The integrand can come from three routes:
                 x = t/(2 pi sqrt(log t)), y = sqrt(log t); O(t / sqrt(log t))
                 terms per point, plus two scalar Gamma factors, which
                 dominate its cost: at T = 2000 it is slower than the oracle
-                route (times below).  The default.
+                route.  The default.
 * oracle     -- the Euler-Maclaurin decomposition route (rational lam);
                 q (T + 10) terms per point, free of split-truncation bias.
                 It is the point oracle's regrouping and continuation
@@ -23,10 +23,8 @@ The afe integrand is biased at the order of the second main term c T: at
 T = 2000 its residual/T sits above the oracle's by 0.34 for
 (alpha, lam) = (1/2, 1/2) and by 0.99 for (1/4, 3/4).  The meanSquare split
 has y = sqrt(log t) ~ 2.8 there, so the envelope term y^(-1/2) ~ 0.6 is not
-small.  Measured T = 2000 ladder times, whole `meansquare` command, three
-runs each (2-core shared Xeon, Python 3.11.7, numpy 2.4.6): afe 1.8-2.5 s
-at (1/2, 1/2) and 1.5-1.6 s at (1/4, 3/4); oracle 0.46-0.51 s at
-(1/2, 1/2) and 0.64-0.78 s at (1/4, 3/4).
+small.  The afe route is also the slower one at T = 2000; the timings of
+record are in ROADMAP and the BENCH_*.json files.
 
 The meanSquare split needs x >= 1, which forces t >= t0 = 10; the stub
 [1, t0] is always integrated with the oracle route (contribution is O(10)

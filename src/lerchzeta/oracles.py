@@ -21,6 +21,10 @@ evaluators and the functional-equation checks:
                            (alpha, lam) pairs at one height t, equal to it
                            bit for bit and much cheaper than point by point.
                            The one place that builds EvalResults.
+* ``lerch_reference_values`` -- the one batch entry: ``lerch_via_hurwitz``
+                           for (s, alpha, lam) requests at any heights, from
+                           one table per height.  ``lerch_via_hurwitz`` is
+                           its one-request case.
 
 All of them run on one Euler-Maclaurin core, ``_hurwitz_table``, which
 evaluates Hurwitz components at one height for several sigmas into
@@ -84,7 +88,8 @@ from .params import (MAX_TERMS, POLE_TOL, EvalResult, LerchParams,
                      em_cutoff)
 
 __all__ = ["lerch_direct", "hurwitz_euler_maclaurin", "lerch_via_hurwitz",
-           "lerch_reference_table", "reference_cutoff"]
+           "lerch_reference_table", "lerch_reference_values",
+           "reference_cutoff"]
 
 _EPS = 2.220446049250313e-16
 
@@ -320,15 +325,31 @@ def lerch_reference_table(t: float, sigmas: Iterable[float],
     return table
 
 
+def lerch_reference_values(requests: Iterable[tuple]) -> list[EvalResult]:
+    """lerch_via_hurwitz(s, alpha, lam) for every (s, alpha, lam) of
+    requests, in order and bit for bit, from one lerch_reference_table per
+    height: the requests at one height share its direct sums and
+    continuation call.  The one batch entry to the oracle."""
+    requests = [(check_s(s), alpha, lam) for s, alpha, lam in requests]
+    heights = {}
+    for s, alpha, lam in requests:
+        # keyed by the bits of t, so that t = 0.0 and -0.0 stay apart
+        sigmas, pairs = heights.setdefault(s.imag.hex(), ({}, {}))
+        sigmas[s.real] = None
+        pairs[alpha, lam] = None
+    tables = {h: lerch_reference_table(float.fromhex(h), sigmas, pairs)
+              for h, (sigmas, pairs) in heights.items()}
+    return [tables[s.imag.hex()][s.real, alpha, lam]
+            for s, alpha, lam in requests]
+
+
 def lerch_via_hurwitz(s: complex, alpha: float, lam) -> EvalResult:
     """Lerch zeta for rational lam = p/q via the residue-class regrouping.
 
     Exact algebra maps the problem to q Hurwitz evaluations, so this shares
     the Euler-Maclaurin continuation and error accounting; q = 1 is
-    hurwitz_euler_maclaurin.  Requires q <= 64 and s != 1.  The one-point
-    case of lerch_reference_table.
+    hurwitz_euler_maclaurin.  Requires q <= 64 and s != 1.  The one-request
+    case of lerch_reference_values.
     """
-    s = check_s(s)
-    (result,) = lerch_reference_table(s.imag, (s.real,),
-                                      ((alpha, lam),)).values()
+    (result,) = lerch_reference_values([(s, alpha, lam)])
     return result

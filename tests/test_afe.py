@@ -18,6 +18,7 @@ from lerchzeta.afe import (CALIBRATED_T, DEFAULT_CFIT, CalibrationPoint,
                            default_calibration_grid, envelope_fit,
                            envelope_scan, kind_for, read_calibration,
                            split_kind, write_calibration)
+from lerchzeta.cli import _scan_splits
 from lerchzeta.params import MAX_HEIGHT
 
 TWO_PI = 2.0 * math.pi
@@ -73,6 +74,25 @@ class TestChooseSplit:
     def test_lengths_at_least_one(self):
         with pytest.raises(DomainError):
             AfeSplit(0.5, 30.0)
+
+    def test_shape_builders_take_the_balanced_length(self, monkeypatch):
+        # afescan's and the calibration grid's shapes scale the balanced
+        # split of choose_split, the one home of its length
+        real = afe.choose_split
+        asked = []
+
+        def marked(t, mode="balanced"):
+            asked.append((t, mode))
+            return AfeSplit(3.0, 3.0) if mode == "balanced" else real(t, mode)
+
+        monkeypatch.setattr(afe, "choose_split", marked)
+        scan = dict(_scan_splits(80.0))
+        assert (scan["balanced"], scan["skew2"], scan["skew05"]) == (
+            AfeSplit(3.0, 3.0), AfeSplit(6.0, 1.5), AfeSplit(1.5, 6.0))
+        grid = dict(afe._skewed_shapes(80.0, (1.0, 2.0)))
+        assert (grid["skew1"], grid["skew2"]) == (AfeSplit(3.0, 3.0),
+                                                  AfeSplit(1.5, 6.0))
+        assert asked.count((80.0, "balanced")) == 2
 
 
 class TestErrorEnvelope:

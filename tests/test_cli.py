@@ -302,7 +302,7 @@ class TestAfescan:
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     def test_bad_later_height_exits_2_before_any_row(self, capsys, tmp_path,
                                                      heights, to_file):
-        # t = 5 has split lengths below 1; t = 3e7 an oracle cutoff above
+        # t = 5 is below 2 pi, where splits start; t = 3e7 has a cutoff above
         # MAX_TERMS.  The rows of t = 80 come first, yet none is written.
         # envelope_scan reads one height ahead, so without the checks a bad
         # split at the second height still raises before any row; at the
@@ -470,26 +470,38 @@ class TestStreamingWriter:
         assert os.listdir(tmp_path) == (["table"] if to_file else [])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("existing", [None, b"an earlier table\n", "-"],
-                             ids=["new", "existing", "stdout"])
+    @pytest.mark.parametrize("existing", [None, b"an earlier table\n", "-",
+                                          "symlink"],
+                             ids=["new", "existing", "stdout", "symlink"])
     def test_failure_mid_table_leaves_no_file(self, capsys, tmp_path,
                                               monkeypatch, fmt, existing):
         """A failed --out run leaves no file, or the earlier one untouched.
-        stdout cannot be taken back: the rows before the failure stay
-        there, and only the exit code and the error line mark the table
-        as cut."""
+        stdout and a symlink's target cannot be taken back: they are
+        written through, so the rows before the failure stay there (the
+        earlier contents of the target are gone, the link is kept), and
+        only the exit code and the error line mark the table as cut."""
         scan = _scan_failing_after(25, OverflowError("injected after 25 rows"))
         monkeypatch.setattr(lerchzeta.afe, "envelope_scan", scan)
         path = tmp_path / "scan.out"
+        target = tmp_path / "target"
         if isinstance(existing, bytes):
             path.write_bytes(existing)
+        elif existing == "symlink":
+            target.write_bytes(b"an earlier table\n")
+            path.symlink_to(target)
         code, out, err = run(capsys, "afescan", "--t", "80", "--t", "120",
                              "--no-meta", "--format", fmt, "--out",
                              "-" if existing == "-" else str(path))
         assert code == 2
         assert err == "error: injected after 25 rows\n"
-        if existing == "-":
-            assert os.listdir(tmp_path) == []
+        if existing in ("-", "symlink"):
+            if existing == "-":
+                assert os.listdir(tmp_path) == []
+            else:
+                assert out == ""
+                assert sorted(os.listdir(tmp_path)) == ["scan.out", "target"]
+                assert os.readlink(path) == str(target)
+                out = target.read_text()
             if fmt == "csv":
                 assert out.startswith("kind,sigma,t,split,")
                 assert out.count("\n") == 1 + 25

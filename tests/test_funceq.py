@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lerchzeta import (DomainError, LerchParams, chi, fe_residual_scan, fe_rhs,
                        hurwitz_euler_maclaurin, lerch_direct,
                        lerch_via_hurwitz)
-from lerchzeta import funceq
+from lerchzeta import funceq, oracles
 from lerchzeta.funceq import ScanPoint, default_fe_grid
 from lerchzeta.params import POLE_TOL
 
@@ -86,6 +86,22 @@ class TestFeRhs:
                 lhs = lerch_via_hurwitz(s, float(a), l).value
                 assert rel(lhs, fe_rhs(s, a, l).value) <= 1e-8
 
+    @pytest.mark.parametrize("alpha, lam", [
+        (Fraction(1, 3), Fraction(1, 2)), (Fraction(1, 3), Fraction(1)),
+        (Fraction(1), Fraction(1))])
+    def test_one_table_per_call(self, alpha, lam, monkeypatch):
+        # both duals sit at 1 - s, so one oracle table serves them
+        real = oracles.lerch_reference_table
+        tables = []
+
+        def counting(*args):
+            tables.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracles, "lerch_reference_table", counting)
+        fe_rhs(complex(0.5, 50.0), alpha, lam)
+        assert len(tables) == 1
+
 
 # a rational in (0, 1] with denominator at most 8
 _RATIONAL = st.integers(1, 8).flatmap(
@@ -124,6 +140,17 @@ class TestResidualScan:
         assert len(records) == 3
         assert records[0].residual >= records[1].residual >= records[2].residual
 
+    def test_riemann_residual_is_against_chi_times_the_dual(self):
+        grid = default_fe_grid("riemann")
+        expected = {}
+        for pt in grid:
+            left = lerch_via_hurwitz(pt.s, 1.0, 1).value
+            right = chi(pt.s) * lerch_via_hurwitz(1.0 - pt.s, 1.0, 1).value
+            expected[pt.s] = abs(left - right) / (abs(left) + 1e-300)
+        records = fe_residual_scan("riemann", grid)
+        assert {r.s: r.residual.hex() for r in records} \
+            == {s: v.hex() for s, v in expected.items()}
+
     def test_default_grids_meet_tolerance(self):
         for kind in ("lerch", "hurwitz", "riemann"):
             records = fe_residual_scan(kind, default_fe_grid(kind))
@@ -137,8 +164,7 @@ class TestResidualScan:
                                                    taker, monkeypatch):
         def no_oracle(*args):
             raise AssertionError("oracle called before the pair check")
-        monkeypatch.setattr(funceq, "lerch_via_hurwitz", no_oracle)
-        monkeypatch.setattr(funceq, "lerch_reference_table", no_oracle)
+        monkeypatch.setattr(funceq, "lerch_reference_values", no_oracle)
         grid = default_fe_grid(kind) + [ScanPoint(complex(0.5, 20.0), alpha,
                                                   lam)]
         with pytest.raises(DomainError, match=(

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from conftest import hurwitz_at_cutoff
 from lerchzeta import (ConfigError, DomainError, LerchParams, PoleError, afe,
                        hurwitz_euler_maclaurin, lerch_direct, lerch_via_hurwitz,
-                       mean_square_ladder)
+                       mean_square_ladder, oracles)
 from lerchzeta.meansquare import _BLOCK, T0, _oracle_integrand
 from lerchzeta.oracles import (_em_tail, _hurwitz_table, lerch_reference_table,
-                               reference_cutoff)
+                               lerch_reference_values, reference_cutoff)
 from lerchzeta.params import MAX_TERMS, POLE_TOL, em_cutoff
 
 PI2_OVER_6 = math.pi ** 2 / 6.0
@@ -310,6 +310,45 @@ class TestReferenceTable:
             lerch_reference_table(-2e15, (0.5,), [(0.5, Fraction(1, 2))])
         with pytest.raises(DomainError):
             lerch_reference_table(50.0, (0.5,), [(0.5, 0.123456789)])
+
+
+def _bits(result):
+    """Every field of an EvalResult, its floats by their bits (== would
+    take 0.0 for -0.0)."""
+    return (result.value.real.hex(), result.value.imag.hex(),
+            result.error_estimate.hex(), result.main_terms, result.dual_terms,
+            result.reliable)
+
+
+class TestReferenceValues:
+    # heights 55, -321.7, 0.0 and -0.0; the first request comes again
+    REQUESTS = [(complex(0.5, 55.0), 0.5, Fraction(1, 2)),
+                (complex(0.25, 0.0), 1.0, Fraction(1)),
+                (complex(0.25, -0.0), 1.0, Fraction(1)),
+                (complex(0.75, -321.7), Fraction(1, 3), Fraction(2, 3)),
+                (complex(0.0, 55.0), 1.0, Fraction(1, 4)),
+                (complex(0.5, 55.0), 0.5, Fraction(1, 2)),
+                (complex(-1.0, -0.0), 0.5, Fraction(1, 2))]
+
+    def test_one_table_per_height_in_request_order(self, monkeypatch):
+        real = oracles.lerch_reference_table
+        heights = []
+
+        def counting(t, sigmas, pairs):
+            heights.append(t.hex())
+            return real(t, sigmas, pairs)
+
+        monkeypatch.setattr(oracles, "lerch_reference_table", counting)
+        got = lerch_reference_values(iter(self.REQUESTS))
+        assert sorted(heights) == sorted({s.imag.hex()
+                                          for s, _, _ in self.REQUESTS})
+        monkeypatch.undo()
+        assert [_bits(r) for r in got] \
+            == [_bits(lerch_via_hurwitz(*req)) for req in self.REQUESTS]
+        assert _bits(got[0]) == _bits(got[5])
+
+    def test_no_requests(self):
+        assert lerch_reference_values([]) == []
 
 
 class TestOneCutoffRule:
