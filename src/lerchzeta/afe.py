@@ -24,12 +24,15 @@ the term row; scan_grid builds the calibration and afescan points.
 
 The sums at one height share most of their work: every sigma, split shape
 and (alpha, lam) pair reuses log(n + shift) and the phases, and every
-sigma's terms serve all split lengths.  afe_eval keeps that work in a memo
-of one height, the t > 0 height after the mirror, dropped at another
-height; without either of its two dicts the 21,760 afe_eval calls of the
-seed-1 benchmark afescan take 30% longer.  Arrays longer than _MEMO_TERMS
-are not kept, and every value is bit-identical to computing it afresh.
-The dual factors are not kept: gamma_phase_product memoizes log Gamma(1-s).
+sigma's terms serve all split lengths.  afe_eval keeps that work in _memo,
+a dict from one height (the t > 0 height after the mirror) to its two dicts
+of arrays, the phases and the terms; another height replaces it.  With the
+memo off, the 21,760 afe_eval calls of the seed-1 benchmark afescan took
+0.93-1.45 s against 0.45-0.51 s with it (best of five in each of six
+alternating processes; 2-core Xeon, Python 3.11, numpy 2.4).  A sum longer
+than _MEMO_TERMS goes to throwaway dicts, and every value is bit-identical
+to computing it afresh.  The dual factors are not kept:
+gamma_phase_product memoizes log Gamma(1-s).
 
 The truncation error is modelled by the two-term envelope
 
@@ -158,45 +161,20 @@ def error_envelope(kind: str, s: complex, split: AfeSplit) -> ErrorEnvelope:
     return ErrorEnvelope(kind, split.x ** (-sigma), t ** e * split.y ** (sigma - 1.0))
 
 
-class _HeightMemo:
-    """The work the split sums at one height share.
-
-    phases: (Im s_exp, shift, freq, first) -> (logs, phases), the
-            log(n + shift) and e^(i (Im s_exp log(n + shift) + 2 pi freq n))
-            for n = first, first + 1, ...
-    terms:  (s_exp, shift, freq, first) -> e^(Re s_exp logs) phases
-
-    Each dict saves about 0.13 s of the 0.43 s that the seed-1 benchmark
-    afescan's afe_eval calls take (2-core Xeon, Python 3.11, numpy 2.4).
-    Every key names its whole computation, so an entry is right whatever
-    height is current; ``at`` drops the entries of the previous height only
-    to keep the memo one height large.  Arrays grow on demand to the
-    longest sum requested, each element built by the same expression, so a
-    slice of a grown array equals the array a shorter request would build.
-    A sum longer than _MEMO_TERMS is built for its call and not kept.
-    """
-
-    def __init__(self) -> None:
-        self.height: float | None = None
-        self.phases: dict = {}
-        self.terms: dict = {}
-
-    def at(self, height: float) -> None:
-        if height != self.height:
-            self.clear()
-            self.height = height
-
-    def clear(self) -> None:
-        self.height = None
-        self.phases.clear()
-        self.terms.clear()
-
-
-_memo = _HeightMemo()
+# {height: (phases, terms)} for the current height only, where
+#   phases: (Im s_exp, shift, freq, first) -> (logs, phases), the
+#           log(n + shift) and e^(i (Im s_exp log(n + shift) + 2 pi freq n))
+#           for n = first, first + 1, ...
+#   terms:  (s_exp, shift, freq, first) -> e^(Re s_exp logs) phases
+# Every key names its whole computation, so an entry is right at any height;
+# dropping the previous height only bounds the memory.  Arrays grow on
+# demand to the longest sum requested, each element built by the same
+# expression, so a slice of a grown array equals a shorter request's array.
+_memo: dict[float, tuple[dict, dict]] = {}
 
 # The longest sum whose arrays the memo keeps.  Scan and calibration sums
 # (|t| <= 1100) have at most about 67 terms; a balanced split at t = 1e11
-# has 126,156, whose arrays (about 80 bytes a term over the main and dual
+# has 126,157, whose arrays (about 80 bytes a term over the main and dual
 # sums) would otherwise stay held until the next height.
 _MEMO_TERMS = 1024
 
@@ -205,29 +183,29 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 
 def _power_sum(s_exp: complex, shift: float, weight_freq: float,
-               first: int, last: int) -> complex:
-    """sum_{n=first..last} e^(2 pi i n weight_freq) (n + shift)^(s_exp)."""
+               first: int, last: int, memo: tuple[dict, dict]) -> complex:
+    """sum_{n=first..last} e^(2 pi i n weight_freq) (n + shift)^(s_exp),
+    from and into memo's (phases, terms), or throwaway dicts for a sum longer
+    than _MEMO_TERMS."""
     count = last - first + 1
-    keep = count <= _MEMO_TERMS
+    phase_memo, term_memo = memo if count <= _MEMO_TERMS else ({}, {})
     key = (s_exp, shift, weight_freq, first)
-    terms = _memo.terms.get(key)
+    terms = term_memo.get(key)
     if terms is None or len(terms) < count:
         pkey = (s_exp.imag, shift, weight_freq, first)
-        logs, phases = _memo.phases.get(pkey, ((), ()))
+        logs, phases = phase_memo.get(pkey, ((), ()))
         if len(logs) < count:
             n = np.arange(first, last + 1, dtype=float)
             logs = np.log(n + shift)
             phases = np.exp(1j * (s_exp.imag * logs + TWO_PI * weight_freq * n))
-            if keep:
-                _memo.phases[pkey] = logs, phases
+            phase_memo[pkey] = logs, phases
         if s_exp.real * logs[0] > _LOG_MAX:
             # Re s_exp <= 0 (afe_eval keeps 0 <= sigma <= 1), so the first
             # term is the largest; beyond double range, the sum is infinite
             # and afe_eval raises, where numpy would warn and go on
             return complex(math.inf)
         terms = np.exp(s_exp.real * logs) * phases
-        if keep:
-            _memo.terms[key] = terms
+        term_memo[key] = terms
     return complex(terms[:count].sum())
 
 
@@ -334,14 +312,17 @@ def afe_eval(kind: str, s: complex, alpha: float, lam: float, split: AfeSplit,
     z = s
     if s.imag < 0.0:
         z, params = s.conjugate(), params.conjugate_pair()
-    _memo.at(z.imag)
+    memo = _memo.get(z.imag)
+    if memo is None:
+        _memo.clear()
+        memo = _memo[z.imag] = {}, {}
     (shift, freq), first, duals = spec.terms(params.alpha, params.lam)
     M = math.floor(split.x)
     N = math.floor(split.y)
-    value = _power_sum(-z, shift, freq, 0, M)
+    value = _power_sum(-z, shift, freq, 0, M, memo)
     for shift, freq, phase in duals:
         factor = chi(z) if phase is None else gamma_phase_product(z, *phase)
-        value += factor * _power_sum(z - 1.0, shift, freq, first, N)
+        value += factor * _power_sum(z - 1.0, shift, freq, first, N, memo)
     if not cmath.isfinite(value):
         raise OverflowError(f"{kind} split sum at s = {s}, (alpha, lam) = "
                             f"({alpha}, {lam}) is beyond double range")

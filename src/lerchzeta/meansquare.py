@@ -360,15 +360,20 @@ def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
     if checkpoints is None:
         checkpoints = [max(20.0, T / d) for d in (8.0, 4.0, 2.0, 1.0)]
     checkpoints = [float(c) for c in checkpoints]
+    if not checkpoints:
+        raise DomainError("checkpoints must name at least one T")
     if not all(20.0 <= c <= T for c in checkpoints):
         raise DomainError(f"checkpoints must lie in [20, T], got {checkpoints}")
 
-    # fine grid: spacing <= step/2, total interval count divisible by 4
-    nf = 4 * math.ceil((T - T0) / (2.0 * step))
+    # fine grid: spacing <= step/2, total interval count divisible by 4.
+    # Past MAX_TERMS the count stays a float: a tiny step makes it 300
+    # digits long as an integer, or inf, which math.ceil refuses
+    nf4 = (T - T0) / (2.0 * step)
+    nf = 4 * math.ceil(nf4) if nf4 <= MAX_TERMS else 4.0 * nf4
     if nf + 1 > MAX_TERMS:  # the [1, t0] stub's grid is never larger
         raise ConfigError(f"the grid must have at most {MAX_TERMS} "
-                          f"(MAX_TERMS) points, got {nf + 1} for T = {T:g} "
-                          f"and step = {step:g}")
+                          f"(MAX_TERMS) points, got {nf + 1:.6g} for "
+                          f"T = {T:g} and step = {step:g}")
     h = (T - T0) / nf
     idxs = sorted({min(nf, 4 * round((c - T0) / (4.0 * h)))
                    for c in checkpoints})

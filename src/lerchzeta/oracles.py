@@ -144,12 +144,12 @@ def lerch_direct(s: complex, params: LerchParams, terms: int) -> EvalResult:
     0 < lam < 1 the series still converges, and the partial-summation bound
     (1/sin(pi lam)) (1 + |s|/sigma) (terms+alpha)^(-sigma) is reported, but
     the result is flagged unreliable: convergence is slow and this regime is
-    not used as an oracle.  A terms that is not an integer, or above
-    MAX_TERMS, is refused, and a value beyond double range raises
-    OverflowError.
+    not used as an oracle.  A terms that is not an integer (a bool is
+    not one), or above MAX_TERMS, is refused, and a value beyond double
+    range raises OverflowError.
     """
     s = check_s(s)
-    if not isinstance(terms, Integral):
+    if isinstance(terms, bool) or not isinstance(terms, Integral):
         raise DomainError(f"terms must be an integer, got {terms!r}")
     if terms < 1:
         raise DomainError(f"terms must be positive, got {terms}")

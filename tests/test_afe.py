@@ -201,14 +201,14 @@ class TestHeightMemo:
                 for t in (60.0, 90.0, -75.0) for sigma in (0.25, 1.0)
                 for a, l in ((0.25, Fraction(1, 2)), (1.0, Fraction(3, 4)))]
         list(envelope_scan("lerch", grid))
-        memo = afe._memo
-        assert memo.height == 75.0
-        assert memo.phases and memo.terms
-        assert all(abs(key[0]) == 75.0 for key in memo.phases)
-        assert all(abs(key[0].imag) == 75.0 for key in memo.terms)
+        assert list(afe._memo) == [75.0]
+        phases, terms = afe._memo[75.0]
+        assert phases and terms
+        assert all(abs(key[0]) == 75.0 for key in phases)
+        assert all(abs(key[0].imag) == 75.0 for key in terms)
 
     def test_long_sums_are_not_kept(self, monkeypatch):
-        # a balanced split at t = 1e11 has 126,156 terms a sum; keeping its
+        # a balanced split at t = 1e11 has 126,157 terms a sum; keeping its
         # arrays held 10.1 MB until the next height
         t = 1e11
         s, sp = complex(0.5, t), choose_split(t)
@@ -220,11 +220,12 @@ class TestHeightMemo:
         finally:
             tracemalloc.stop()
         assert held < 2 ** 20
-        assert not afe._memo.phases and not afe._memo.terms
+        phases, terms = afe._memo[t]
+        assert not phases and not terms
         monkeypatch.setattr(afe, "_MEMO_TERMS", math.inf)
         afe._memo.clear()
         assert afe_eval("lerch", s, 0.25, 0.75, sp) == got
-        assert afe._memo.terms
+        assert afe._memo[t][1]
         afe._memo.clear()
 
 

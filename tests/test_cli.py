@@ -705,6 +705,9 @@ class TestTermBound:
         ("meansquare", "--T", "1e12"),
         ("meansquare", "--T", "1e9", "--method", "oracle"),
         ("meansquare", "--T", "20", "--step", "1e-9"),
+        # 2e301 points (a 302-digit count), and a count that overflows to inf
+        ("meansquare", "--T", "20", "--step", "1e-300"),
+        ("meansquare", "--T", "20", "--step", "5e-324"),
         ("meansquare", "--T", "1e7", "--method", "oracle", "--lambda",
          "1/64"),
         # 1.6e7 grid points pass; 64 x 400,010 terms per point do not
@@ -713,7 +716,8 @@ class TestTermBound:
         ids=["eval-oracle", "eval-fe", "eval-oracle-components",
              "eval-fe-components", "eval-meansquare-split",
              "eval-given-split", "meansquare-afe", "meansquare-oracle",
-             "meansquare-grid", "meansquare-grid-q64",
+             "meansquare-grid", "meansquare-grid-tiny-step",
+             "meansquare-grid-infinite", "meansquare-grid-q64",
              "meansquare-oracle-components"])
     def test_beyond_max_terms_exits_2(self, capsys, argv):
         tracemalloc.start()
@@ -724,7 +728,7 @@ class TestTermBound:
             tracemalloc.stop()
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert "MAX_TERMS" in err
+        assert "MAX_TERMS" in err and len(err) < 200
         assert peak < 1 << 20
 
 

@@ -98,6 +98,11 @@ class TestMeanSquareIntegral:
             mean_square_ladder(15.0, Fraction(1), Fraction(1),
                                checkpoints=[15.0])
 
+    def test_empty_checkpoints_rejected(self):
+        with pytest.raises(DomainError, match="checkpoints"):
+            mean_square_ladder(40.0, Fraction(1, 2), Fraction(1, 2),
+                               checkpoints=[])
+
     def test_one_record_per_snapped_checkpoint(self):
         # 20 and 20.001 snap to the same grid point (spacing 0.025)
         recs = mean_square_ladder(40.0, 0.5, 0.5, step=0.05,

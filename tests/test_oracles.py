@@ -77,10 +77,11 @@ class TestLerchDirect:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("terms", [1e5, 10.5, Fraction(7, 2), "100"])
+    @pytest.mark.parametrize("terms", [1e5, 10.5, Fraction(7, 2), "100", True])
     def test_terms_not_an_integer_refused(self, terms):
         # refused before anything is allocated: a float used to end in a
-        # TypeError from range() inside the direct sums
+        # TypeError from range() inside the direct sums, and True summed one
+        # term and reported main_terms=True
         with pytest.raises(DomainError, match="terms"):
             lerch_direct(2.0, LerchParams(1.0, 1.0), terms)
 
