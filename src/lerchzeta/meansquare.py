@@ -7,36 +7,35 @@ the main term T log(T/2 pi).  The integrand can come from three routes:
                 x = t/(2 pi sqrt(log t)), y = sqrt(log t); O(t / sqrt(log t))
                 terms per point, plus two scalar Gamma factors, which
                 dominate its cost: at T = 2000 it is slower than the oracle
-                route.  The default.
-* oracle     -- the Euler-Maclaurin decomposition route (rational lam);
-                q (T + 10) terms per point, free of split-truncation bias.
-                It is the point oracle's regrouping and continuation
-                (oracles._decompose, oracles._em_tail) on the whole grid:
-                one continuation call per restart chunk covers all q
-                components.
+                route (timings of record: ROADMAP, BENCH_*.json).  The default.
+* oracle     -- the Euler-Maclaurin decomposition route (rational lam), free
+                of split-truncation bias: the point oracle's regrouping and
+                continuation (oracles._decompose, _em_tail) on the whole grid.
+                A restart chunk sums q N_c terms, N_c the oracle's cutoff at
+                its largest |t| (about q (T/2 + 36) a point over a ladder),
+                and one continuation call covers its q components.
 * partialSum -- the bare truncation sum
                 Sigma(a, lam) = sum_{0<=n<=x} e^(2 pi i n lam)(n+a)^(-1/2-it)
                 with the same x.  Its dropped remainder is O(1) for a < 1 and
                 O((log t)^(1/4)) for a = 1.
 
 The afe integrand is biased at the order of the second main term c T: at
-T = 2000 its residual/T sits above the oracle's by 0.34 for
-(alpha, lam) = (1/2, 1/2) and by 0.99 for (1/4, 3/4).  The meanSquare split
-has y = sqrt(log t) ~ 2.8 there, so the envelope term y^(-1/2) ~ 0.6 is not
-small.  The afe route is also the slower one at T = 2000; the timings of
-record are in ROADMAP and the BENCH_*.json files.
+T = 2000 its residual/T sits above the oracle's by 0.34 for (alpha, lam) =
+(1/2, 1/2) and by 0.99 for (1/4, 3/4).  The meanSquare split has
+y = sqrt(log t) ~ 2.8 there, so the envelope term y^(-1/2) ~ 0.6 is not small.
 
 The meanSquare split needs x >= 1, which forces t >= t0 = 10; the stub
 [1, t0] is always integrated with the oracle route (contribution is O(10)
 absolute).  Quadrature is composite Simpson on a grid of spacing step/2; the
 reported integral uses the fine grid and the error estimate comes from
 step-halving against the coarse subsample.  The halving divisor depends on
-the integrand route: the oracle integrand is smooth in t (fixed cutoff), its
-measured refinement ratios are 16.0, and |I(step) - I(step/2)| / 15 is the
-sharp Richardson value.  The split-sum integrands carry O(x^(-1/2)) jumps
-wherever floor(x(t)) or floor(y(t)) steps, which caps Simpson at first-order
-convergence with noisy constants (measured refinement ratios 0.7..5), so for
-them the estimate is the guarded value 2 |I(step) - I(step/2)|.
+the integrand route: the oracle integrand is smooth in t (every cutoff gives
+it to rounding), its measured refinement ratios are 16.0, and
+|I(step) - I(step/2)| / 15 is the sharp Richardson value.  The split-sum
+integrands carry O(x^(-1/2)) jumps wherever floor(x(t)) or floor(y(t))
+steps, which caps Simpson at first-order convergence with noisy constants
+(measured refinement ratios 0.7..5), so for them the estimate is the guarded
+value 2 |I(step) - I(step/2)|.
 
 Every sum these routes need -- the afe main and dual sums, the partial sum
 and the Euler-Maclaurin direct sums -- is a Dirichlet polynomial
@@ -66,10 +65,7 @@ rotation and anchor.  The quadrature asks for _SPAN = 4 _RESTART points a
 call, from fixed grid indices, and a restart chunk sums each tile only up
 to its own largest term count, so a call over several restart chunks gives
 the bits one call per restart chunk gives, and every bit of the result is
-fixed by the grid alone.  The split-sum integrands serve a call one restart
-chunk at a time: their sums are shorter than a tile, so a wider call would
-share no rotations, and their per-point Gamma factors and term counts stay
-one restart chunk long.  Terms are taken _TILE at a time, which bounds
+fixed by the grid alone.  Terms are taken _TILE at a time, which bounds
 the working set whatever T and q are.  Nothing is cached across calls: a
 cache of every tile's rotations and advances for a whole ladder would take
 2 KB a term, 131 MB at T = 16,000 and q = 4.  The split-sum sums end at a
@@ -77,12 +73,10 @@ per-point term count (floor(x(t)) + 1, and floor(y(t)) for the duals): a
 block sums up to the largest count among its points and subtracts the
 surplus terms at the points below it.  The split sums' shifts, frequencies,
 first dual index and Gamma phases are the term row of afe's kind record,
-which afe_eval sums too.  The two Gamma factors of the afe dual sums stay
-scalar gamma_phase_product calls, two per grid point, made one point after
-the other so that the second reuses the first one's log Gamma(1-s).  The
-integrand values of a call are folded into running fine and coarse Simpson
-sums one restart chunk at a time, and the records are taken as the
-checkpoints pass, so no array proportional to the grid is allocated.
+which afe_eval sums too.  The integrand values of a call are folded into
+running fine and coarse Simpson sums one restart chunk at a time, and the
+records are taken as the checkpoints pass, so no array proportional to the
+grid is allocated.
 """
 
 from __future__ import annotations
@@ -203,7 +197,7 @@ def _dirichlet(w: np.ndarray, f: np.ndarray, t_start: float, h: float,
             np.multiply(wn[:m1] * np.exp(-1j * (t_lo * fn[:m1])),
                         advance[:b1 - b0, :m1], out=a)
             cb, tb = c[:, b0:b1], top[b0:b1]
-            if counts is not None:  # with every term summed, none is masked
+            if tb.min() < n0 + m1:  # else every block sums the whole tile
                 a[np.arange(n0, n0 + m1) >= tb[:, None]] = 0.0
             out[:, b0:b1] += rot[:, :m1] @ a.T
             for m in range(max(n0, int(cb.min())), n0 + m1):
@@ -263,33 +257,40 @@ def _split_sum_integrand(alpha: float, lam: float, t_max: float,
     return values
 
 
-def _oracle_integrand(alpha: float, lam: Fraction, cutoff: int):
+def _oracle_integrand(alpha: float, lam: Fraction, t_max: float):
     """values(t_start, h, lo, hi) of the Euler-Maclaurin integrand at
-    s = 1/2 + i t_j: the direct sums and continuation of the oracle core
-    (oracles._hurwitz_table, under lerch_via_hurwitz) on every component of
-    the rational-lam decomposition, with one direct-sum length, cutoff, for
-    every point."""
+    s = 1/2 + i t_j, 0 < t_j <= t_max rising: the oracle core's direct sums
+    and continuation (oracles._hurwitz_table) on every component of the
+    rational-lam decomposition, each restart chunk at the cutoff N_c of its
+    largest t.  The direct terms run in the Lerch series' order m = q n + r,
+    so the first q N_c are q^(-s) sum_r e^(2 pi i r p/q) sum_{n<N_c}
+    (n + (r + alpha)/q)^(-s): one prefix serves every chunk."""
     q, parts = _decompose(alpha, lam)
     shifts, phases = (np.array(v) for v in zip(*parts))
-    logs = np.log(np.arange(cutoff, dtype=float) + shifts[:, None])
-    f = logs.ravel()
-    w = (phases[:, None] * np.exp(-0.5 * logs)).ravel()
-    x = cutoff + shifts[:, None]  # a column: the tails are (component, point)
+    f = np.log(np.arange(q * reference_cutoff(t_max, (lam,)), dtype=float)
+               + float(alpha))
+    w = np.tile(phases, len(f) // q) * np.exp(-0.5 * f)
 
     def values(t_start: float, h: float, lo: int, hi: int) -> np.ndarray:
-        s = 0.5 + 1j * (t_start + h * np.arange(lo, hi))
-        total = _dirichlet(w, f, t_start, h, lo, hi)
+        chunks = []
+        counts = np.empty(hi - lo, dtype=np.int64)
+        for c0 in range(lo, hi, _RESTART):
+            c1 = min(c0 + _RESTART, hi)
+            # the grid's last point may round past t_max by an ulp
+            n_c = reference_cutoff(min(t_max, t_start + h * (c1 - 1)), (lam,))
+            counts[c0 - lo:c1 - lo] = q * n_c
+            chunks.append((c0, c1, n_c))
+        total = _dirichlet(w, f, t_start, h, lo, hi, counts)
         # one restart chunk at a time: the continuation's (q, _RESTART)
         # arrays stay in cache, where (q, _SPAN) ones ran slower, and no
-        # product meets numpy's temporary elision (arrays of 256 KiB and
-        # up), which computes a * tmp as tmp * a, while a complex product
-        # is not bitwise commutative
-        for i in range(0, hi - lo, _RESTART):
-            si = s[i:i + _RESTART]
-            tails, _ = _em_tail(si, x)
-            total[i:i + _RESTART] += phases @ tails
+        # product meets numpy's temporary elision (256 KiB and up), which
+        # computes a * tmp as tmp * a: complex products do not commute bitwise
+        for c0, c1, n_c in chunks:
+            s = 0.5 + 1j * (t_start + h * np.arange(c0, c1))
+            tails, _ = _em_tail(s, n_c + shifts[:, None])
             if q > 1:
-                total[i:i + _RESTART] *= np.exp(-si * math.log(q))
+                tails *= np.exp(-s * math.log(q))
+            total[c0 - lo:c1 - lo] += phases @ tails
         return total
 
     return values
@@ -366,13 +367,14 @@ def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
         raise DomainError(f"checkpoints must lie in [20, T], got {checkpoints}")
 
     # fine grid: spacing <= step/2, total interval count divisible by 4.
-    # Past MAX_TERMS the count stays a float: a tiny step makes it 300
-    # digits long as an integer, or inf, which math.ceil refuses
+    # Past MAX_TERMS the count stays a float, printed %.6g: a tiny step
+    # makes it 300 digits long as an integer, or inf, which math.ceil refuses
     nf4 = (T - T0) / (2.0 * step)
     nf = 4 * math.ceil(nf4) if nf4 <= MAX_TERMS else 4.0 * nf4
     if nf + 1 > MAX_TERMS:  # the [1, t0] stub's grid is never larger
+        got = f"{nf + 1:.6g}" if isinstance(nf, float) else nf + 1
         raise ConfigError(f"the grid must have at most {MAX_TERMS} "
-                          f"(MAX_TERMS) points, got {nf + 1:.6g} for "
+                          f"(MAX_TERMS) points, got {got} for "
                           f"T = {T:g} and step = {step:g}")
     h = (T - T0) / nf
     idxs = sorted({min(nf, 4 * round((c - T0) / (4.0 * h)))
@@ -382,16 +384,14 @@ def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
     # raises below, so numpy's warnings would only repeat the error
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if method == "oracle":
-            values = _oracle_integrand(a_float, lam_fraction,
-                                       reference_cutoff(T, (lam_fraction,)))
+            values = _oracle_integrand(a_float, lam_fraction, T)
         else:
             values = _split_sum_integrand(a_float, lam_float, T,
                                           method == "partialSum")
         results = _simpson(values, T0, h, idxs, smooth=(method == "oracle"))
-        # the [1, t0] stub on its own grid (cutoff 50), own halving estimate
+        # the [1, t0] stub on its own grid (50 terms), own halving estimate
         n_stub = 8 * max(1, math.ceil((T0 - 1.0) / (4.0 * step)))
-        stub_values = _oracle_integrand(a_float, lam_fraction,
-                                        reference_cutoff(T0, (lam_fraction,)))
+        stub_values = _oracle_integrand(a_float, lam_fraction, T0)
         ((stub, stub_est),) = _simpson(stub_values, 1.0, (T0 - 1.0) / n_stub,
                                        [n_stub], smooth=True)
 

@@ -192,8 +192,8 @@ def _em_tail(s: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bit for bit, but only while no temporary reaches numpy's 256 KiB
     elision size (16,384 complex values): from there numpy may compute
     ``a * tmp`` as ``tmp * a``, and a complex product is not bitwise
-    commutative.  The callers stay below it: the mean-square grid passes
-    4,096-point restart chunks, and the tables one s per sigma."""
+    commutative.  The callers stay below it: the grid passes a 4,096-point
+    restart chunk and x = N_c + a at its cutoff, the tables one s a sigma."""
     power = np.exp(-s * np.log(x))
     bracket = x / (s - 1.0) + 0.5
     rising = s

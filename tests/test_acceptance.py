@@ -212,6 +212,23 @@ def test_criterion_6_residual_exponent_sanity(oracle_ladders):
             "Violations: " + ", ".join(failures))
 
 
+def test_second_order_law_on_the_oracle_ladders(oracle_ladders):
+    # the mean square to second order: I(T) = T log(T/2 pi) + c T + o(T)
+    # with c = -1 - psi(alpha) - psi(lam), psi(1) = -gamma.  c comes from
+    # mpmath, which shares no code with the oracle.  Measured: at most
+    # 0.0312 T, at (1, 1) and T = 250; the other pairs stay at or below
+    # 0.0184 T
+    mpmath = pytest.importorskip("mpmath")
+    ladders, _ = oracle_ladders
+    for (a, l), records in ladders.items():
+        c = float(-1 - mpmath.digamma(mpmath.mpf(a.numerator) / a.denominator)
+                  - mpmath.digamma(mpmath.mpf(l.numerator) / l.denominator))
+        for r in records:
+            assert abs(r.residual - c * r.T) <= 0.05 * r.T, \
+                f"({a},{l}) T={r.T:.0f}: residual/T {r.residual / r.T:.4f}, " \
+                f"c {c:.4f}"
+
+
 def test_criterion_7_oracle_self_consistency():
     rng = np.random.default_rng(7_2026)
     # step-halving bounds on 100 random Euler-Maclaurin calls

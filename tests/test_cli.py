@@ -705,6 +705,8 @@ class TestTermBound:
         ("meansquare", "--T", "1e12"),
         ("meansquare", "--T", "1e9", "--method", "oracle"),
         ("meansquare", "--T", "20", "--step", "1e-9"),
+        # 20,000,001 points: one past the bound, printed in full
+        ("meansquare", "--T", "20", "--step", "1e-6"),
         # 2e301 points (a 302-digit count), and a count that overflows to inf
         ("meansquare", "--T", "20", "--step", "1e-300"),
         ("meansquare", "--T", "20", "--step", "5e-324"),
@@ -716,7 +718,8 @@ class TestTermBound:
         ids=["eval-oracle", "eval-fe", "eval-oracle-components",
              "eval-fe-components", "eval-meansquare-split",
              "eval-given-split", "meansquare-afe", "meansquare-oracle",
-             "meansquare-grid", "meansquare-grid-tiny-step",
+             "meansquare-grid", "meansquare-grid-one-past",
+             "meansquare-grid-tiny-step",
              "meansquare-grid-infinite", "meansquare-grid-q64",
              "meansquare-oracle-components"])
     def test_beyond_max_terms_exits_2(self, capsys, argv):
@@ -730,6 +733,8 @@ class TestTermBound:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "MAX_TERMS" in err and len(err) < 200
         assert peak < 1 << 20
+        if argv[-2:] == ("--step", "1e-6"):
+            assert "got 20000001 for" in err
 
 
 class TestNonFiniteValue:

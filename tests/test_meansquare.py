@@ -14,6 +14,7 @@ from lerchzeta import (ConfigError, DomainError, afe_eval, error_envelope,
 from lerchzeta.afe import choose_split
 from lerchzeta.meansquare import (_BLOCK, _RESTART, _SPAN, T0, _dirichlet,
                                   _oracle_integrand, _split_sum_integrand)
+from lerchzeta.oracles import reference_cutoff
 from lerchzeta.params import em_cutoff
 
 TWO_PI = 2.0 * math.pi
@@ -88,6 +89,13 @@ class TestMeanSquareIntegral:
             terms.append(2 * em_cutoff(T))
         assert peaks[1] - peaks[0] < 24 * (terms[1] - terms[0]) + 0.75 * 2 ** 20
 
+    def test_oracle_grid_that_rounds_past_T(self):
+        # at T = 506 and step 0.03 the last grid point is 506 + 1 ulp, whose
+        # ceil would ask one more term than the arrays sized at T hold
+        (rec,) = mean_square_ladder(506.0, 0.5, Fraction(1, 2), step=0.03,
+                                    method="oracle", checkpoints=[506.0])
+        assert rec.T > 506.0 and rec.reliable
+
     def test_step_cap(self):
         with pytest.raises(ConfigError):
             mean_square_ladder(100.0, Fraction(1), Fraction(1), step=0.2,
@@ -121,8 +129,7 @@ class TestMeanSquareIntegral:
         h = (T - T0) / nf
         ts = T0 + h * np.arange(nf + 1)
         v_afe = _split_sum_integrand(0.5, 0.5, T, partial=False)(T0, h, 0, nf + 1)
-        v_orc = _oracle_integrand(0.5, Fraction(1, 2), 2 * math.ceil(T))(
-            T0, h, 0, nf + 1)
+        v_orc = _oracle_integrand(0.5, Fraction(1, 2), T)(T0, h, 0, nf + 1)
         c = get_cfit("lerch")
         ia = io_ = budget = 0.0
         w = np.ones(nf + 1)
@@ -258,20 +265,52 @@ class TestGridKernel:
         v_orc = lerch_via_hurwitz(complex(0.5, t), 0.5, Fraction(1, 2)).value
         assert abs(v_ps - v_orc) <= 5.0
 
-    @pytest.mark.parametrize("t_start,cutoff", [(1.0, 50), (270.0, 600)],
-                             ids=["stub", "ladder"])
+    @pytest.mark.parametrize("t_start", [1.0, 270.0], ids=["stub", "ladder"])
     @pytest.mark.parametrize("alpha,lam", [(0.5, Fraction(1, 2)),
                                            (1.0, Fraction(1)),
                                            (0.25, Fraction(2, 3))])
-    def test_oracle_integrand_matches_lerch_via_hurwitz(self, t_start, cutoff,
-                                                        alpha, lam):
+    def test_oracle_integrand_matches_lerch_via_hurwitz(self, t_start, alpha,
+                                                        lam):
+        # one restart chunk: every point sums the rule's cutoff at its top
         h = 0.01
         n = _BLOCK + 3
-        got = _oracle_integrand(alpha, lam, cutoff)(t_start, h, 0, n)
+        top = t_start + h * (n - 1)
+        cutoff = reference_cutoff(top, (lam,))
+        got = _oracle_integrand(alpha, lam, top)(t_start, h, 0, n)
         for j in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, n - 1):
             want = lerch_at_cutoff(complex(0.5, t_start + h * j), alpha, lam,
                                    cutoff)
             assert got[j] == pytest.approx(want, abs=1e-11 * (1 + abs(want)))
+
+    @pytest.mark.parametrize("t", [57.0, 270.0, 990.0])
+    @pytest.mark.parametrize("alpha,lam", [(0.5, Fraction(1, 2)),
+                                           (1.0, Fraction(1)),
+                                           (0.25, Fraction(2, 3)),
+                                           (0.5, Fraction(1, 64))])
+    def test_one_point_grid_is_lerch_via_hurwitz(self, t, alpha, lam):
+        # a one-point chunk takes the point oracle's own cutoff at t
+        (got,) = _oracle_integrand(alpha, lam, t)(t, 0.0, 0, 1)
+        want = lerch_via_hurwitz(complex(0.5, t), alpha, lam).value
+        assert abs(got - want) <= 1e-11 * (1 + abs(want))
+
+    def test_restart_chunks_with_different_cutoffs(self):
+        # two and a half restart chunks from t = 10, whose cutoffs are 225,
+        # 430 and 532: in each chunk the direct sums and the tails meet at
+        # the same N (a mismatch is off by O(1)), and the values match the
+        # reference at the rule's cutoff at that chunk's largest t
+        t_start, h = T0, 0.05
+        n = 2 * _RESTART + _RESTART // 2
+        lam = Fraction(1, 2)
+        got = _oracle_integrand(0.5, lam, t_start + h * (n - 1))(
+            t_start, h, 0, n)
+        for c0 in range(0, n, _RESTART):
+            c1 = min(c0 + _RESTART, n)
+            cutoff = reference_cutoff(t_start + h * (c1 - 1), (lam,))
+            for j in (c0, c1 - 1):
+                want = lerch_at_cutoff(complex(0.5, t_start + h * j), 0.5,
+                                       lam, cutoff)
+                assert got[j] == pytest.approx(want,
+                                               abs=1e-11 * (1 + abs(want)))
 
 
 class TestCriticalLineValue:
@@ -281,7 +320,7 @@ class TestCriticalLineValue:
         # the oracle integrand at (alpha, lam) = (1, 1), with the cutoff
         # mean_square_ladder uses, is zeta(1/2 + i t)
         t = 57.0
-        (v,) = _oracle_integrand(1.0, Fraction(1), em_cutoff(t))(t, 0.0, 0, 1)
+        (v,) = _oracle_integrand(1.0, Fraction(1), t)(t, 0.0, 0, 1)
         want = hurwitz_euler_maclaurin(complex(0.5, t), 1.0).value
         assert v == pytest.approx(want, abs=1e-11 * (1 + abs(want)))
 

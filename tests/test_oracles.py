@@ -17,7 +17,7 @@ from conftest import hurwitz_at_cutoff
 from lerchzeta import (ConfigError, DomainError, LerchParams, PoleError, afe,
                        hurwitz_euler_maclaurin, lerch_direct, lerch_via_hurwitz,
                        mean_square_ladder, oracles)
-from lerchzeta.meansquare import _BLOCK, T0, _oracle_integrand
+from lerchzeta.meansquare import _BLOCK, _RESTART, T0, _oracle_integrand
 from lerchzeta.oracles import (_em_tail, _hurwitz_table, lerch_reference_table,
                                lerch_reference_values, reference_cutoff)
 from lerchzeta.params import MAX_TERMS, POLE_TOL, em_cutoff
@@ -375,6 +375,15 @@ class TestOneCutoffRule:
         with pytest.raises(ConfigError, match="refuses"):
             mean_square_ladder(300.0, 0.5, Fraction(1, 2), method="oracle")
 
+    def test_mean_square_grid_restart_chunk(self, oracle_refuses):
+        # the top height of the third restart chunk of a T = 500 ladder,
+        # on the grid mean_square_ladder builds (step 0.02)
+        T, step = 500.0, 0.02
+        h = (T - T0) / (4 * math.ceil((T - T0) / (2.0 * step)))
+        oracle_refuses(T0 + h * (3 * _RESTART - 1))
+        with pytest.raises(ConfigError, match="refuses"):
+            mean_square_ladder(T, 0.5, Fraction(1, 2), method="oracle")
+
     def test_mean_square_stub(self, oracle_refuses):
         # the [1, t0] stub's cutoff, on every route
         oracle_refuses(T0)
@@ -462,22 +471,23 @@ class TestContinuationAgainstMpmath:
                 * mpmath.zeta(s, (r + mpmath.mpf(alpha)) / q)
                 for r in range(q)))
 
-    @pytest.mark.parametrize("t_start,h,cutoff,lam", [
-        (1.0, 9.0 / (_BLOCK + 2), 50, Fraction(1)),
-        (270.0, 0.01, em_cutoff(270.0), Fraction(1)),
-        (990.0, 0.01, em_cutoff(990.0), Fraction(1)),
-        (270.0, 0.01, em_cutoff(270.0), Fraction(1, 2)),
-        (990.0, 0.01, em_cutoff(990.0), Fraction(1, 2)),
-        (270.0, 0.01, em_cutoff(270.0), Fraction(2, 3)),
-        (990.0, 0.01, em_cutoff(990.0), Fraction(2, 3))],
+    @pytest.mark.parametrize("t_start,h,lam", [
+        (1.0, 9.0 / (_BLOCK + 2), Fraction(1)),
+        (270.0, 0.01, Fraction(1)),
+        (990.0, 0.01, Fraction(1)),
+        (270.0, 0.01, Fraction(1, 2)),
+        (990.0, 0.01, Fraction(1, 2)),
+        (270.0, 0.01, Fraction(2, 3)),
+        (990.0, 0.01, Fraction(2, 3))],
         ids=["stub", "270", "990", "270-half", "990-half", "270-two-thirds",
              "990-two-thirds"])
-    def test_grid_integrand(self, t_start, h, cutoff, lam):
+    def test_grid_integrand(self, t_start, h, lam):
         # for q > 1 the q components' continuations are one array, summed
         # with their phases over the component axis
         n = _BLOCK + 3
         for alpha in self.ALPHAS:
-            got = _oracle_integrand(alpha, lam, cutoff)(t_start, h, 0, n)
+            got = _oracle_integrand(alpha, lam, t_start + h * (n - 1))(
+                t_start, h, 0, n)
             for j in (0, _BLOCK - 1, _BLOCK, n - 1):
                 want = self.lerch(complex(0.5, t_start + h * j), alpha, lam)
                 assert abs(got[j] - want) <= 1e-11 * (1 + abs(want))

@@ -55,6 +55,13 @@ def commands(root: str) -> list[tuple[str, list[str]]]:
         ("meansquare-oracle", ["meansquare", "--no-meta", "--T", "500",
                                "--alpha", "1/3", "--lambda", "1/2",
                                "--method", "oracle"]),
+        # the oracle grid at q = 1 (Hurwitz) and at an odd q
+        ("meansquare-oracle-q1", ["meansquare", "--no-meta", "--T", "500",
+                                  "--alpha", "1/3", "--lambda", "1",
+                                  "--method", "oracle"]),
+        ("meansquare-oracle-q3", ["meansquare", "--no-meta", "--T", "500",
+                                  "--alpha", "1/4", "--lambda", "2/3",
+                                  "--method", "oracle"]),
         ("meansquare-partialsum", ["meansquare", "--no-meta", "--T", "500",
                                    "--alpha", "1/2", "--lambda", "1/2",
                                    "--method", "partialSum"]),
