@@ -397,7 +397,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--T", type=float, required=True)
     sp.add_argument("--alpha", default="1")
     sp.add_argument("--lambda", dest="lam", default="1")
-    sp.add_argument("--step", type=float, default=0.02)
+    sp.add_argument("--step", type=float,
+                    help="grid spacing <= step/2 (default 0.02 for afe and "
+                         "partialSum, 0.08 for oracle)")
     sp.add_argument("--method", choices=meansquare.METHODS, default="afe")
     sp.add_argument("--checkpoints", type=float, action="append",
                     help="checkpoint T (repeatable; default geometric ladder)")

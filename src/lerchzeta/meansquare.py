@@ -26,16 +26,28 @@ y = sqrt(log t) ~ 2.8 there, so the envelope term y^(-1/2) ~ 0.6 is not small.
 
 The meanSquare split needs x >= 1, which forces t >= t0 = 10; the stub
 [1, t0] is always integrated with the oracle route (contribution is O(10)
-absolute).  Quadrature is composite Simpson on a grid of spacing step/2; the
-reported integral uses the fine grid and the error estimate comes from
-step-halving against the coarse subsample.  The halving divisor depends on
-the integrand route: the oracle integrand is smooth in t (every cutoff gives
-it to rounding), its measured refinement ratios are 16.0, and
-|I(step) - I(step/2)| / 15 is the sharp Richardson value.  The split-sum
-integrands carry O(x^(-1/2)) jumps wherever floor(x(t)) or floor(y(t))
-steps, which caps Simpson at first-order convergence with noisy constants
-(measured refinement ratios 0.7..5), so for them the estimate is the guarded
-value 2 |I(step) - I(step/2)|.
+absolute).  The grid on [t0, T] and the stub's own grid have spacing at
+most step/2, and the rule depends on the integrand route (the stub's is the
+oracle's).  The oracle integrand is smooth in t (every cutoff
+gives it to rounding), and |zl|^2 is a sum of oscillations e^(i t w) whose
+frequencies w = log(m/n) reach about log(t / 2 pi) ~ 4.4 at t = 500, so
+h w ~ 0.18 at spacing h = 0.04.  For such a function the Euler-Maclaurin
+expansion of the trapezoid rule's error converges, and only its endpoint
+terms -- odd derivatives at the two ends -- remain.  Gregory's rule (Davis &
+Rabinowitz, Methods of Numerical Integration, 2nd ed., section 2.9) cancels
+them to order h^10 with fixed weights on the ten points next to each end:
+the trapezoid sum plus h sum_{j<10} c_j (f_j + f_(n-j)) is exact for
+polynomials of degree <= 9 and takes any interval count n >= 20, so every
+grid point can be a checkpoint.  The record reports it (G10), and the
+estimate is |G10 - G8|, G8 the same rule with eight-point corrections.
+Against G10 at a quarter of the spacing, G10 at spacing 0.04 is off by
+1e-15 to 9e-13 relative, and |G10 - G8| covers that error 6-137 times
+(T = 125 to 8000; q = 1, 2 and 4).  The split-sum integrands carry
+O(x^(-1/2)) jumps wherever floor(x(t)) or floor(y(t)) steps, which caps any
+rule at first-order convergence with noisy constants (Simpson's measured
+refinement ratios are 0.7..5), so they keep composite Simpson, its
+interval count a multiple of 4, and the guarded estimate
+2 |I(step) - I(step/2)| against the coarse subsample.
 
 Every sum these routes need -- the afe main and dual sums, the partial sum
 and the Euler-Maclaurin direct sums -- is a Dirichlet polynomial
@@ -74,9 +86,10 @@ block sums up to the largest count among its points and subtracts the
 surplus terms at the points below it.  The split sums' shifts, frequencies,
 first dual index and Gamma phases are the term row of afe's kind record,
 which afe_eval sums too.  The integrand values of a call are folded into
-running fine and coarse Simpson sums one restart chunk at a time, and the
-records are taken as the checkpoints pass, so no array proportional to the
-grid is allocated.
+the rule's two running sums (G10 and G8, or fine and coarse Simpson) one
+restart chunk at a time, keeping the chunk's last nine values for an end
+window that straddles the next, and the records are taken as the
+checkpoints pass, so no array proportional to the grid is allocated.
 """
 
 from __future__ import annotations
@@ -94,7 +107,7 @@ from .gammafns import TWO_PI, gamma_phase_product
 from .oracles import _decompose, _em_tail, reference_cutoff
 from .params import MAX_TERMS, as_unit_fraction, check_height, check_unit
 
-__all__ = ["T0", "METHODS", "MeanSquareRecord", "ExponentFit",
+__all__ = ["T0", "METHODS", "STEPS", "MeanSquareRecord", "ExponentFit",
            "mean_square_ladder", "fit_residual_exponent"]
 
 # Below t0 the meanSquare split has x < 1; the [1, t0] stub always goes
@@ -102,6 +115,22 @@ __all__ = ["T0", "METHODS", "MeanSquareRecord", "ExponentFit",
 T0 = 10.0
 
 METHODS = ("afe", "oracle", "partialSum")
+
+# (default, largest) step of each route.  The oracle's spacing 0.04 is the
+# coarsest from t0 that holds the ladder {T/8, T/4, T/2, T} at T = 500 (the
+# offsets 52.48, 115, 240 and 490 from t0 have gcd 0.04; T/8 = 62.5 snaps to
+# 62.48), and Gregory's rule is accurate to 1e-12 relative there.
+STEPS = {"afe": (0.02, 0.05), "oracle": (0.08, 0.08),
+         "partialSum": (0.02, 0.05)}
+
+# Gregory end corrections: D and the numerators c_j D, j < m, of the m-point
+# set, the solution of sum_j c_j j^d = B_(d+1) / (d+1) for odd d and 0 for
+# even d, d < m (B the Bernoulli numbers).  D is 12! and 10!.
+_GREGORY10 = (479001600, (-105289535, 311395317, -578780232, 867424848,
+                          -955886718, 754887810, -415709232, 151741752,
+                          -33034443, 3250433))
+_GREGORY8 = (3628800, (-744383, 1908311, -2696283, 2899075, -2134045,
+                       1012293, -278921, 33953))
 
 # Grid points per block (one anchor each), terms per tile, grid points per
 # restart chunk (one direct exp a term each; a multiple of _BLOCK and of 4,
@@ -300,20 +329,38 @@ def _oracle_integrand(alpha: float, lam: Fraction, t_max: float):
 # Quadrature
 # ---------------------------------------------------------------------------
 
-def _simpson(values, t_start: float, h: float, idxs: Sequence[int],
-             smooth: bool) -> list[tuple[float, float]]:
-    """(fine integral over [t_start, t_start + k h], step-halving estimate)
-    for each k in idxs (multiples of 4, in ascending order).
+def _quadrature(values, t_start: float, h: float, idxs: Sequence[int],
+                smooth: bool) -> list[tuple[float, float]]:
+    """(integral over [t_start, t_start + k h], estimate) for each k in idxs
+    (ascending; multiples of 4 unless smooth), the grid ending at the last.
 
-    |values|^2 is folded chunk by chunk into running fine (step h) and coarse
-    (step 2h) Simpson sums, and the grid ends at the last checkpoint.  smooth
-    selects the Richardson divisor: /15 for fourth-order integrands, x2
-    guard for the jump-limited split-sum routes (see module docstring).
+    smooth: the trapezoid rule with Gregory end corrections, G10 and its
+    estimate |G10 - G8|; else composite Simpson (step h) and the guarded
+    2 |fine - coarse| against Simpson at step 2h (see module docstring).
+    Both rules are periodic interior weights plus fixed weights on the
+    points next to each end.  |values|^2 is folded into the two running
+    sums one restart chunk at a time; the chunk's last m - 1 values are
+    kept for the end window of a checkpoint in the next.
     """
-    i = np.arange(_RESTART)
-    weights = np.array([np.where(i % 2, 4.0, 2.0),
-                        np.where(i % 2, 0.0, np.where(i % 4, 4.0, 2.0))])
-    below = np.zeros(2)  # weighted (fine, coarse) sums over indices < lo
+    if smooth:
+        ends = np.zeros((2, 10))
+        for row, (den, nums) in zip(ends, (_GREGORY10, _GREGORY8)):
+            row[:len(nums)] = [n / den for n in nums]
+        # first weighs the points 0 ... m - 1, last the points k - m + 1 ... k
+        first, last = ends.copy(), ends[:, ::-1].copy()
+        first[:, 0] -= 0.5  # the trapezoid's end weight 1/2
+        last[:, -1] += 0.5
+        interior = np.ones((2, _RESTART))
+        scale, guard = (h, h), 1.0
+    else:
+        i = np.arange(_RESTART)
+        interior = np.array([np.where(i % 2, 4.0, 2.0),
+                             np.where(i % 2, 0.0, np.where(i % 4, 4.0, 2.0))])
+        first, last = -np.ones((2, 1)), np.ones((2, 1))
+        scale, guard = (h / 3.0, 2.0 * h / 3.0), 2.0
+    m = first.shape[1]
+    below = np.zeros(2)  # the weighted sums over indices < lo
+    tail = np.zeros(m - 1)  # the values at lo - m + 1 ... lo - 1
     out = []
     end = idxs[-1] + 1
     for span_lo in range(0, end, _SPAN):
@@ -323,34 +370,46 @@ def _simpson(values, t_start: float, h: float, idxs: Sequence[int],
             hi = min(lo + _RESTART, end)
             v = span[lo - span_lo:hi - span_lo]
             if lo == 0:
-                below -= v[0]  # the end point has weight 1, not 2
+                below += first @ v[:m]
             for k in idxs:
                 if lo <= k < hi:
-                    fine, coarse = (below + weights[:, :k - lo] @ v[:k - lo]
-                                    + v[k - lo]) * (h / 3.0, 2.0 * h / 3.0)
-                    diff = abs(fine - coarse)
-                    out.append((float(fine),
-                                float(diff / 15.0 if smooth else 2.0 * diff)))
-            below += weights[:, :hi - lo] @ v
+                    j = k - lo
+                    window = np.concatenate((tail[j:], v[max(0, j - m + 1):
+                                                         j + 1]))
+                    rule = (below + interior[:, :j] @ v[:j]
+                            + last @ window) * scale
+                    out.append((float(rule[0]),
+                                float(guard * abs(rule[0] - rule[1]))))
+            below += interior[:, :hi - lo] @ v
+            # a copy, so the span is freed; every chunk but the last has
+            # _RESTART >= m - 1 points
+            tail = v[len(v) - (m - 1):].copy()
     return out
 
 
-def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
+def mean_square_ladder(T: float, alpha, lam, step: float | None = None,
                        method: str = "afe",
                        checkpoints: Sequence[float] | None = None
                        ) -> list[MeanSquareRecord]:
     """Mean-square records at several checkpoints from one evaluation pass.
 
     Default checkpoints form the geometric ladder {T/8, T/4, T/2, T} clipped
-    below at 20.  Checkpoints snap to the quadrature grid (within 2*step), and
-    the snapped T is what each record reports, once for all checkpoints that
-    snap to it.  The integrand is evaluated once on the fine grid of spacing
-    <= step/2 and shared by all checkpoints.
+    below at 20.  step defaults to the route's STEPS value and may not pass
+    its cap.  The integrand is evaluated once on a grid of spacing
+    h <= step/2 and shared by all checkpoints.  Checkpoints snap to the
+    nearest grid point the route's rule can end at (every point for the
+    oracle, every fourth for Simpson), and each snapped T is reported once;
+    the last grid point reports T itself.
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}")
-    if not (0.0 < step <= 0.05):
-        raise ConfigError(f"step must lie in (0, 0.05], got {step}")
+    smooth = method == "oracle"
+    default_step, max_step = STEPS[method]
+    if step is None:
+        step = default_step
+    if not (0.0 < step <= max_step):
+        raise ConfigError(f"step must lie in (0, {max_step:g}] for the "
+                          f"{method} route, got {step}")
     if check_height(T, "T") < max(T0, 20.0):
         raise DomainError(f"T must be >= {max(T0, 20.0)}, got {T}")
     # the stub's oracle route makes rational lam a requirement for every method
@@ -366,38 +425,41 @@ def mean_square_ladder(T: float, alpha, lam, step: float = 0.02,
     if not all(20.0 <= c <= T for c in checkpoints):
         raise DomainError(f"checkpoints must lie in [20, T], got {checkpoints}")
 
-    # fine grid: spacing <= step/2, total interval count divisible by 4.
-    # Past MAX_TERMS the count stays a float, printed %.6g: a tiny step
-    # makes it 300 digits long as an integer, or inf, which math.ceil refuses
-    nf4 = (T - T0) / (2.0 * step)
-    nf = 4 * math.ceil(nf4) if nf4 <= MAX_TERMS else 4.0 * nf4
+    # grid: spacing <= step/2, interval count a multiple of the rule's
+    # period.  Past MAX_TERMS the count stays a float, printed %.6g: a tiny
+    # step makes it 300 digits long as an integer, or inf, which math.ceil
+    # refuses
+    period = 1 if smooth else 4
+    periods = (T - T0) / (0.5 * period * step)
+    nf = period * (math.ceil(periods) if periods <= MAX_TERMS else periods)
     if nf + 1 > MAX_TERMS:  # the [1, t0] stub's grid is never larger
         got = f"{nf + 1:.6g}" if isinstance(nf, float) else nf + 1
         raise ConfigError(f"the grid must have at most {MAX_TERMS} "
                           f"(MAX_TERMS) points, got {got} for "
                           f"T = {T:g} and step = {step:g}")
     h = (T - T0) / nf
-    idxs = sorted({min(nf, 4 * round((c - T0) / (4.0 * h)))
+    idxs = sorted({min(nf, period * round((c - T0) / (period * h)))
                    for c in checkpoints})
 
     # a term or a square beyond double range makes a sum non-finite, which
     # raises below, so numpy's warnings would only repeat the error
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if method == "oracle":
+        if smooth:
             values = _oracle_integrand(a_float, lam_fraction, T)
         else:
             values = _split_sum_integrand(a_float, lam_float, T,
                                           method == "partialSum")
-        results = _simpson(values, T0, h, idxs, smooth=(method == "oracle"))
-        # the [1, t0] stub on its own grid (50 terms), own halving estimate
-        n_stub = 8 * max(1, math.ceil((T0 - 1.0) / (4.0 * step)))
+        results = _quadrature(values, T0, h, idxs, smooth)
+        # the [1, t0] stub: the oracle integrand and rule (50 terms)
+        n_stub = math.ceil((T0 - 1.0) / (0.5 * step))
         stub_values = _oracle_integrand(a_float, lam_fraction, T0)
-        ((stub, stub_est),) = _simpson(stub_values, 1.0, (T0 - 1.0) / n_stub,
-                                       [n_stub], smooth=True)
+        ((stub, stub_est),) = _quadrature(stub_values, 1.0,
+                                          (T0 - 1.0) / n_stub, [n_stub],
+                                          smooth=True)
 
     records = []
     for k, (integral, est) in zip(idxs, results):
-        t_snap = T0 + k * h
+        t_snap = T if k == nf else T0 + k * h  # T0 + nf h may round past T
         total = stub + integral
         quad_est = est + stub_est
         if not (math.isfinite(total) and math.isfinite(quad_est)):

@@ -81,7 +81,7 @@ def _ladders(method):
     out = {}
     for a, l in MS_PAIRS:
         out[(a, l)] = meansquare.mean_square_ladder(
-            2000.0, a, l, step=0.02, method=method,
+            2000.0, a, l, method=method,
             checkpoints=MS_CHECKPOINTS)
     return out, time.perf_counter() - start
 

@@ -374,6 +374,20 @@ class TestCsv:
         assert float(first[0]) == recs[0].T
         assert first[7] == "afe"
 
+    def test_meansquare_oracle_default_step(self, capsys):
+        # without --step the oracle route takes its own default, 0.08
+        recs = mean_square_ladder(80.0, Fraction(1, 2), Fraction(1, 2),
+                                  method="oracle")
+        code, out, _ = run(capsys, "meansquare", "--T", "80", "--alpha",
+                           "1/2", "--lambda", "1/2", "--method", "oracle",
+                           "--no-meta", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["records"]
+        assert [r["step"] for r in rows] == [0.08] * len(recs)
+        assert [(r["T"], r["integral"], r["quad_err"]) for r in rows] \
+            == [(r.T, r.integral_value, r.quadrature_error_estimate)
+                for r in recs]
+
     def test_fecheck_shape(self, capsys):
         records = fe_residual_scan(
             "hurwitz", [ScanPoint(complex(0.5, 10.0), Fraction(1, 4), Fraction(1))])
@@ -707,6 +721,7 @@ class TestTermBound:
         ("meansquare", "--T", "20", "--step", "1e-9"),
         # 20,000,001 points: one past the bound, printed in full
         ("meansquare", "--T", "20", "--step", "1e-6"),
+        ("meansquare", "--T", "20", "--method", "oracle", "--step", "1e-6"),
         # 2e301 points (a 302-digit count), and a count that overflows to inf
         ("meansquare", "--T", "20", "--step", "1e-300"),
         ("meansquare", "--T", "20", "--step", "5e-324"),
@@ -719,6 +734,7 @@ class TestTermBound:
              "eval-fe-components", "eval-meansquare-split",
              "eval-given-split", "meansquare-afe", "meansquare-oracle",
              "meansquare-grid", "meansquare-grid-one-past",
+             "meansquare-oracle-grid-one-past",
              "meansquare-grid-tiny-step",
              "meansquare-grid-infinite", "meansquare-grid-q64",
              "meansquare-oracle-components"])

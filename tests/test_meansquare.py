@@ -6,14 +6,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import lerch_at_cutoff
 from lerchzeta import (ConfigError, DomainError, afe_eval, error_envelope,
                        fit_residual_exponent, get_cfit, hurwitz_euler_maclaurin,
                        lerch_via_hurwitz, mean_square_ladder)
 from lerchzeta.afe import choose_split
-from lerchzeta.meansquare import (_BLOCK, _RESTART, _SPAN, T0, _dirichlet,
-                                  _oracle_integrand, _split_sum_integrand)
+from lerchzeta.meansquare import (_BLOCK, _GREGORY8, _GREGORY10, _RESTART,
+                                  _SPAN, STEPS, T0, _dirichlet,
+                                  _oracle_integrand, _quadrature,
+                                  _split_sum_integrand)
 from lerchzeta.oracles import reference_cutoff
 from lerchzeta.params import em_cutoff
 
@@ -90,16 +94,36 @@ class TestMeanSquareIntegral:
         assert peaks[1] - peaks[0] < 24 * (terms[1] - terms[0]) + 0.75 * 2 ** 20
 
     def test_oracle_grid_that_rounds_past_T(self):
-        # at T = 506 and step 0.03 the last grid point is 506 + 1 ulp, whose
-        # ceil would ask one more term than the arrays sized at T hold
-        (rec,) = mean_square_ladder(506.0, 0.5, Fraction(1, 2), step=0.03,
-                                    method="oracle", checkpoints=[506.0])
-        assert rec.T > 506.0 and rec.reliable
+        # at T = 506 and step 0.06 the last grid point is 506 + 1 ulp, whose
+        # ceil would ask one more term than the arrays sized at T hold; the
+        # record reports the T asked for
+        T, step = 506.0, 0.06
+        nf = math.ceil((T - T0) / (step / 2.0))
+        assert T0 + nf * ((T - T0) / nf) > T
+        (rec,) = mean_square_ladder(T, 0.5, Fraction(1, 2), step=step,
+                                    method="oracle", checkpoints=[T])
+        assert rec.T == T and rec.reliable
 
     def test_step_cap(self):
         with pytest.raises(ConfigError):
             mean_square_ladder(100.0, Fraction(1), Fraction(1), step=0.2,
                                checkpoints=[100.0])
+
+    @pytest.mark.parametrize("method,step", [("afe", 0.06),
+                                             ("partialSum", 0.06),
+                                             ("oracle", 0.09)])
+    def test_step_cap_per_route(self, method, step):
+        # Simpson on the split sums stops at 0.05, the oracle's rule at 0.08
+        with pytest.raises(ConfigError, match=f"{method} route"):
+            mean_square_ladder(100.0, Fraction(1), Fraction(1), step=step,
+                               method=method, checkpoints=[100.0])
+
+    @pytest.mark.parametrize("method", ["afe", "oracle", "partialSum"])
+    def test_step_default_per_route(self, method):
+        (rec,) = mean_square_ladder(40.0, Fraction(1), Fraction(1),
+                                    method=method, checkpoints=[40.0])
+        assert rec.step == STEPS[method][0] == (0.08 if method == "oracle"
+                                                else 0.02)
 
     def test_small_T_rejected(self):
         with pytest.raises(DomainError):
@@ -143,6 +167,87 @@ class TestMeanSquareIntegral:
             budget += w[i] * (abs(va) + abs(vo)) * c * env
         ia, io_, budget = (h / 3.0) * ia, (h / 3.0) * io_, (h / 3.0) * budget
         assert abs(ia - io_) <= budget
+
+
+def _bernoulli(n: int) -> list[Fraction]:
+    """B_0 .. B_n (B_1 = -1/2), from sum_{k<=m} C(m+1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m))
+                 / (m + 1))
+    return b
+
+
+def _gregory(f: np.ndarray, h: float, rule) -> float:
+    """The corrected trapezoid rule on the whole array f."""
+    den, nums = rule
+    c = np.array(nums) / den
+    m = len(c)
+    return h * (f.sum() - 0.5 * (f[0] + f[-1])
+                + c @ f[:m] + c @ f[::-1][:m])
+
+
+class TestGregoryRule:
+    """The trapezoid rule with Gregory end corrections, the oracle route's
+    quadrature."""
+
+    @pytest.mark.parametrize("rule", [_GREGORY10, _GREGORY8],
+                             ids=["G10", "G8"])
+    def test_weights_solve_the_moment_conditions(self, rule):
+        # sum_j c_j j^d = B_(d+1) / (d+1) for odd d, 0 for even d, d < m:
+        # exact for polynomials of degree < m
+        den, nums = rule
+        c = [Fraction(n, den) for n in nums]
+        b = _bernoulli(len(c))
+        for d in range(len(c)):
+            want = b[d + 1] / (d + 1) if d % 2 else Fraction(0)
+            assert sum(cj * Fraction(j) ** d for j, cj in enumerate(c)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(coef=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10),
+           n=st.integers(20, 5000))
+    def test_polynomials_of_degree_9_are_exact(self, coef, n):
+        # p(x) = sum_k coef[k] x^k >= 0 on [0, 1], the integrand |sqrt(p)|^2
+        def values(t_start, h, lo, hi):
+            return np.sqrt(np.polynomial.polynomial.polyval(
+                t_start + h * np.arange(lo, hi), coef))
+
+        ((got, _),) = _quadrature(values, 0.0, 1.0 / n, [n], smooth=True)
+        want = sum(c / (k + 1) for k, c in enumerate(coef))
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_streamed_equals_the_rule_on_the_whole_array(self):
+        # checkpoints whose end windows straddle a restart chunk and a span
+        # (one integrand call) boundary, besides one inside the first chunk
+        t_start, h = 3.0, 0.01
+
+        def values(t_start, h, lo, hi):
+            t = t_start + h * np.arange(lo, hi)
+            return np.exp(3j * t) * (2.0 + np.sin(0.7 * t))
+
+        idxs = [25, _RESTART + 3, _SPAN + 5, _SPAN + _RESTART + 100]
+        got = _quadrature(values, t_start, h, idxs, smooth=True)
+        for k, (value, est) in zip(idxs, got):
+            f = np.abs(values(t_start, h, 0, k + 1)) ** 2
+            g10, g8 = _gregory(f, h, _GREGORY10), _gregory(f, h, _GREGORY8)
+            assert abs(value - g10) <= 1e-14 * g10
+            assert abs(est - abs(g10 - g8)) <= 1e-14 * g10
+
+    @pytest.mark.parametrize("alpha,lam", [(Fraction(1, 2), Fraction(1, 2)),
+                                           (Fraction(1), Fraction(1))])
+    def test_estimate_covers_the_error(self, alpha, lam):
+        # against G10 at a quarter of the spacing; T = 125 is grid index
+        # 2875, an odd one (measured: the estimate is 26-137 times the error)
+        checkpoints = [125.0, 250.0, 500.0, 2000.0]
+        coarse = mean_square_ladder(2000.0, alpha, lam, method="oracle",
+                                    checkpoints=checkpoints)
+        fine = mean_square_ladder(2000.0, alpha, lam, step=0.02,
+                                  method="oracle", checkpoints=checkpoints)
+        assert round((125.0 - T0) / (coarse[0].step / 2.0)) == 2875
+        for c, f in zip(coarse, fine):
+            assert c.T == f.T
+            assert abs(c.integral_value - f.integral_value) \
+                <= c.quadrature_error_estimate
 
 
 def _x_step(m: float) -> float:

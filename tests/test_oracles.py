@@ -376,11 +376,11 @@ class TestOneCutoffRule:
             mean_square_ladder(300.0, 0.5, Fraction(1, 2), method="oracle")
 
     def test_mean_square_grid_restart_chunk(self, oracle_refuses):
-        # the top height of the third restart chunk of a T = 500 ladder,
-        # on the grid mean_square_ladder builds (step 0.02)
-        T, step = 500.0, 0.02
-        h = (T - T0) / (4 * math.ceil((T - T0) / (2.0 * step)))
-        oracle_refuses(T0 + h * (3 * _RESTART - 1))
+        # the top height of the second restart chunk of a T = 500 ladder,
+        # on the grid mean_square_ladder builds (the oracle's step 0.08)
+        T, step = 500.0, 0.08
+        h = (T - T0) / math.ceil((T - T0) / (step / 2.0))
+        oracle_refuses(T0 + h * (2 * _RESTART - 1))
         with pytest.raises(ConfigError, match="refuses"):
             mean_square_ladder(T, 0.5, Fraction(1, 2), method="oracle")
 
