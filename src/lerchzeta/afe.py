@@ -18,9 +18,10 @@ All three are a main sum plus dual sums of e^(2 pi i n freq) (n+shift)^(...)
 terms.  Each kind is stated once, in its SplitKind record (split_kind(kind),
 the one place an unknown kind is refused): the (alpha, lam) it takes, which
 afe_eval checks and kind_for reads, its term row of shifts, frequencies,
-first dual index and factors, its envelope exponent, its scan and fecheck
-pairs and its calibration grid.  afe_eval and the mean-square integrand read
-the term row; scan_grid builds the calibration and afescan points.
+first dual index and factors, its envelope exponent, its scan pairs and its
+calibration grid.  afe_eval and the mean-square integrand read the term row;
+scan_grid builds the calibration and afescan points, and split_shapes every
+split shape of both.
 
 The sums at one height share most of their work: every sigma, split shape
 and (alpha, lam) pair reuses log(n + shift) and the phases, and every
@@ -72,7 +73,7 @@ from .params import MAX_TERMS, EvalResult, LerchParams, check_height, check_s
 __all__ = ["AfeSplit", "ErrorEnvelope", "CalibrationPoint", "SplitKind",
            "split_kind", "check_pair", "choose_split", "afe_eval",
            "afe_lerch", "error_envelope", "envelope_scan", "envelope_fit",
-           "kind_for", "scan_grid", "default_calibration_grid",
+           "kind_for", "split_shapes", "scan_grid", "default_calibration_grid",
            "read_calibration", "write_calibration", "get_cfit", "KINDS",
            "CALIBRATED_T"]
 
@@ -224,9 +225,8 @@ class SplitKind(NamedTuple):
     terms: Callable[[float, float], tuple]
     envelope_c: float  # the envelope's exponent of |t| is envelope_c - sigma
     pairs: tuple[tuple[Fraction, Fraction], ...]  # scan rows, in row order
-    fe_pairs: tuple[tuple[Fraction, Fraction], ...]  # the fecheck grid's
     cal_heights: int  # the calibration grid's number of heights
-    cal_skews: tuple[float, ...]  # and its y/x skew factors
+    cal_skews: tuple[float, ...]  # and its skews F (see _SCAN_SHAPES)
 
 
 _CAL_SIGMAS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -237,8 +237,13 @@ _CAL_SKEWS_DENSE = (0.125, 0.1875, 0.25, 0.375, 0.5, 0.75, 1.0,
                     1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 _ONE = Fraction(1)
 
-# The fecheck grid leaves out alpha = 1 except for riemann, whose one pair it
-# is.  The riemann calibration grid is denser (four times the heights, more
+# afescan's split shapes, (name, F): x = xb/F, y = xb F about the balanced
+# length xb, or the meanSquare split for F = None.  The calibration grid's
+# skew F is named skew{1/F:g}, so skewK has x = K xb in both.
+_SCAN_SHAPES = (("balanced", 1.0), ("meanSquare", None), ("skew2", 0.5),
+               ("skew05", 2.0))
+
+# The riemann calibration grid is denser (four times the heights, more
 # skews) because its single pair gives fewer samples per height.
 _KINDS = {
     "lerch": SplitKind(
@@ -246,18 +251,16 @@ _KINDS = {
         lambda a, l: ((a, l), 0, (
             (l, 1.0 - a, (-0.5, 0.5 - 2.0 * a * l)),
             (1.0 - l, a, (0.5, -0.5 + 2.0 * a * (1.0 - l))))),
-        0.5, tuple(product(_CAL_ALPHAS, _CAL_LAMBDAS)),
-        tuple(product(_CAL_ALPHAS[:-1], _CAL_LAMBDAS)), 48, _CAL_SKEWS),
+        0.5, tuple(product(_CAL_ALPHAS, _CAL_LAMBDAS)), 48, _CAL_SKEWS),
     "hurwitz": SplitKind(
         lambda a, l: l == 1.0,
         lambda a, l: ((a, 0.0), 1, ((0.0, 1.0 - a, (-0.5, 0.5)),
                                     (0.0, a, (0.5, -0.5)))),
-        1.0, tuple((a, _ONE) for a in _CAL_ALPHAS),
-        tuple((a, _ONE) for a in _CAL_ALPHAS[:-1]), 48, _CAL_SKEWS),
+        1.0, tuple((a, _ONE) for a in _CAL_ALPHAS), 48, _CAL_SKEWS),
     "riemann": SplitKind(
         lambda a, l: a == l == 1.0,
         lambda a, l: ((1.0, 0.0), 1, ((0.0, 0.0, None),)),
-        0.5, ((_ONE, _ONE),), ((_ONE, _ONE),), 192, _CAL_SKEWS_DENSE),
+        0.5, ((_ONE, _ONE),), 192, _CAL_SKEWS_DENSE),
 }
 
 KINDS = tuple(_KINDS)
@@ -391,6 +394,16 @@ def envelope_fit(kind: str, grid: Iterable[CalibrationPoint]) -> float:
     return worst
 
 
+def split_shapes(t: float, shapes: Iterable[tuple[str, float | None]]
+                 = _SCAN_SHAPES) -> list[tuple[str, AfeSplit]]:
+    """The named splits at height t of shapes, (name, F) pairs as in
+    _SCAN_SHAPES: the meanSquare split for F = None, else x = xb/F,
+    y = xb F.  Every shape is built, so a length below 1 raises."""
+    xb = choose_split(t).x
+    return [(name, choose_split(t, "meanSquare") if f is None
+             else AfeSplit(xb / f, xb * f)) for name, f in shapes]
+
+
 def scan_grid(kind: str, heights: Iterable[float],
               shapes: Callable[[float], list[tuple[str, AfeSplit]]]
               ) -> Iterator[CalibrationPoint]:
@@ -414,27 +427,12 @@ def scan_grid(kind: str, heights: Iterable[float],
 CALIBRATED_T = (40.0, 1100.0)
 
 
-def _skewed_shapes(t: float, skews: Iterable[float]
-                   ) -> list[tuple[str, AfeSplit]]:
-    """The meanSquare split, then "skewF" (x = xb/F, y = xb F, xb the
-    balanced length) for each skew F that keeps both lengths >= 1.  afescan
-    (cli._scan_splits) names its shapes the other way round: its "skew2" is
-    x = 2 xb, y = xb/2, which is "skew0.5" here."""
-    xb = choose_split(t).x
-    shapes = [("meanSquare", choose_split(t, "meanSquare"))]
-    for f in skews:
-        x, y = xb / f, xb * f
-        if x >= 1.0 and y >= 1.0:
-            shapes.append((f"skew{f:g}", AfeSplit(x, y)))
-    return shapes
-
-
 def default_calibration_grid(kind: str) -> list[CalibrationPoint]:
     """Dense grid spanning the module's operating envelope.
 
     Heights are geometric in [40, 1100] (48 points; 192 for the riemann kind,
     whose single parameter pair gives fewer samples per height), split shapes
-    cover the mean-square split and y/x skew factors 1/8..8, sigma runs over
+    cover the mean-square split and skew8 .. skew1/8, sigma runs over
     {0, 1/4, 1/2, 3/4, 1}, and the parameter pairs are the kind's pairs.
     The measured ratio drifts slowly upward with t and with split skew, so
     the grid has to cover heights and skews beyond any point the constant
@@ -443,8 +441,13 @@ def default_calibration_grid(kind: str) -> list[CalibrationPoint]:
     spec = split_kind(kind)
     heights = [round(v, 1) for v in np.geomspace(*CALIBRATED_T,
                                                   spec.cal_heights)]
-    return list(scan_grid(kind, heights,
-                          lambda t: _skewed_shapes(t, spec.cal_skews)))
+
+    def shapes(t):  # the skews that keep both lengths >= 1
+        xb = choose_split(t).x
+        return split_shapes(t, [("meanSquare", None)] + [
+            (f"skew{1 / f:g}", f) for f in spec.cal_skews
+            if min(xb / f, xb * f) >= 1.0])
+    return list(scan_grid(kind, heights, shapes))
 
 
 # ---------------------------------------------------------------------------

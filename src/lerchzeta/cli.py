@@ -249,25 +249,13 @@ def _cmd_fecheck(args) -> int:
 _SCAN_T = (80.0, 120.0, 300.0, 700.0)
 
 
-def _scan_splits(t: float) -> list[tuple[str, afe.AfeSplit]]:
-    """afescan's split shapes at t: balanced (x = y = xb, afe.choose_split),
-    meanSquare, "skew2" (x = 2 xb, y = xb/2) and "skew05" (x = xb/2,
-    y = 2 xb).  afe._skewed_shapes names a shape by y/x instead, so this
-    "skew2" is the calibration grid's "skew0.5", and "skew05" its "skew2"."""
-    xb = afe.choose_split(t).x
-    return [("balanced", afe.AfeSplit(xb, xb)),
-            ("meanSquare", afe.choose_split(t, "meanSquare")),
-            ("skew2", afe.AfeSplit(2.0 * xb, 0.5 * xb)),
-            ("skew05", afe.AfeSplit(0.5 * xb, 2.0 * xb))]
-
-
 def _cmd_afescan(args) -> int:
     _check_out(args.out)
     kinds = afe.KINDS if args.kind == "all" else (args.kind,)
     heights = args.t or list(_SCAN_T)
     cfits = {kind: afe.get_cfit(kind) for kind in kinds}
     # scan_grid checks every height now: a bad one exits 2 before any byte
-    grids = {kind: afe.scan_grid(kind, heights, _scan_splits)
+    grids = {kind: afe.scan_grid(kind, heights, afe.split_shapes)
              for kind in kinds}
     summary = {}
 

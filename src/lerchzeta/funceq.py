@@ -149,8 +149,8 @@ _GRID_SIGMA = (0.25, 0.5, 0.75)
 
 def default_fe_grid(kind: str) -> list[ScanPoint]:
     """The standard verification grid: t in {10, 25, 50}, sigma in
-    {1/4, 1/2, 3/4}, and the kind's fecheck pairs, split_kind(kind).fe_pairs
-    (its scan pairs without alpha = 1, except for riemann)."""
-    pairs = split_kind(kind).fe_pairs
-    return [ScanPoint(complex(sigma, t), a, l)
-            for t in _GRID_T for sigma in _GRID_SIGMA for a, l in pairs]
+    {1/4, 1/2, 3/4}, and the kind's scan pairs, split_kind(kind).pairs,
+    without alpha = 1 except for riemann, whose one pair it is."""
+    return [ScanPoint(complex(sigma, t), a, l) for t in _GRID_T
+            for sigma in _GRID_SIGMA for a, l in split_kind(kind).pairs
+            if a < 1 or kind == "riemann"]

@@ -39,7 +39,7 @@ them to order h^10 with fixed weights on the ten points next to each end:
 the trapezoid sum plus h sum_{j<10} c_j (f_j + f_(n-j)) is exact for
 polynomials of degree <= 9 and takes any interval count n >= 20, so every
 grid point can be a checkpoint.  The record reports it (G10), and the
-estimate is |G10 - G8|, G8 the same rule with eight-point corrections.
+estimate is |G10 - G8| (G8 with eight-point corrections) or its rounding.
 Against G10 at a quarter of the spacing, G10 at spacing 0.04 is off by
 1e-15 to 9e-13 relative, and |G10 - G8| covers that error 6-137 times
 (T = 125 to 8000; q = 1, 2 and 4).  The split-sum integrands carry
@@ -341,6 +341,12 @@ def _quadrature(values, t_start: float, h: float, idxs: Sequence[int],
     points next to each end.  |values|^2 is folded into the two running
     sums one restart chunk at a time; the chunk's last m - 1 values are
     kept for the end window of a checkpoint in the next.
+
+    G10 and G8 share every rounding of their interior sum, so |G10 - G8|
+    can read 0.0; it is floored at that rounding.  Each of the n = k + 1
+    additions rounds by at most eps/2 |G10| (the values are >= 0), and n
+    such errors of either sign add to about eps/2 |G10| sqrt(n): the floor
+    is twice that.  Simpson's two sums differ, and need no floor.
     """
     if smooth:
         ends = np.zeros((2, 10))
@@ -351,13 +357,13 @@ def _quadrature(values, t_start: float, h: float, idxs: Sequence[int],
         first[:, 0] -= 0.5  # the trapezoid's end weight 1/2
         last[:, -1] += 0.5
         interior = np.ones((2, _RESTART))
-        scale, guard = (h, h), 1.0
+        scale, guard, rounding = (h, h), 1.0, np.finfo(float).eps
     else:
         i = np.arange(_RESTART)
         interior = np.array([np.where(i % 2, 4.0, 2.0),
                              np.where(i % 2, 0.0, np.where(i % 4, 4.0, 2.0))])
         first, last = -np.ones((2, 1)), np.ones((2, 1))
-        scale, guard = (h / 3.0, 2.0 * h / 3.0), 2.0
+        scale, guard, rounding = (h / 3.0, 2.0 * h / 3.0), 2.0, 0.0
     m = first.shape[1]
     below = np.zeros(2)  # the weighted sums over indices < lo
     tail = np.zeros(m - 1)  # the values at lo - m + 1 ... lo - 1
@@ -378,8 +384,9 @@ def _quadrature(values, t_start: float, h: float, idxs: Sequence[int],
                                                          j + 1]))
                     rule = (below + interior[:, :j] @ v[:j]
                             + last @ window) * scale
-                    out.append((float(rule[0]),
-                                float(guard * abs(rule[0] - rule[1]))))
+                    out.append((float(rule[0]), float(max(
+                        guard * abs(rule[0] - rule[1]),
+                        rounding * abs(rule[0]) * math.sqrt(k + 1)))))
             below += interior[:, :hi - lo] @ v
             # a copy, so the span is freed; every chunk but the last has
             # _RESTART >= m - 1 points

@@ -18,7 +18,7 @@ from lerchzeta.afe import (CALIBRATED_T, DEFAULT_CFIT, CalibrationPoint,
                            default_calibration_grid, envelope_fit,
                            envelope_scan, kind_for, read_calibration,
                            split_kind, write_calibration)
-from lerchzeta.cli import _scan_splits
+from lerchzeta.funceq import default_fe_grid
 from lerchzeta.params import MAX_HEIGHT
 
 TWO_PI = 2.0 * math.pi
@@ -76,8 +76,9 @@ class TestChooseSplit:
             AfeSplit(0.5, 30.0)
 
     def test_shape_builders_take_the_balanced_length(self, monkeypatch):
-        # afescan's and the calibration grid's shapes scale the balanced
-        # split of choose_split, the one home of its length
+        # afescan's and the calibration grid's shapes come from one builder,
+        # which scales the balanced split of choose_split, the one home of
+        # its length, and names skewK the split with x = K xb
         real = afe.choose_split
         asked = []
 
@@ -86,13 +87,31 @@ class TestChooseSplit:
             return AfeSplit(3.0, 3.0) if mode == "balanced" else real(t, mode)
 
         monkeypatch.setattr(afe, "choose_split", marked)
-        scan = dict(_scan_splits(80.0))
-        assert (scan["balanced"], scan["skew2"], scan["skew05"]) == (
-            AfeSplit(3.0, 3.0), AfeSplit(6.0, 1.5), AfeSplit(1.5, 6.0))
-        grid = dict(afe._skewed_shapes(80.0, (1.0, 2.0)))
-        assert (grid["skew1"], grid["skew2"]) == (AfeSplit(3.0, 3.0),
-                                                  AfeSplit(1.5, 6.0))
-        assert asked.count((80.0, "balanced")) == 2
+        scan = afe.split_shapes(80.0)
+        assert [name for name, _ in scan] == ["balanced", "meanSquare",
+                                              "skew2", "skew05"]
+        assert scan[0][1] == AfeSplit(3.0, 3.0)
+        assert (scan[2][1], scan[3][1]) == (AfeSplit(6.0, 1.5),
+                                            AfeSplit(1.5, 6.0))
+        assert asked == [(80.0, "balanced"), (80.0, "meanSquare")]
+        built = afe.split_shapes(80.0, (("skew2", 0.5), ("skew1", 1.0)))
+        assert built == [("skew2", AfeSplit(6.0, 1.5)),
+                         ("skew1", AfeSplit(3.0, 3.0))]
+
+    def test_calibration_shapes_take_afescans_names(self):
+        # skewK has x = K xb; a skew that would push a length below 1 is
+        # left out at that height
+        shapes = {}
+        for pt in default_calibration_grid("lerch"):
+            shapes.setdefault(pt.t, {})[pt.shape] = pt.split
+        assert list(shapes[40.0]) == ["meanSquare", "skew2", "skew1",
+                                      "skew0.5"]
+        assert list(shapes[1100.0]) == ["meanSquare"] + [
+            f"skew{k:g}" for k in (8, 4, 2, 1, 0.5, 0.25, 0.125)]
+        for t, named in shapes.items():
+            xb = choose_split(t).x
+            assert named["skew2"] == AfeSplit(2.0 * xb, 0.5 * xb)
+            assert named["meanSquare"] == choose_split(t, "meanSquare")
 
 
 class TestErrorEnvelope:
@@ -359,10 +378,13 @@ class TestKindPairs:
                                                (one, one))
         assert split_kind("riemann").pairs == ((one, one),)
         # the fecheck grid leaves out alpha = 1 except for riemann
+        fe_pairs = {kind: list(dict.fromkeys((pt.alpha, pt.lam) for pt in
+                                             default_fe_grid(kind)))
+                    for kind in ("lerch", "hurwitz", "riemann")}
         for kind in ("lerch", "hurwitz"):
-            assert split_kind(kind).fe_pairs == tuple(
-                (a, l) for a, l in split_kind(kind).pairs if a < 1)
-        assert split_kind("riemann").fe_pairs == ((one, one),)
+            assert fe_pairs[kind] == [(a, l) for a, l in split_kind(kind).pairs
+                                      if a < 1]
+        assert fe_pairs["riemann"] == [(one, one)]
 
     @pytest.mark.parametrize("kind", ["lerch", "hurwitz", "riemann"])
     def test_calibration_grid_uses_them(self, kind):

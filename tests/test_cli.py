@@ -273,6 +273,27 @@ class TestAfescan:
         assert len(lines) == 1 + 5 * 4  # sigmas x splits
         assert "max ratio" in err and "C_fit" in err
 
+    def test_split_length_below_one_exits_2(self, capsys, tmp_path):
+        # below t = 8 pi, xb < 2, so skew2 and skew05 each have a length
+        # xb/2 < 1; no shape is dropped, so the height is refused before
+        # any row
+        p = tmp_path / "F"
+        code, out, err = run(capsys, "afescan", "--kind", "riemann",
+                             "--t", "20", "--out", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error: split lengths must both lie in [1,")
+        assert len(err.splitlines()) == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_lowest_height_with_every_shape(self, capsys, tmp_path):
+        p = tmp_path / "F"
+        code, _, _ = run(capsys, "afescan", "--kind", "riemann",
+                         "--t", "25.2", "--no-meta", "--out", str(p))
+        assert code == 0
+        rows = p.read_text().splitlines()[1:]
+        assert len(rows) == 5 * 4  # sigmas x splits
+        assert min(float(r.split(",")[4]) for r in rows) >= 1.0
+
     def test_negative_height_within_envelope(self, capsys):
         code, out, _ = run(capsys, "afescan", "--kind", "all", "--t", "-80",
                            "--no-meta", "--format", "json")

@@ -22,6 +22,7 @@ from lerchzeta.oracles import reference_cutoff
 from lerchzeta.params import em_cutoff
 
 TWO_PI = 2.0 * math.pi
+EPS = np.finfo(float).eps
 
 
 class TestMeanSquareIntegral:
@@ -231,7 +232,16 @@ class TestGregoryRule:
             f = np.abs(values(t_start, h, 0, k + 1)) ** 2
             g10, g8 = _gregory(f, h, _GREGORY10), _gregory(f, h, _GREGORY8)
             assert abs(value - g10) <= 1e-14 * g10
-            assert abs(est - abs(g10 - g8)) <= 1e-14 * g10
+            # the estimate's floor is the rule's rounding, eps G10 sqrt(k + 1)
+            want = max(abs(g10 - g8), EPS * g10 * math.sqrt(k + 1))
+            assert abs(est - want) <= 1e-14 * g10
+
+    def test_estimate_is_never_below_the_rounding(self):
+        # at spacing 0.01 G10 and G8 agree to every bit of their totals, so
+        # |G10 - G8| alone reads 0.0 at every checkpoint
+        for rec in mean_square_ladder(2000.0, 1, 1, step=0.02, method="oracle",
+                                      checkpoints=[250, 500, 1000, 2000]):
+            assert 0.0 < rec.quadrature_error_estimate <= 1e-12 * rec.main_term
 
     @pytest.mark.parametrize("alpha,lam", [(Fraction(1, 2), Fraction(1, 2)),
                                            (Fraction(1), Fraction(1))])

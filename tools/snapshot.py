@@ -8,9 +8,10 @@ yet:
 Each command runs as `python -m lerchzeta` on that checkout's src/, in
 OUTDIR, with one BLAS/OpenMP thread and LERCH_AFE_CALIBRATION unset.  Its
 stdout goes to NAME.out, its stderr to NAME.err and its exit code to
-NAME.code; calibrate's --out file lands in OUTDIR too.  Tables are written
-with --no-meta, so no timestamp differs.  The afescan heights are those of
-the benchmark's scan workload at seeds 1-3 (perfbench/workloads.py).
+NAME.code; the --out files of calibrate and of a refused afescan (which
+leaves none) land in OUTDIR too.  Tables are written with --no-meta, so no
+timestamp differs.  The afescan heights are those of the benchmark's scan
+workload at seeds 1-3 (perfbench/workloads.py).
 
 The checkout is the working directory, not this file's, so the script also
 snapshots a tree older than itself.  To compare a change with its parent:
@@ -47,6 +48,9 @@ def commands(root: str) -> list[tuple[str, list[str]]]:
     cmds += [
         ("afescan-default-json",
          ["afescan", "--kind", "all", "--no-meta", "--format", "json"]),
+        # below t = 8 pi a skew has a length xb/2 < 1: exit 2, no file
+        ("afescan-t20", ["afescan", "--kind", "riemann", "--no-meta",
+                         "--t=20", "--out", "afescan-t20.csv"]),
         ("calibrate", ["calibrate", "--kind", "all", "--out", "calibrate.txt"]),
         ("fecheck-csv", ["fecheck", "--no-meta"]),
         ("fecheck-json", ["fecheck", "--no-meta", "--format", "json"]),
@@ -62,6 +66,11 @@ def commands(root: str) -> list[tuple[str, list[str]]]:
         ("meansquare-oracle-q3", ["meansquare", "--no-meta", "--T", "500",
                                   "--alpha", "1/4", "--lambda", "2/3",
                                   "--method", "oracle"]),
+        # spacing 0.01, where |G10 - G8| alone reads 0.0
+        ("meansquare-oracle-step002",
+         ["meansquare", "--no-meta", "--T", "2000", "--alpha", "1",
+          "--lambda", "1", "--method", "oracle", "--step", "0.02"]
+         + [f"--checkpoints={c}" for c in (250, 500, 1000, 2000)]),
         ("meansquare-partialsum", ["meansquare", "--no-meta", "--T", "500",
                                    "--alpha", "1/2", "--lambda", "1/2",
                                    "--method", "partialSum"]),
