@@ -80,9 +80,9 @@ __all__ = ["AfeSplit", "ErrorEnvelope", "CalibrationPoint", "SplitKind",
 # Envelope constants measured by ``envelope_fit`` on the default grids
 # (see default_calibration_grid); regenerate with the `calibrate` command.
 DEFAULT_CFIT = {
-    "lerch": 2.2309988976347808,
-    "hurwitz": 0.4947244636198066,
-    "riemann": 1.2749107644931914,
+    "lerch": 2.2309988976362236,
+    "hurwitz": 0.49472446361974726,
+    "riemann": 1.2749107644928994,
 }
 
 _SPLIT_RTOL = 1e-12
@@ -398,10 +398,22 @@ def split_shapes(t: float, shapes: Iterable[tuple[str, float | None]]
                  = _SCAN_SHAPES) -> list[tuple[str, AfeSplit]]:
     """The named splits at height t of shapes, (name, F) pairs as in
     _SCAN_SHAPES: the meanSquare split for F = None, else x = xb/F,
-    y = xb F.  Every shape is built, so a length below 1 raises."""
+    y = xb F.  Every shape is built, so a length below 1 raises, naming the
+    shape, t and the lowest |t| every shape allows (8 pi for afescan's)."""
     xb = choose_split(t).x
-    return [(name, choose_split(t, "meanSquare") if f is None
-             else AfeSplit(xb / f, xb * f)) for name, f in shapes]
+    named = []
+    for name, f in shapes:
+        try:
+            named.append((name, choose_split(t, "meanSquare") if f is None
+                          else AfeSplit(xb / f, xb * f)))
+        except DomainError as exc:
+            if f is not None and xb * min(f, 1.0 / f) >= 1.0:
+                raise  # too long, not too short
+            k = max(max(g, 1.0 / g) for _, g in shapes if g)
+            raise DomainError(f"{exc}; shape {name} at t = {t:g}: every "
+                              f"shape needs |t| >= {2.0 * k * k:g} pi = "
+                              f"{TWO_PI * k * k:.4g}") from None
+    return named
 
 
 def scan_grid(kind: str, heights: Iterable[float],

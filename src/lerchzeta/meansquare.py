@@ -263,13 +263,13 @@ def _split_sum_integrand(alpha: float, lam: float, t_max: float,
         if partial:
             return total
         dual_counts = np.floor(y).astype(np.int64) + (1 - first)
-        # point-major, so the factors at one s share log Gamma(1-s)
-        g = np.empty((len(dual_sums), hi - lo), complex)
-        for j, ti in enumerate(t.tolist()):
-            si = complex(0.5, ti)
-            for k, (_, _, (a, b)) in enumerate(dual_sums):
-                g[k, j] = gamma_phase_product(si, a, b)
-        for (dw, df, _), gk in zip(dual_sums, g):
+        # point-major, so the factors at one s share log Gamma(1-s); a
+        # generator, so no list of Python complexes is held
+        phases = [phase for _, _, phase in dual_sums]
+        g = np.fromiter((gamma_phase_product(s, a, b)
+                         for s in (0.5 + 1j * t).tolist() for a, b in phases),
+                        complex, (hi - lo) * len(phases))
+        for (dw, df, _), gk in zip(dual_sums, g.reshape(-1, len(phases)).T):
             total = total + gk * _dirichlet(dw, df, t_start, h, lo, hi,
                                             dual_counts)
         return total

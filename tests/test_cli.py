@@ -285,6 +285,16 @@ class TestAfescan:
         assert len(err.splitlines()) == 1
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("t", ["20", "-25.1"])
+    def test_split_length_error_names_shape_and_lowest_height(self, capsys,
+                                                              t):
+        # the first shape built too short is skew2 (x = 2 xb, y = xb/2);
+        # every shape is built from |t| = 8 pi on
+        code, _, err = run(capsys, "afescan", "--kind", "riemann", "--t", t)
+        assert code == 2
+        assert err.endswith(f"; shape skew2 at t = {t}: every shape needs "
+                            "|t| >= 8 pi = 25.13\n")
+
     def test_lowest_height_with_every_shape(self, capsys, tmp_path):
         p = tmp_path / "F"
         code, _, _ = run(capsys, "afescan", "--kind", "riemann",

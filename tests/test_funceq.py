@@ -119,6 +119,8 @@ class TestFeRhsEstimate:
              t=-31.08849446660406)
     @example(alpha=Fraction(1), lam=Fraction(1), sigma=0.5442299199301806,
              t=18.633025090969852)
+    # next to the pole of Gamma(1 - s) at s = 1
+    @example(alpha=Fraction(1), lam=Fraction(1), sigma=1.0, t=1e-9)
     def test_difference_within_the_estimates(self, alpha, lam, sigma, t):
         s = complex(sigma, t)
         # the poles: the oracle's at s = 1 and 1 - s = 1, Gamma(1 - s)'s at 2

@@ -106,6 +106,88 @@ class TestLogGamma:
                 call()
 
 
+EPS = 2.0 ** -52
+
+
+def _log_gamma_bound(z):
+    """The bound the gammafns docstring states for log_gamma(z):
+    3 eps m log m with m = max(|z|, 10)."""
+    m = max(abs(z), 10.0)
+    return 3.0 * EPS * m * math.log(m)
+
+
+def _log_gamma_error(z, v=None):
+    """|v - log Gamma(z)|, v = log_gamma(z) by default, against 40-digit
+    mpmath, the imaginary parts compared modulo 2 pi (the reflection branch
+    may add multiples)."""
+    mpmath = pytest.importorskip("mpmath")
+    v = log_gamma(z) if v is None else v
+    with mpmath.workdps(40):
+        ref = mpmath.loggamma(mpmath.mpc(z.real, z.imag))
+        k = round((v.imag - float(ref.imag)) / TWO_PI)
+        return float(abs(mpmath.mpc(v.real, v.imag) - ref
+                         - 2j * mpmath.pi * k))
+
+
+def _points(seed, lo, hi, sign, right, n=300):
+    """n random z with lo <= |z| <= hi, sign(Im z) = sign, and Re z >= 1/2
+    (right) or Re z < 1/2 (the reflection branch)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        z = cmath.rect(rng.uniform(lo, hi), rng.uniform(0.0, math.pi)) * sign
+        if (z.real >= 0.5) == right:
+            out.append(z)
+    return out
+
+
+class TestLogGammaAgainstMpmath:
+    """log_gamma within the docstring's bound, at |z| below, at and above
+    the threshold under which the Stirling series' argument is shifted up,
+    in the reflection branch and in both half-planes.  The regions follow
+    gammafns._STIRLING_MIN, so each test also checks the series next to
+    wherever the threshold sits."""
+
+    # |z| from lo to hi times the threshold; Re z >= 1/2 or, if not right,
+    # Re z < 1/2
+    REGIONS = {"below": (0.0, 1.0, True), "at": (0.9, 1.1, True),
+               "above": (1.0, 1.2, True), "reflection": (0.0, 3.0, False)}
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("region", list(REGIONS))
+    def test_within_the_stated_bound(self, region, sign):
+        lo, hi, right = self.REGIONS[region]
+        m = gammafns._STIRLING_MIN
+        seed = 2 * list(self.REGIONS).index(region) + (sign > 0)
+        for z in _points(seed, m * lo, m * hi, sign, right):
+            assert _log_gamma_error(z) <= _log_gamma_bound(z), z
+
+    def test_heights_from_a_tenth_to_ten_thousand(self):
+        # sigma in [-1, 2], either sign of t: both branches and, at small
+        # |t|, the shifted series
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            t = 10.0 ** rng.uniform(-1.0, 4.0) * rng.choice([-1.0, 1.0])
+            z = complex(rng.uniform(-1.0, 2.0), t)
+            assert _log_gamma_error(z) <= _log_gamma_bound(z), z
+
+    def test_next_to_the_poles(self):
+        # sin(pi z) is taken from z less its nearest integer, so it keeps
+        # its digits from 1e-13 to 1/2 off the poles
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            z = -float(rng.integers(0, 21)) + cmath.rect(
+                10.0 ** rng.uniform(-13.0, -0.3), rng.uniform(-math.pi, math.pi))
+            assert _log_gamma_error(z) <= _log_gamma_bound(z), z
+
+    def test_series_takes_arrays(self):
+        # plain arithmetic, so a grid can take the series whole
+        z = 0.5 - 1j * gammafns._STIRLING_MIN * np.geomspace(1.0, 200.0, 64)
+        grid = gammafns._stirling(z, np.log(z))
+        for zi, gi in zip(z.tolist(), grid.tolist()):
+            assert _log_gamma_error(zi, gi) <= _log_gamma_bound(zi), zi
+
+
 class TestChi:
     def test_fixed_point(self):
         assert chi(complex(0.5, 0.0)) == pytest.approx(1.0, rel=1e-12)
