@@ -398,8 +398,11 @@ def split_shapes(t: float, shapes: Iterable[tuple[str, float | None]]
                  = _SCAN_SHAPES) -> list[tuple[str, AfeSplit]]:
     """The named splits at height t of shapes, (name, F) pairs as in
     _SCAN_SHAPES: the meanSquare split for F = None, else x = xb/F,
-    y = xb F.  Every shape is built, so a length below 1 raises, naming the
-    shape, t and the lowest |t| every shape allows (8 pi for afescan's)."""
+    y = xb F.  Every shape is built, so a length outside [1, MAX_TERMS]
+    raises; below 2 pi k^2, k the largest F or 1/F, where xb/k < 1, the
+    error also names the shape, t and that height (8 pi for afescan's)."""
+    shapes = tuple(shapes)
+    k = max((max(f, 1.0 / f) for _, f in shapes if f), default=None)
     xb = choose_split(t).x
     named = []
     for name, f in shapes:
@@ -407,9 +410,8 @@ def split_shapes(t: float, shapes: Iterable[tuple[str, float | None]]
             named.append((name, choose_split(t, "meanSquare") if f is None
                           else AfeSplit(xb / f, xb * f)))
         except DomainError as exc:
-            if f is not None and xb * min(f, 1.0 / f) >= 1.0:
-                raise  # too long, not too short
-            k = max(max(g, 1.0 / g) for _, g in shapes if g)
+            if k is None or abs(t) >= TWO_PI * k * k:
+                raise
             raise DomainError(f"{exc}; shape {name} at t = {t:g}: every "
                               f"shape needs |t| >= {2.0 * k * k:g} pi = "
                               f"{TWO_PI * k * k:.4g}") from None

@@ -43,7 +43,7 @@ from .errors import PoleError
 from .params import POLE_TOL, check_s
 
 __all__ = ["log_gamma", "gamma", "chi", "gamma_phase_product",
-           "factor_error_bound"]
+           "factor_error_bound", "log_gamma_error_bound"]
 
 TWO_PI = 2.0 * math.pi
 LOG_TWO_PI = math.log(TWO_PI)
@@ -199,6 +199,13 @@ def factor_error_bound(t: float) -> float:
     """The relative error of gamma_phase_product at height t that this
     module states (module docstring): max(1e-12, 6e-15 |t|)."""
     return max(1e-12, 6e-15 * abs(t))
+
+
+def log_gamma_error_bound(z: complex) -> float:
+    """The absolute error of log_gamma(z) that this module states, its
+    imaginary part taken modulo 2 pi: 3 eps m log m, m = max(|z|, 10)."""
+    m = max(abs(z), 10.0)
+    return 3.0 * 2.0 ** -52 * m * math.log(m)
 
 
 @lru_cache(maxsize=1)

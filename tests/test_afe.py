@@ -98,6 +98,18 @@ class TestChooseSplit:
         assert built == [("skew2", AfeSplit(6.0, 1.5)),
                          ("skew1", AfeSplit(3.0, 3.0))]
 
+    @pytest.mark.parametrize("t, shapes", [
+        (1e9, afe._SCAN_SHAPES),  # meanSquare's x above MAX_TERMS
+        (8.0, (("meanSquare", None),)),  # no F to name a height by
+        (8.0, (("balanced", 1.0), ("meanSquare", None)))])  # above 2 pi
+    def test_split_error_unchanged_unless_a_skew_is_too_short(self, t,
+                                                               shapes):
+        with pytest.raises(DomainError) as want:
+            afe.choose_split(t, "meanSquare")
+        with pytest.raises(DomainError) as got:
+            afe.split_shapes(t, shapes)
+        assert str(got.value) == str(want.value)
+
     def test_calibration_shapes_take_afescans_names(self):
         # skewK has x = K xb; a skew that would push a length below 1 is
         # left out at that height

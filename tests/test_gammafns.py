@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lerchzeta import (PoleError, chi, gamma, gamma_phase_product, gammafns,
                        hurwitz_euler_maclaurin, log_gamma)
 from lerchzeta.errors import DomainError
-from lerchzeta.gammafns import factor_error_bound
+from lerchzeta.gammafns import factor_error_bound, log_gamma_error_bound
 from lerchzeta.params import MAX_HEIGHT
 
 TWO_PI = 2.0 * math.pi
@@ -106,16 +106,6 @@ class TestLogGamma:
                 call()
 
 
-EPS = 2.0 ** -52
-
-
-def _log_gamma_bound(z):
-    """The bound the gammafns docstring states for log_gamma(z):
-    3 eps m log m with m = max(|z|, 10)."""
-    m = max(abs(z), 10.0)
-    return 3.0 * EPS * m * math.log(m)
-
-
 def _log_gamma_error(z, v=None):
     """|v - log Gamma(z)|, v = log_gamma(z) by default, against 40-digit
     mpmath, the imaginary parts compared modulo 2 pi (the reflection branch
@@ -142,9 +132,10 @@ def _points(seed, lo, hi, sign, right, n=300):
 
 
 class TestLogGammaAgainstMpmath:
-    """log_gamma within the docstring's bound, at |z| below, at and above
-    the threshold under which the Stirling series' argument is shifted up,
-    in the reflection branch and in both half-planes.  The regions follow
+    """log_gamma within its stated bound, log_gamma_error_bound, at |z|
+    below, at and above the threshold under which the Stirling series'
+    argument is shifted up, in the reflection branch and in both
+    half-planes.  The regions follow
     gammafns._STIRLING_MIN, so each test also checks the series next to
     wherever the threshold sits."""
 
@@ -160,7 +151,7 @@ class TestLogGammaAgainstMpmath:
         m = gammafns._STIRLING_MIN
         seed = 2 * list(self.REGIONS).index(region) + (sign > 0)
         for z in _points(seed, m * lo, m * hi, sign, right):
-            assert _log_gamma_error(z) <= _log_gamma_bound(z), z
+            assert _log_gamma_error(z) <= log_gamma_error_bound(z), z
 
     def test_heights_from_a_tenth_to_ten_thousand(self):
         # sigma in [-1, 2], either sign of t: both branches and, at small
@@ -169,7 +160,7 @@ class TestLogGammaAgainstMpmath:
         for _ in range(300):
             t = 10.0 ** rng.uniform(-1.0, 4.0) * rng.choice([-1.0, 1.0])
             z = complex(rng.uniform(-1.0, 2.0), t)
-            assert _log_gamma_error(z) <= _log_gamma_bound(z), z
+            assert _log_gamma_error(z) <= log_gamma_error_bound(z), z
 
     def test_next_to_the_poles(self):
         # sin(pi z) is taken from z less its nearest integer, so it keeps
@@ -178,14 +169,14 @@ class TestLogGammaAgainstMpmath:
         for _ in range(300):
             z = -float(rng.integers(0, 21)) + cmath.rect(
                 10.0 ** rng.uniform(-13.0, -0.3), rng.uniform(-math.pi, math.pi))
-            assert _log_gamma_error(z) <= _log_gamma_bound(z), z
+            assert _log_gamma_error(z) <= log_gamma_error_bound(z), z
 
     def test_series_takes_arrays(self):
         # plain arithmetic, so a grid can take the series whole
         z = 0.5 - 1j * gammafns._STIRLING_MIN * np.geomspace(1.0, 200.0, 64)
         grid = gammafns._stirling(z, np.log(z))
         for zi, gi in zip(z.tolist(), grid.tolist()):
-            assert _log_gamma_error(zi, gi) <= _log_gamma_bound(zi), zi
+            assert _log_gamma_error(zi, gi) <= log_gamma_error_bound(zi), zi
 
 
 class TestChi:
