@@ -27,12 +27,14 @@ The sums at one height share most of their work: every sigma, split shape
 and (alpha, lam) pair reuses log(n + shift) and the phases, and every
 sigma's terms serve all split lengths.  afe_eval keeps that work in _memo,
 a dict from one height (the t > 0 height after the mirror) to its two dicts
-of arrays, the phases and the terms; another height replaces it.  With the
-memo off, the 21,760 afe_eval calls of the seed-1 benchmark afescan took
-0.93-1.45 s against 0.45-0.51 s with it (best of five in each of six
-alternating processes; 2-core Xeon, Python 3.11, numpy 2.4).  A sum longer
-than _MEMO_TERMS goes to throwaway dicts, and every value is bit-identical
-to computing it afresh.  The dual factors are not kept:
+of arrays, the phases and the prefix sums of the terms, so a sum of any
+cached length is one element; another height replaces it.  With the memo
+off (_MEMO_TERMS = 0), the 21,760 afe_eval calls of the seed-1 benchmark
+afescan took 0.81-0.88 s against 0.30-0.33 s with it (best of five in each
+of six processes; 2-core Xeon, Python 3.11, numpy 2.4).  A sum longer than
+_MEMO_TERMS goes to throwaway dicts, and every value is bit-identical to
+computing it afresh: the prefix sums add in order, so a prefix of a grown
+array is the shorter array's sum.  The dual factors are not kept:
 gamma_phase_product memoizes log Gamma(1-s).
 
 The truncation error is modelled by the two-term envelope
@@ -67,7 +69,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .gammafns import TWO_PI, chi, gamma_phase_product
-from .oracles import lerch_reference_values, reference_cutoff
+from .oracles import lerch_reference_table, reference_cutoff
 from .params import MAX_TERMS, EvalResult, LerchParams, check_height, check_s
 
 __all__ = ["AfeSplit", "ErrorEnvelope", "CalibrationPoint", "SplitKind",
@@ -80,7 +82,7 @@ __all__ = ["AfeSplit", "ErrorEnvelope", "CalibrationPoint", "SplitKind",
 # Envelope constants measured by ``envelope_fit`` on the default grids
 # (see default_calibration_grid); regenerate with the `calibrate` command.
 DEFAULT_CFIT = {
-    "lerch": 2.2309988976362236,
+    "lerch": 2.2309988976362063,
     "hurwitz": 0.49472446361974726,
     "riemann": 1.2749107644928994,
 }
@@ -162,15 +164,17 @@ def error_envelope(kind: str, s: complex, split: AfeSplit) -> ErrorEnvelope:
     return ErrorEnvelope(kind, split.x ** (-sigma), t ** e * split.y ** (sigma - 1.0))
 
 
-# {height: (phases, terms)} for the current height only, where
+# {height: (phases, sums)} for the current height only, where
 #   phases: (Im s_exp, shift, freq, first) -> (logs, phases), the
 #           log(n + shift) and e^(i (Im s_exp log(n + shift) + 2 pi freq n))
 #           for n = first, first + 1, ...
-#   terms:  (s_exp, shift, freq, first) -> e^(Re s_exp logs) phases
+#   sums:   (s_exp, shift, freq, first) -> the prefix sums, np.cumsum of
+#           the terms e^(Re s_exp logs) phases
 # Every key names its whole computation, so an entry is right at any height;
 # dropping the previous height only bounds the memory.  Arrays grow on
 # demand to the longest sum requested, each element built by the same
-# expression, so a slice of a grown array equals a shorter request's array.
+# expression, and cumsum adds in order, so a prefix of a grown array equals
+# a shorter request's sum bit for bit.
 _memo: dict[float, tuple[dict, dict]] = {}
 
 # The longest sum whose arrays the memo keeps.  Scan and calibration sums
@@ -186,13 +190,13 @@ _LOG_MAX = math.log(sys.float_info.max)
 def _power_sum(s_exp: complex, shift: float, weight_freq: float,
                first: int, last: int, memo: tuple[dict, dict]) -> complex:
     """sum_{n=first..last} e^(2 pi i n weight_freq) (n + shift)^(s_exp),
-    from and into memo's (phases, terms), or throwaway dicts for a sum longer
-    than _MEMO_TERMS."""
+    read from memo's prefix sums (phases, sums), which it fills, or from
+    throwaway dicts for a sum longer than _MEMO_TERMS."""
     count = last - first + 1
-    phase_memo, term_memo = memo if count <= _MEMO_TERMS else ({}, {})
+    phase_memo, sum_memo = memo if count <= _MEMO_TERMS else ({}, {})
     key = (s_exp, shift, weight_freq, first)
-    terms = term_memo.get(key)
-    if terms is None or len(terms) < count:
+    sums = sum_memo.get(key)
+    if sums is None or len(sums) < count:
         pkey = (s_exp.imag, shift, weight_freq, first)
         logs, phases = phase_memo.get(pkey, ((), ()))
         if len(logs) < count:
@@ -205,9 +209,9 @@ def _power_sum(s_exp: complex, shift: float, weight_freq: float,
             # term is the largest; beyond double range, the sum is infinite
             # and afe_eval raises, where numpy would warn and go on
             return complex(math.inf)
-        terms = np.exp(s_exp.real * logs) * phases
-        term_memo[key] = terms
-    return complex(terms[:count].sum())
+        sums = np.cumsum(np.exp(s_exp.real * logs) * phases)
+        sum_memo[key] = sums
+    return complex(sums[count - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +373,23 @@ def envelope_scan(kind: str, grid: Iterable[CalibrationPoint]
 
     The oracle is the rational-lam decomposition, so every grid point needs a
     rational lam.  Each run of consecutive points at the same height takes
-    its oracle values from one oracles.lerch_reference_values call, so from
-    one table; each point makes one afe_eval call with c_fit = 1, whose
-    error estimate is the envelope.
+    its oracle values from one oracles.lerch_reference_table call, keyed
+    once by the float (alpha, lam) that afe_eval takes; each point makes one
+    afe_eval call with c_fit = 1, whose error estimate is the envelope.
     """
     split_kind(kind)
-    for _, run in groupby(grid, key=lambda pt: pt.t):
-        rows = [(pt, pt.s, float(pt.alpha)) for pt in run]
-        refs = lerch_reference_values([(s, alpha, pt.lam)
-                                       for pt, s, alpha in rows])
-        for (pt, s, alpha), ref in zip(rows, refs):
-            res = afe_eval(kind, s, alpha, float(pt.lam), pt.split, c_fit=1.0)
-            yield pt, abs(res.value - ref.value), res.error_estimate
+    for t, run in groupby(grid, key=lambda pt: pt.t):
+        rows = [(pt, float(pt.alpha), float(pt.lam)) for pt in run]
+        # keyed by the floats, which hash far faster than Fractions
+        pairs = {(alpha, lam): (pt.alpha, pt.lam) for pt, alpha, lam in rows}
+        table = lerch_reference_table(t, (pt.sigma for pt, _, _ in rows),
+                                      pairs.values())
+        refs = {(sigma, float(alpha), float(lam)): ref.value
+                for (sigma, alpha, lam), ref in table.items()}
+        for pt, alpha, lam in rows:
+            res = afe_eval(kind, pt.s, alpha, lam, pt.split, c_fit=1.0)
+            yield (pt, abs(res.value - refs[pt.sigma, alpha, lam]),
+                   res.error_estimate)
 
 
 def envelope_fit(kind: str, grid: Iterable[CalibrationPoint]) -> float:

@@ -64,8 +64,10 @@ def check_height(t, name: str = "t") -> float:
 
 
 def check_unit(value, name: str):
-    """value, refused unless it is a real number in (0, 1] (no nan is)."""
-    if not (isinstance(value, Real) and 0 < value <= 1):
+    """value, refused unless it is a real number in (0, 1] (no nan is).  A
+    float skips the slower numbers.Real check."""
+    if not ((type(value) is float or isinstance(value, Real))
+            and 0 < value <= 1):
         raise DomainError(f"{name} must be a real in (0, 1], got {value}")
     return value
 

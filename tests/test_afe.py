@@ -260,6 +260,47 @@ class TestHeightMemo:
         afe._memo.clear()
 
 
+class TestPrefixSums:
+    """_power_sum reads a sum from prefix sums added in order, so it stays
+    within the in-order summation bound (count - 1) u sum|terms|, u = 2^-53
+    (Jeannerod & Rump 2013), of the exact sum of its terms, in memo and in
+    throwaway dicts alike."""
+
+    COUNTS = (1, 2, 3, 17, 100, afe._MEMO_TERMS, afe._MEMO_TERMS + 1, 3000)
+
+    @staticmethod
+    def _terms(s_exp, shift, freq, first, count):
+        # the terms by _power_sum's own expression, element by element
+        n = np.arange(first, first + count, dtype=float)
+        logs = np.log(n + shift)
+        phases = np.exp(1j * (s_exp.imag * logs + TWO_PI * freq * n))
+        return np.exp(s_exp.real * logs) * phases
+
+    @pytest.mark.parametrize("kind", ["lerch", "hurwitz", "riemann"])
+    def test_within_the_in_order_bound_of_fsum(self, kind):
+        alpha, lam = {"lerch": (0.25, 0.75), "hurwitz": (1 / 3, 1.0),
+                      "riemann": (1.0, 1.0)}[kind]
+        (shift, freq), first, duals = split_kind(kind).terms(alpha, lam)
+        t = 300.0
+        for sigma in (0.0, 0.5, 1.0):
+            z = complex(sigma, t)
+            sums = [(-z, shift, freq, 0)] + [(z - 1.0, sh, fr, first)
+                                             for sh, fr, _ in duals]
+            for s_exp, sh, fr, start in sums:
+                # longest first, so shorter sums read a grown memo array,
+                # then shortest first in a fresh memo
+                for counts in (self.COUNTS[::-1], self.COUNTS):
+                    memo = {}, {}
+                    for count in counts:
+                        got = afe._power_sum(s_exp, sh, fr, start,
+                                             start + count - 1, memo)
+                        terms = self._terms(s_exp, sh, fr, start, count)
+                        bound = (count - 1) * 2.0 ** -53 * math.fsum(
+                            np.abs(terms))
+                        assert abs(got.real - math.fsum(terms.real)) <= bound
+                        assert abs(got.imag - math.fsum(terms.imag)) <= bound
+
+
 class TestAfeLerch:
     def test_oracle_within_estimate(self):
         s = complex(0.5, 100.0)

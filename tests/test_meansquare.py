@@ -204,8 +204,12 @@ class TestGregoryRule:
             want = b[d + 1] / (d + 1) if d % 2 else Fraction(0)
             assert sum(cj * Fraction(j) ** d for j, cj in enumerate(c)) == want
 
+    # No subnormal coefficients: a subnormal has no relative precision, so
+    # no relative check can hold there (coef = [0.0, 5e-324] makes the
+    # expected 5e-324/2 round to 0.0 while the rule returns 5e-324).
     @settings(max_examples=60, deadline=None)
-    @given(coef=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10),
+    @given(coef=st.lists(st.floats(0.0, 1.0, allow_subnormal=False),
+                         min_size=1, max_size=10),
            n=st.integers(20, 5000))
     def test_polynomials_of_degree_9_are_exact(self, coef, n):
         # p(x) = sum_k coef[k] x^k >= 0 on [0, 1], the integrand |sqrt(p)|^2
