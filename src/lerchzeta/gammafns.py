@@ -151,9 +151,10 @@ def chi(s: complex) -> complex:
     chi(s) = pi (2 pi)^(s-1) / (Gamma(s) cos(pi s/2)) is used instead: it has
     no pole of Gamma(1-s) to cancel against a zero of sin(pi s/2), so it
     keeps its digits at and next to the even positive integers.  Odd
-    positive integers are genuine poles.  The zeros s = 0, -2, -4, ... give 0;
-    within 1/2 of one, at s = 2m + d, sin(pi s/2) = (-1)^m sin(pi d/2) keeps
-    the digits that 1 - e^{i pi s} loses.
+    positive integers are genuine poles.  The zeros s = 0, -2, -4, ... give 0,
+    and so does Im s = +-5e-324, which s/2 rounds to 0 (chi's own rounding
+    only for Re s >= -14).  Next to a zero, _log_sin_pi(s/2) keeps the digits
+    that 1 - e^{i pi s} loses.
     """
     s = check_s(s)
     if s.real >= 1.0 - POLE_TOL:
@@ -166,15 +167,10 @@ def chi(s: complex) -> complex:
         w = (math.log(math.pi) + (s - 1.0) * LOG_TWO_PI
              - _log_gamma_complex(s) - _log_sin_pi(s / 2.0 + 0.5))
         return _exp(w)
-    m = round(s.real / 2.0)
-    d = s - 2 * m  # exact: s.real lies within 1 of the integer 2m
-    if m <= 0 and abs(d) < 0.5:
-        if d == 0.0:
-            return 0j
-        log_sin = cmath.log(cmath.sin(0.5 * math.pi * d)) + 1j * math.pi * m
-    else:
-        log_sin = _log_sin_pi(s / 2.0)
-    w = (math.log(2.0) + _log_gamma_complex(1.0 - s) + log_sin
+    z = s / 2.0
+    if z.imag == 0.0 and z.real.is_integer():
+        return 0j
+    w = (math.log(2.0) + _log_gamma_complex(1.0 - s) + _log_sin_pi(z)
          + (s - 1.0) * LOG_TWO_PI)
     return _exp(w)
 

@@ -225,12 +225,16 @@ class TestChi:
                           * mpmath.sin(mpmath.pi * z / 2) * mpmath.gamma(1 - z))
         assert abs(chi(s) - ref) <= rtol * abs(ref)
 
-    @pytest.mark.parametrize("s", [0.0, -2.0, complex(-4.0, 0.0), -300.0])
+    # Im s = +-5e-324 halves to 0 in s/2, where chi(s) ~ chi'(-2) (s + 2)
+    # rounds to 0
+    @pytest.mark.parametrize("s", [0.0, -2.0, complex(-4.0, 0.0), -300.0,
+                                   complex(-2.0, 5e-324),
+                                   complex(-2.0, -5e-324)])
     def test_zeros(self, s):
         assert chi(s) == 0.0
 
-    # Next to a zero 1 - e^{i pi s} cancels; sin(pi d/2) of the offset d
-    # from the zero does not.
+    # Next to a zero 1 - e^{i pi s} cancels; sin(pi f) of the offset f of
+    # s/2 from its nearest integer does not.
     @pytest.mark.parametrize("s", [
         complex(-2.0, 1e-300), complex(-2.0, -1e-300), complex(0.0, 1e-300),
         complex(-6.0, 1e-200), complex(-4.0, 1e-8), complex(-2.3, -0.05),

@@ -296,7 +296,8 @@ class TestGridKernel:
             c = counts[i]
             want = (self.W[:c] * np.exp(-1j * t * f[:c])).sum()
             assert got[i] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
-        full = _dirichlet(self.W, f, t_start, h, lo, lo + n)
+        full = _dirichlet(self.W, f, t_start, h, lo, lo + n,
+                          np.full(n, len(self.W)))
         t = t_start + h * (lo + n - 1)
         want = (self.W * np.exp(-1j * t * f)).sum()
         assert full[-1] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
@@ -310,7 +311,7 @@ class TestGridKernel:
         n = _RESTART + _BLOCK + 1
         f = np.log(np.arange(2000) + 0.25)
         w = np.exp(-0.5 * f) * np.exp(2j * math.pi * np.arange(2000) / 3)
-        got = _dirichlet(w, f, t_start, h, lo, lo + n)
+        got = _dirichlet(w, f, t_start, h, lo, lo + n, np.full(n, len(w)))
         for i in [*range(0, n, 97), _RESTART - 1, _RESTART, n - 1]:
             t = t_start + h * (lo + i)
             want = (w * np.exp(-1j * t * f)).sum()
@@ -335,12 +336,11 @@ class TestGridKernel:
         f = np.log(np.arange(1300) + 0.5)
         w = np.exp(-0.5 * f) * np.exp(2j * math.pi * np.arange(1300) / 4)
         j = np.arange(n)
-        counts = (200 + j // 10) if with_counts else None
+        counts = (200 + j // 10) if with_counts else np.full(n, len(w))
         got = _dirichlet(w, f, 731.0, 0.005, lo, lo + n, counts)
         want = np.concatenate([
             _dirichlet(w, f, 731.0, 0.005, lo + c0, lo + min(c0 + _RESTART, n),
-                       None if counts is None
-                       else counts[c0:c0 + _RESTART])
+                       counts[c0:c0 + _RESTART])
             for c0 in range(0, n, _RESTART)])
         assert got.tobytes() == want.tobytes()
 

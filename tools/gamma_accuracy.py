@@ -18,6 +18,10 @@ divided by the bound the module states, log_gamma_error_bound(z);
 imaginary parts are compared modulo 2 pi.  A ratio above 1 breaks the
 stated bound.
 
+The last row is chi's worst relative error against 50-digit mpmath at
+random s within 1/2 of its zeros 0, -2, ..., -200, at offsets from 1e-300
+to 1/2, where sin(pi s/2) must keep its digits next to a zero.
+
 POINTS random points per band, drawn from SEED, give the same table on any
 machine with IEEE doubles.  Needs mpmath, and nothing else outside this
 checkout.
@@ -34,7 +38,7 @@ import sys
 import mpmath
 
 sys.path.insert(0, os.path.join(os.getcwd(), "src"))
-from lerchzeta.gammafns import (factor_error_bound,  # noqa: E402
+from lerchzeta.gammafns import (chi, factor_error_bound,  # noqa: E402
                                 gamma_phase_product, log_gamma,
                                 log_gamma_error_bound)
 
@@ -64,6 +68,15 @@ def factor_error(s: complex, a: float, b: float) -> float:
         ref = complex(mpmath.gamma(1 - z) * (2 * mpmath.pi) ** (z - 1)
                       * mpmath.expjpi(a * z + b))
     return abs(gamma_phase_product(s, a, b) - ref) / abs(ref)
+
+
+def chi_error(s: complex) -> float:
+    """chi(s)'s relative error against 50-digit mpmath."""
+    with mpmath.workdps(50):
+        z = mpmath.mpc(s.real, s.imag)
+        ref = complex(2 * mpmath.gamma(1 - z) * mpmath.sinpi(z / 2)
+                      * (2 * mpmath.pi) ** (z - 1))
+    return abs(chi(s) - ref) / abs(ref)
 
 
 def factor_table(rng: random.Random) -> list[str]:
@@ -106,12 +119,22 @@ def log_gamma_table(rng: random.Random) -> list[str]:
     return rows
 
 
+def chi_row(rng: random.Random) -> str:
+    worst = max(chi_error(-2 * rng.randint(0, 100)
+                          + cmath.rect(10.0 ** rng.uniform(-300.0, -0.3),
+                                       rng.uniform(-math.pi, math.pi)))
+                for _ in range(POINTS))
+    return f"worst rel. error within 1/2 of a zero: {worst:.2g}"
+
+
 def main() -> None:
     rng = random.Random(SEED)
     print("gamma_phase_product against mpmath, sigma in [-1, 2]:")
     print("\n".join(factor_table(rng)))
     print("\nlog_gamma against mpmath:")
     print("\n".join(log_gamma_table(rng)))
+    print("\nchi against mpmath, s within 1/2 of 0, -2, ..., -200:")
+    print(chi_row(rng))
 
 
 if __name__ == "__main__":
