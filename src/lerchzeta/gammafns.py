@@ -151,10 +151,10 @@ def chi(s: complex) -> complex:
     chi(s) = pi (2 pi)^(s-1) / (Gamma(s) cos(pi s/2)) is used instead: it has
     no pole of Gamma(1-s) to cancel against a zero of sin(pi s/2), so it
     keeps its digits at and next to the even positive integers.  Odd
-    positive integers are genuine poles.  The zeros s = 0, -2, -4, ... give 0,
-    and so does Im s = +-5e-324, which s/2 rounds to 0 (chi's own rounding
-    only for Re s >= -14).  Next to a zero, _log_sin_pi(s/2) keeps the digits
-    that 1 - e^{i pi s} loses.
+    positive integers are genuine poles.  The zeros s = 0, -2, -4, ... give 0.
+    Next to a zero, _log_sin_pi(s/2) keeps the digits that 1 - e^{i pi s}
+    loses; at s = 2m +- 5e-324i, which s/2 rounds to m, the sine is
+    (-1)^m (pi/2) i Im s (chi is 0 to rounding only for Re s >= -14).
     """
     s = check_s(s)
     if s.real >= 1.0 - POLE_TOL:
@@ -169,8 +169,14 @@ def chi(s: complex) -> complex:
         return _exp(w)
     z = s / 2.0
     if z.imag == 0.0 and z.real.is_integer():
-        return 0j
-    w = (math.log(2.0) + _log_gamma_complex(1.0 - s) + _log_sin_pi(z)
+        if s.imag == 0.0:
+            return 0j
+        # Im s = 5e-324 halves to 0: the modulus comes from Im s itself
+        log_sin = complex(math.log(0.5 * math.pi) + math.log(s.imag),
+                          math.pi * ((z.real + 0.5) % 2.0))
+    else:
+        log_sin = _log_sin_pi(z)
+    w = (math.log(2.0) + _log_gamma_complex(1.0 - s) + log_sin
          + (s - 1.0) * LOG_TWO_PI)
     return _exp(w)
 

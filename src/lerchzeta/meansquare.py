@@ -74,16 +74,18 @@ phase rounding |t f_n| 2^-53 ~ 1.7e-12 of that exp at t = n = 2000.  A
 2,000-term sum at t ~ 2000 is off from 30-digit mpmath by at most 1.8e-12
 at seven points of a restart chunk, against 2.4e-12 with one exp per
 rotation and anchor.  The quadrature asks for _SPAN = 4 _RESTART points a
-call, from fixed grid indices, and a restart chunk sums each tile only up
-to its own largest term count, so a call over several restart chunks gives
-the bits one call per restart chunk gives, and every bit of the result is
-fixed by the grid alone.  Terms are taken _TILE at a time, which bounds
-the working set whatever T and q are.  Nothing is cached across calls: a
-cache of every tile's rotations and advances for a whole ladder would take
-2 KB a term, 131 MB at T = 16,000 and q = 4.  The split-sum sums end at a
-per-point term count (floor(x(t)) + 1, and floor(y(t)) for the duals): a
-block sums up to the largest count among its points and subtracts the
-surplus terms at the points below it.  The split sums' shifts, frequencies,
+call, from fixed grid indices; the kernel takes one term count per
+restart chunk and sums each tile only up to it, so a call over several
+restart chunks gives the bits one call per restart chunk gives, and every
+bit of the result is fixed by the grid alone.  Terms are taken _TILE at a
+time, which bounds the working set whatever T and q are.  Nothing is
+cached across calls: a cache of every tile's rotations and advances for a
+whole ladder would take 2 KB a term, 131 MB at T = 16,000 and q = 4.  The
+split-sum sums end at a per-point term count (floor(x(t)) + 1, and
+floor(y(t)) for the duals), which steps inside a restart chunk: their
+integrand cuts the chunk at the first point of each new count and sums
+each run of equal count with one kernel call, so a run's anchors restart
+from a direct exp at its first point.  The split sums' shifts, frequencies,
 first dual index and Gamma phases are the term row of afe's kind record,
 which afe_eval sums too.  The integrand values of a call are folded into
 the rule's two running sums (G10 and G8, or fine and coarse Simpson) one
@@ -189,9 +191,11 @@ def _powers(z: np.ndarray, m: int) -> np.ndarray:
 
 
 def _dirichlet(w: np.ndarray, f: np.ndarray, t_start: float, h: float,
-               lo: int, hi: int, counts: np.ndarray) -> np.ndarray:
-    """sum_{n < counts[j - lo]} w[n] e^(-i t_j f[n]) at t_j = t_start + j h
-    for lo <= j < hi.
+               lo: int, hi: int, counts: Sequence[int]) -> np.ndarray:
+    """sum_{n < counts[c]} w[n] e^(-i t_j f[n]) at t_j = t_start + j h for
+    lo <= j < hi, with c = (j - lo) // _RESTART the restart chunk of j: one
+    term count per restart chunk.  A caller whose count steps inside a chunk
+    cuts it into runs of equal count, one call each.
 
     Point k of block b (grid index lo + b _BLOCK + k) sits at [k, b]; points
     past hi that fill the last block are computed and dropped.  Per tile of
@@ -200,39 +204,30 @@ def _dirichlet(w: np.ndarray, f: np.ndarray, t_start: float, h: float,
     then for each restart chunk, at lo and every _RESTART points after it,
     the direct e^(-i t f) at its first point t and that chunk's anchors, so
     rounding builds up over fewer than 2 _BLOCK products (module
-    docstring).  A restart chunk sums a tile only up to its own largest
-    count, so its bits do not depend on the rest of the call.
+    docstring).  A restart chunk sums a tile only up to its own count, so
+    its bits do not depend on the rest of the call.
     """
     nb = -(-(hi - lo) // _BLOCK)
-    c = np.full(nb * _BLOCK, counts[-1])
-    c[:hi - lo] = counts
-    c = c.reshape(nb, _BLOCK).T
-    top = c.max(axis=0)
     per_chunk = _RESTART // _BLOCK
-    chunks = [(b0, min(b0 + per_chunk, nb), int(top[b0:b0 + per_chunk].max()))
-              for b0 in range(0, nb, per_chunk)]
+    chunks = [(b0, min(b0 + per_chunk, nb), count) for b0, count
+              in zip(range(0, nb, per_chunk), counts, strict=True)]
+    top = max(counts)
     out = np.zeros((_BLOCK, nb), dtype=complex)
     anc = np.empty((min(nb, per_chunk), _TILE), dtype=complex)
-    for n0 in range(0, int(top.max()), _TILE):
-        n1 = min(n0 + _TILE, int(top.max()))
+    for n0 in range(0, top, _TILE):
+        n1 = min(n0 + _TILE, top)
         fn, wn = f[n0:n1], w[n0:n1]
         rot = _powers(np.exp(-1j * (h * fn)), _BLOCK)
         advance = _powers(np.exp(-1j * ((_BLOCK * h) * fn)), len(anc))
-        for b0, b1, chunk_top in chunks:
-            if n0 >= chunk_top:
+        for b0, b1, count in chunks:
+            if n0 >= count:
                 continue
-            m1 = min(n1, chunk_top) - n0
+            m1 = min(n1, count) - n0
             a = anc[:b1 - b0, :m1]
             t_lo = t_start + h * (lo + b0 * _BLOCK)
             np.multiply(wn[:m1] * np.exp(-1j * (t_lo * fn[:m1])),
                         advance[:b1 - b0, :m1], out=a)
-            cb, tb = c[:, b0:b1], top[b0:b1]
-            if tb.min() < n0 + m1:  # else every block sums the whole tile
-                a[np.arange(n0, n0 + m1) >= tb[:, None]] = 0.0
             out[:, b0:b1] += rot[:, :m1] @ a.T
-            for m in range(max(n0, int(cb.min())), n0 + m1):
-                k, b = np.nonzero((cb <= m) & (m < tb))
-                out[k, b0 + b] -= rot[k, m - n0] * a[b, m - n0]
     return out.T.ravel()[:hi - lo]
 
 
@@ -259,8 +254,17 @@ def _split_sum_integrand(alpha: float, lam: float, t_max: float,
                       hi: int) -> np.ndarray:
         t = t_start + h * np.arange(lo, hi)
         y = np.sqrt(np.log(t))
+
+        def cut(w, f, counts):
+            # one kernel call per run of equal count, cut where it steps
+            ends = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(),
+                    hi - lo]
+            return np.concatenate([_dirichlet(w, f, t_start, h, lo + r0,
+                                              lo + r1, [counts[r0]])
+                                   for r0, r1 in zip(ends, ends[1:])])
+
         main_counts = np.floor(t / (TWO_PI * y)).astype(np.int64) + 1
-        total = _dirichlet(mw, mf, t_start, h, lo, hi, main_counts)
+        total = cut(mw, mf, main_counts)
         if partial:
             return total
         dual_counts = np.floor(y).astype(np.int64) + (1 - first)
@@ -271,15 +275,13 @@ def _split_sum_integrand(alpha: float, lam: float, t_max: float,
                          for s in (0.5 + 1j * t).tolist() for a, b in phases),
                         complex, (hi - lo) * len(phases))
         for (dw, df, _), gk in zip(dual_sums, g.reshape(-1, len(phases)).T):
-            total = total + gk * _dirichlet(dw, df, t_start, h, lo, hi,
-                                            dual_counts)
+            total = total + gk * cut(dw, df, dual_counts)
         return total
 
     def values(t_start: float, h: float, lo: int, hi: int) -> np.ndarray:
-        # one restart chunk at a time, for memory: a _SPAN-wide call gives
-        # the same bits (T = 2000 ladders, (1/2, 1/2) and (1, 1)) and shares
-        # each tile's rotations, but its Gamma factors, counts and sums
-        # raised a fresh process's peak RSS from 37.1-37.3 to 39.0-39.2 MB
+        # one restart chunk at a time, so a run of equal count lies in one;
+        # and a _SPAN-wide fill of Gamma factors, counts and sums raised a
+        # fresh process's peak RSS from 37.1-37.3 to 39.0-39.2 MB
         return np.concatenate([restart_chunk(t_start, h, c0,
                                              min(c0 + _RESTART, hi))
                                for c0 in range(lo, hi, _RESTART)])
@@ -303,14 +305,13 @@ def _oracle_integrand(alpha: float, lam: Fraction, t_max: float):
 
     def values(t_start: float, h: float, lo: int, hi: int) -> np.ndarray:
         chunks = []
-        counts = np.empty(hi - lo, dtype=np.int64)
         for c0 in range(lo, hi, _RESTART):
             c1 = min(c0 + _RESTART, hi)
             # the grid's last point may round past t_max by an ulp
             n_c = reference_cutoff(min(t_max, t_start + h * (c1 - 1)), (lam,))
-            counts[c0 - lo:c1 - lo] = q * n_c
             chunks.append((c0, c1, n_c))
-        total = _dirichlet(w, f, t_start, h, lo, hi, counts)
+        total = _dirichlet(w, f, t_start, h, lo, hi,
+                           [q * n_c for _, _, n_c in chunks])
         # one restart chunk at a time: the continuation's (q, _RESTART)
         # arrays stay in cache, where (q, _SPAN) ones ran slower, and no
         # product meets numpy's temporary elision (256 KiB and up), which

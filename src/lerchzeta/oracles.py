@@ -254,11 +254,14 @@ def _hurwitz_table(t: float, sigmas: Sequence[float], shifts: Sequence[float],
         # own: at a small shift it outweighs all the others together.  Where
         # a^(-sigma) is beyond double range (within an ulp of it, the direct
         # sum rounded its n = 0 term down) the floor is infinite, or NaN at
-        # t = 0, where fmax takes the last correction instead.
+        # t = 0, where fmax takes the last correction instead.  a^(-sigma)
+        # is exp(-sigma log a), as in _direct_sums: numpy's power has a path
+        # of other last bits for a one-element exponent of -1, 1/2 or 2.
         floor = _EPS * ((abs_sums + np.hypot(tails.real, tails.imag))
                         * (8.0 + math.log2(N + 1)
                            + abs(t) * math.log(N + 2.0) / math.sqrt(N))
-                        + np.abs(t * np.log(a)) * a ** -points.real[:, None])
+                        + np.abs(t * np.log(a))
+                        * np.exp(-points.real[:, None] * np.log(a)))
     return values, np.fmax(lasts, floor)
 
 

@@ -233,6 +233,22 @@ class TestChi:
     def test_zeros(self, s):
         assert chi(s) == 0.0
 
+    # s/2 rounds to the zero m = Re s / 2 when Im s = +-5e-324; chi(s) ~
+    # chi'(Re s) i Im s is then 0 to rounding for Re s >= -14 and not below,
+    # where |chi'| passes 1/2.  mpmath.sinpi, as sin(pi s/2) at 50 digits
+    # leaves a false real part from its rounded pi
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("re", [0, -2, -8, -14, -16, -100, -300])
+    def test_half_the_smallest_height_against_mpmath(self, re, sign):
+        mpmath = pytest.importorskip("mpmath")
+        s = complex(re, sign * 5e-324)
+        with mpmath.workdps(50):
+            z = mpmath.mpc(s.real, s.imag)
+            ref = complex(2 * mpmath.gamma(1 - z) * mpmath.sinpi(z / 2)
+                          * (2 * mpmath.pi) ** (z - 1))
+        assert (ref == 0.0) == (re >= -14)
+        assert abs(chi(s) - ref) <= 1e-12 * abs(ref)
+
     # Next to a zero 1 - e^{i pi s} cancels; sin(pi f) of the offset f of
     # s/2 from its nearest integer does not.
     @pytest.mark.parametrize("s", [

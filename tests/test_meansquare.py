@@ -15,7 +15,7 @@ from lerchzeta import (ConfigError, DomainError, afe_eval, error_envelope,
                        lerch_via_hurwitz, mean_square_ladder)
 from lerchzeta.afe import choose_split
 from lerchzeta.meansquare import (_BLOCK, _GREGORY8, _GREGORY10, _RESTART,
-                                  _SPAN, STEPS, T0, _dirichlet,
+                                  _SPAN, _TILE, STEPS, T0, _dirichlet,
                                   _oracle_integrand, _quadrature,
                                   _split_sum_integrand)
 from lerchzeta.oracles import reference_cutoff
@@ -274,6 +274,26 @@ def _x_step(m: float) -> float:
     return lo
 
 
+def _assert_split_sums(alpha: float, lam: float, t_start: float, h: float,
+                       hi: int, js) -> None:
+    """The afe and partialSum integrands on the grid points 0 ... hi - 1
+    equal afe_eval and the direct partial sum at the points js."""
+    got = _split_sum_integrand(alpha, lam, t_start + h * hi, False)(
+        t_start, h, 0, hi)
+    partial = _split_sum_integrand(alpha, lam, t_start + h * hi, True)(
+        t_start, h, 0, hi)
+    for j in js:
+        t = t_start + h * j
+        s, split = complex(0.5, t), choose_split(t, "meanSquare")
+        kind = "hurwitz" if lam == 1.0 else "lerch"
+        want = afe_eval(kind, s, alpha, lam, split).value
+        assert got[j] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
+        n = np.arange(math.floor(split.x) + 1)
+        direct = (np.exp(2j * math.pi * lam * n) * (n + alpha) ** (-s)).sum()
+        assert partial[j] == pytest.approx(direct,
+                                           abs=1e-10 * (1 + abs(direct)))
+
+
 class TestGridKernel:
     """The block phase-rotation kernel against direct per-point sums."""
 
@@ -285,19 +305,20 @@ class TestGridKernel:
     @pytest.mark.parametrize("lo", [0, 3 * _BLOCK])
     def test_matches_direct_sums_at_block_edges(self, lo, sign):
         t_start, h = 97.0, 0.013
-        n = 2 * _BLOCK + 7                      # the last block is partial
-        j = np.arange(n)
-        # the term count steps inside every block
-        counts = 30 + (j >= _BLOCK // 2) + (j >= _BLOCK + 1) + 5 * (j >= n - 3)
+        n = _RESTART + _BLOCK + 7               # the last block is partial
+        # one term count per restart chunk; they differ, and both stop
+        # inside the first tile
+        counts = [31, 37]
         f = sign * self.F
         got = _dirichlet(self.W, f, t_start, h, lo, lo + n, counts)
-        for i in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, n - 1):
+        for i in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, _RESTART - 1, _RESTART,
+                  _RESTART + _BLOCK, n - 1):
             t = t_start + h * (lo + i)
-            c = counts[i]
+            c = counts[i // _RESTART]
             want = (self.W[:c] * np.exp(-1j * t * f[:c])).sum()
             assert got[i] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
         full = _dirichlet(self.W, f, t_start, h, lo, lo + n,
-                          np.full(n, len(self.W)))
+                          [len(self.W)] * 2)
         t = t_start + h * (lo + n - 1)
         want = (self.W * np.exp(-1j * t * f)).sum()
         assert full[-1] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
@@ -311,7 +332,7 @@ class TestGridKernel:
         n = _RESTART + _BLOCK + 1
         f = np.log(np.arange(2000) + 0.25)
         w = np.exp(-0.5 * f) * np.exp(2j * math.pi * np.arange(2000) / 3)
-        got = _dirichlet(w, f, t_start, h, lo, lo + n, np.full(n, len(w)))
+        got = _dirichlet(w, f, t_start, h, lo, lo + n, [len(w)] * 2)
         for i in [*range(0, n, 97), _RESTART - 1, _RESTART, n - 1]:
             t = t_start + h * (lo + i)
             want = (w * np.exp(-1j * t * f)).sum()
@@ -329,19 +350,19 @@ class TestGridKernel:
     def test_span_equals_one_call_per_restart_chunk(self, with_counts):
         # a call over two and a half restart chunks shares each tile's
         # rotations across them, and must give every bit that one call per
-        # restart chunk gives; the counts step across a tile boundary and
-        # differ between the chunks, so the chunks stop at different tiles
+        # restart chunk gives; the counts differ between the chunks, so the
+        # chunks stop at different tiles: the first inside one, the last at
+        # a tile edge
         assert _SPAN >= 2 * _RESTART
         lo, n = 3 * _RESTART, 2 * _RESTART + _RESTART // 2 + 5
         f = np.log(np.arange(1300) + 0.5)
         w = np.exp(-0.5 * f) * np.exp(2j * math.pi * np.arange(1300) / 4)
-        j = np.arange(n)
-        counts = (200 + j // 10) if with_counts else np.full(n, len(w))
+        counts = [700, 1300, 2 * _TILE] if with_counts else [len(w)] * 3
         got = _dirichlet(w, f, 731.0, 0.005, lo, lo + n, counts)
         want = np.concatenate([
             _dirichlet(w, f, 731.0, 0.005, lo + c0, lo + min(c0 + _RESTART, n),
-                       counts[c0:c0 + _RESTART])
-            for c0 in range(0, n, _RESTART)])
+                       [count])
+            for c0, count in zip(range(0, n, _RESTART), counts)])
         assert got.tobytes() == want.tobytes()
 
     def test_one_point_grid(self):
@@ -359,22 +380,46 @@ class TestGridKernel:
     def test_split_sum_integrand_matches_afe(self, t_step, alpha, lam):
         h = 0.01
         t_start = t_step - (1.5 * _BLOCK + 0.5) * h   # steps inside block 1
-        lo, hi = 0, 3 * _BLOCK
-        got = _split_sum_integrand(alpha, lam, t_start + h * hi, False)(
-            t_start, h, lo, hi)
-        partial = _split_sum_integrand(alpha, lam, t_start + h * hi, True)(
-            t_start, h, lo, hi)
-        for j in range(lo, hi):
-            t = t_start + h * j
-            s, split = complex(0.5, t), choose_split(t, "meanSquare")
-            kind = "hurwitz" if lam == 1.0 else "lerch"
-            want = afe_eval(kind, s, alpha, lam, split).value
-            assert got[j] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
-            n = np.arange(math.floor(split.x) + 1)
-            direct = (np.exp(2j * math.pi * lam * n)
-                      * (n + alpha) ** (-s)).sum()
-            assert partial[j] == pytest.approx(direct,
-                                               abs=1e-10 * (1 + abs(direct)))
+        _assert_split_sums(alpha, lam, t_start, h, 3 * _BLOCK,
+                           range(3 * _BLOCK))
+
+    @pytest.mark.parametrize("case", ["block-edge", "restart-edge",
+                                      "one-point-run", "main-and-dual"])
+    @pytest.mark.parametrize("alpha,lam", [(0.5, 0.5), (1.0, 1.0)])
+    def test_split_sum_integrand_cuts_where_the_counts_step(self, case, alpha,
+                                                            lam):
+        # the integrand cuts each restart chunk into runs of equal term
+        # count, one kernel call each; the points on both sides of every
+        # step of floor(x(t)) or floor(y(t)) on the grid are checked.  Point
+        # j is the first past the step the case is named for
+        h = 0.01
+        if case == "one-point-run":
+            # x passes 60 at point 3 and 61 at point 4
+            t60, t61 = _x_step(60.0), _x_step(61.0)
+            h, j, hi = t61 - t60 + 0.01, 3, 8
+            t_start = t60 + 0.005 - j * h
+        else:
+            # floor(x) steps at a block edge, at a restart-chunk edge, or
+            # floor(y) steps at e^4 with floor(x) steps at t = 49.7, 64.1
+            # and 78.8 in the same restart chunk
+            t_step, j, hi = {
+                "block-edge": (_x_step(60.0), 2 * _BLOCK, 3 * _BLOCK),
+                "restart-edge": (_x_step(60.0), _RESTART, _RESTART + _BLOCK),
+                "main-and-dual": (math.exp(4.0), 700, _RESTART)}[case]
+            t_start = t_step - (j - 0.5) * h
+        splits = [choose_split(t_start + h * i, "meanSquare")
+                  for i in range(hi)]
+        floors = np.array([(math.floor(sp.x), math.floor(sp.y))
+                           for sp in splits])
+        stepped = np.diff(floors, axis=0) != 0
+        steps = np.flatnonzero(stepped.any(axis=1)) + 1
+        assert j in steps
+        if case == "one-point-run":
+            assert j + 1 in steps
+        if case == "main-and-dual":
+            assert stepped[j - 1, 1] and stepped[:, 0].sum() == 3
+        _assert_split_sums(alpha, lam, t_start, h, hi,
+                           sorted({0, hi - 1, *steps, *(steps - 1)}))
 
     def test_partial_sum_drops_bounded_remainder(self):
         # the partialSum integrand at one point: the bare main sum, whose

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import hurwitz_at_cutoff
@@ -271,6 +271,10 @@ class TestReferenceTable:
                            min_size=1, max_size=6),
            pairs=st.lists(st.tuples(_RATIONAL, _RATIONAL), min_size=1,
                           max_size=4))
+    # a^(-sigma) in the rounding floor once came from numpy's power, which
+    # gave a (1, 1) exponent of -1 other last bits than a (3, 1) one
+    @example(t=15.0, sigmas=[0.0, 1.0, 2.0],
+             pairs=[(Fraction(1, 5), Fraction(1, 7))])
     def test_equals_one_point_calls(self, t, sigmas, pairs):
         # the continuation runs over every (sigma, shift) of the table at
         # once; each entry must still be its one-point call, bit for bit

@@ -56,6 +56,9 @@ def commands(root: str) -> list[tuple[str, list[str]]]:
         ("fecheck-json", ["fecheck", "--no-meta", "--format", "json"]),
         ("meansquare-afe", ["meansquare", "--no-meta", "--T", "2000",
                             "--alpha", "1/2", "--lambda", "1/2"]),
+        # the hurwitz-kind split sums, whose dual sums start at index 1
+        ("meansquare-afe-q1", ["meansquare", "--no-meta", "--T", "2000",
+                               "--alpha", "1", "--lambda", "1"]),
         ("meansquare-oracle", ["meansquare", "--no-meta", "--T", "500",
                                "--alpha", "1/3", "--lambda", "1/2",
                                "--method", "oracle"]),
